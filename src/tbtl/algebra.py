@@ -32,18 +32,23 @@ def zero_op(N: int) -> Op:
     return {s: {} for s in enumerate_strings(N)}
 
 
+def _accumulate(out: Vec, s: str, c: RatioElem):
+    if c.is_zero():
+        return
+    cur = out.get(s)
+    nxt = c if cur is None else cur + c
+    if nxt.is_zero():
+        out.pop(s, None)
+    else:
+        out[s] = nxt
+
+
 def op_add(A: Op, B: Op) -> Op:
     out: Op = {}
     for col in A:
-        v = dict(A[col])
+        out[col] = v = dict(A[col])
         for row, c in B[col].items():
-            cur = v.get(row)
-            nxt = c if cur is None else cur + c
-            if nxt.is_zero():
-                v.pop(row, None)
-            else:
-                v[row] = nxt
-        out[col] = v
+            _accumulate(v, row, c)
     return out
 
 
@@ -57,16 +62,9 @@ def op_scale(A: Op, c: RatioElem) -> Op:
 def op_apply(A: Op, v: Vec) -> Vec:
     out: Vec = {}
     for col, c in v.items():
-        if c.is_zero():
-            continue
-        for row, a in A[col].items():
-            add = c * a
-            cur = out.get(row)
-            nxt = add if cur is None else cur + add
-            if nxt.is_zero():
-                out.pop(row, None)
-            else:
-                out[row] = nxt
+        if not c.is_zero():
+            for row, a in A[col].items():
+                _accumulate(out, row, c * a)
     return out
 
 
@@ -74,22 +72,22 @@ def op_mul(A: Op, B: Op) -> Op:
     return {col: op_apply(A, column) for col, column in B.items()}
 
 
-def op_eq(A: Op, B: Op) -> bool:
-    for col in A:
-        va, vb = A[col], B.get(col, {})
-        keys = set(va) | set(vb)
-        for row in keys:
-            ca = va.get(row)
-            cb = vb.get(row)
-            if ca is None:
-                if not cb.is_zero():
-                    return False
-            elif cb is None:
-                if not ca.is_zero():
-                    return False
+def op_mismatches(A: Op, B: Op):
+    """Yield the (column, row) entries where A and B differ, column by column
+    over A; a missing entry counts as zero."""
+    for col, va in A.items():
+        vb = B.get(col, {})
+        for row in {**va, **vb}:
+            ca, cb = va.get(row), vb.get(row)
+            if ca is None or cb is None:
+                if not (cb if ca is None else ca).is_zero():
+                    yield col, row
             elif ca != cb:
-                return False
-    return True
+                yield col, row
+
+
+def op_eq(A: Op, B: Op) -> bool:
+    return next(op_mismatches(A, B), None) is None
 
 
 def op_is_zero(A: Op) -> bool:
@@ -98,13 +96,6 @@ def op_is_zero(A: Op) -> bool:
 
 def op_sub(A: Op, B: Op) -> Op:
     return op_add(A, op_scale(B, RatioElem.from_int(-1)))
-
-
-def op_subst_Q(A: Op, M: int) -> Op:
-    return {
-        col: {row: c.subst_Q(M) for row, c in column.items()}
-        for col, column in A.items()
-    }
 
 
 # -- generators -----------------------------------------------------------
@@ -146,11 +137,25 @@ def generator_matrix(kind: str, i: int, N: int) -> Op:
     return out
 
 
+def generator_names(N: int) -> list[str]:
+    return [f"e{i}" for i in range(1, N)] + ["eN", "e0"]
+
+
+def standard_operator(N: int, gen: str) -> Op:
+    """Standard-basis matrix of e1..e{N-1}, eN, e0 or X, by name."""
+    if gen == "X":
+        return x_matrix_standard(N)
+    if gen == "eN":
+        return generator_matrix("EN", 0, N)
+    if gen == "e0":
+        return generator_matrix("E0", 0, N)
+    if gen.startswith("e"):
+        return generator_matrix("E", int(gen[1:]), N)
+    raise ValueError(gen)
+
+
 def all_generators(N: int) -> dict:
-    gens = {f"e{i}": generator_matrix("E", i, N) for i in range(1, N)}
-    gens["eN"] = generator_matrix("EN", 0, N)
-    gens["e0"] = generator_matrix("E0", 0, N)
-    return gens
+    return {gen: standard_operator(N, gen) for gen in generator_names(N)}
 
 
 def check_defining_relations(N: int) -> dict[str, bool]:
@@ -422,19 +427,11 @@ def commutation_check(N: int) -> dict[str, bool]:
     """[e_g, X] = 0 for bulk and right-boundary generators; e0 fails."""
     X = x_matrix_standard(N)
     report = {}
-    for i in range(1, N):
-        E = generator_matrix("E", i, N)
-        report[f"[e{i}, X] = 0"] = op_eq(op_mul(E, X), op_mul(X, E))
-    EN = generator_matrix("EN", 0, N)
-    report["[eN, X] = 0"] = op_eq(op_mul(EN, X), op_mul(X, EN))
-    E0 = generator_matrix("E0", 0, N)
-    report["[e0, X] != 0"] = not op_eq(op_mul(E0, X), op_mul(X, E0))
+    for gen in generator_names(N):
+        E = standard_operator(N, gen)
+        commutes = op_eq(op_mul(E, X), op_mul(X, E))
+        if gen == "e0":
+            report["[e0, X] != 0"] = not commutes
+        else:
+            report[f"[{gen}, X] = 0"] = commutes
     return report
-
-
-def op_to_json(A: Op) -> list:
-    out = []
-    for col, column in sorted(A.items()):
-        for row, c in sorted(column.items()):
-            out.append([row, col, c.to_text()])
-    return out

@@ -33,6 +33,14 @@ def check_tag(tag: str, M=None):
         raise ValueError(f"M is only meaningful for BI, got M={M} with {tag}")
 
 
+def specialize(vec: dict[str, RatioElem], tag: str, M=None) -> dict[str, RatioElem]:
+    """Restrict coefficients to the family's parameters: BI lives at
+    Q = q^M, every other family keeps Q free."""
+    if tag != "BI":
+        return vec
+    return {s: c.subst_Q(M) for s, c in vec.items()}
+
+
 def enumerate_strings(N: int) -> list[str]:
     """All strings of length N, '-' before '+' at each position, leftmost first."""
     if N < 1:

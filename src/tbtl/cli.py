@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import __version__
 from .ring import SpecPoint, ZeroDenominator
-from .basis import build_diagram, enumerate_strings, validate_kl_conditions
+from .basis import build_diagram, check_tag, enumerate_strings, validate_kl_conditions
 from . import algebra, combinatorics, coideal, ground_state, identities
 from .kl_action import crosscheck_vs_standard, generator_names
 
@@ -38,9 +38,8 @@ def parse_at(text: str) -> SpecPoint:
 def require_tag(args) -> tuple[str, int | None]:
     tag = args.type
     M = getattr(args, "m", None)
-    if tag == "BI":
-        if M is None:
-            raise ValueError("--m is required for type BI")
+    if tag != "standard":
+        check_tag(tag, M)
     elif M is not None:
         raise ValueError("--m only applies to type BI")
     return tag, M
@@ -156,12 +155,12 @@ def verify_checks(args):
                 )
     if name in ("xkl", "all"):
         if tag != "standard":
-            def xcheck():
-                coideal.x_matrix_kl.cache_clear()
-                coideal.x_matrix_kl(tag, N, M, check=True)
-                return True
-
-            checks.append((f"X action == conjugated matrix: {tag} N={N}", xcheck))
+            checks.append(
+                (
+                    f"X action == conjugated matrix: {tag} N={N}",
+                    lambda: crosscheck_vs_standard(tag, N, "X", M)[0],
+                )
+            )
     if name in ("eigen", "all"):
         if tag in ("BII", "BIII"):
             checks.append(
@@ -219,7 +218,8 @@ def verify_checks(args):
 
         checks.append((f"numeric ground-state check N={min(N,8)}", pf))
     if not checks:
-        raise ValueError(f"unknown check {name!r}")
+        # every --check choice adds a check unless it needs a decorated family
+        raise ValueError(f"check {name!r} needs a decorated family (A, BI, BII or BIII)")
     return checks
 
 

@@ -1,5 +1,6 @@
-"""Action of the coideal generator on the decorated bases, its spectrum,
-and the combinatorial classification that predicts the multiplicities."""
+"""The coideal generator as a cached matrix on the decorated bases (its
+diagram rules are in kl_action), its spectrum, and the combinatorial
+classification that predicts the multiplicities."""
 
 from __future__ import annotations
 
@@ -8,117 +9,23 @@ from functools import lru_cache
 from math import comb
 import random
 
-from .basis import (
-    Diagram,
-    build_diagram,
-    enumerate_strings,
-    flip,
-    standard_to_kl,
-    transition_matrix,
-)
+from .basis import build_diagram, enumerate_strings
 from .ring import (
     RatioElem,
-    RingElem,
     SpecPoint,
+    ZeroDenominator,
     qQ_bracket,
     qint,
-    R_ONE,
 )
-from .algebra import Op, Vec, op_apply, x_matrix_standard
-from .kl_action import _accumulate
-
-_mono = RingElem.mono
-
-
-def _r(c: RingElem) -> RatioElem:
-    return RatioElem.from_ring(c)
-
-
-def apply_X_kl(tag: str, D: Diagram) -> Vec:
-    """The displayed action of X on a basis diagram."""
-    s = D.string
-    out: Vec = {}
-    ups = sorted(D.ups)
-    n_up = len(ups)
-
-    if tag == "A":
-        downs = sorted(D.downs, reverse=True)  # right to left
-        n_down = len(downs)
-        wt = n_up - n_down
-        for i, u in enumerate(ups, start=1):
-            _accumulate(out, flip(s, {u: "-"}), _r(qint(i)))
-        for i, d in enumerate(downs, start=1):
-            _accumulate(out, flip(s, {d: "+"}), _r(_mono(1, wt + 1) * qint(i)))
-        _accumulate(out, s, qQ_bracket(0).mul_ring(_mono(1, wt)))
-        return out
-
-    if tag == "BI":
-        M = D.M
-        for i, u in enumerate(ups, start=1):
-            _accumulate(out, flip(s, {u: "-"}), _r(qint(i)))
-        if D.unpaired_down is not None:
-            # the (N_up)-th move pairs the last up with the unpaired down
-            # into a dashed arc, which is the same string flip; the extra
-            # move turns the unpaired down into an up.
-            _accumulate(
-                out, flip(s, {D.unpaired_down: "+"}), _r(qint(n_up + 1))
-            )
-        else:
-            labels = {p for _, p in D.labels}
-            if D.star is not None:
-                labels.add(1)
-            r = min(labels) if labels else M + 1
-            if r != 1:
-                _accumulate(out, s, _r(qint(n_up + r - 1)))
-        return out
-
-    if tag == "BII":
-        for i, u in enumerate(ups, start=1):
-            _accumulate(out, flip(s, {u: "-"}), _r(qint(i)))
-        marks = sorted(D.marks)
-        leftmost = marks[0][1] if marks else None
-        n = n_up if leftmost in (None, "e") else -n_up - 1
-        _accumulate(out, s, qQ_bracket(n))
-        return out
-
-    if tag == "BIII":
-        wt = n_up - len(D.circles)
-        for i, u in enumerate(ups, start=1):
-            _accumulate(out, flip(s, {u: "-"}), _r(qint(i)))
-        _accumulate(out, s, qQ_bracket(wt))
-        return out
-    raise ValueError(tag)
+from .algebra import Op
+from .kl_action import apply_X_kl, kl_operator  # apply_X_kl is re-exported
 
 
 @lru_cache(maxsize=None)
-def x_matrix_kl(tag: str, N: int, M: int | None = None, check: bool = True) -> Op:
-    """X on a decorated basis, cross-checked against T^{-1} X T."""
-    cols = {
-        s: apply_X_kl(tag, build_diagram(tag, s, M))
-        for s in enumerate_strings(N)
-    }
-    if check:
-        X = x_matrix_standard(N)
-        T = transition_matrix(tag, N, M)
-        for s in enumerate_strings(N):
-            col = {s2: RatioElem.from_ring(c) for s2, c in T[s].items()}
-            if tag == "BI":
-                col = {s2: c for s2, c in col.items()}
-                w = op_apply(X, col)
-                w = {s2: c.subst_Q(M) for s2, c in w.items()}
-            else:
-                w = op_apply(X, col)
-            conj = standard_to_kl(w, tag, N, M)
-            direct = cols[s]
-            keys = set(conj) | set(direct)
-            for s2 in keys:
-                a = conj.get(s2)
-                b = direct.get(s2)
-                if (a is None) != (b is None) or (a is not None and a != b):
-                    raise AssertionError(
-                        f"X mismatch for {tag} N={N} M={M} column {s} row {s2}"
-                    )
-    return cols
+def x_matrix_kl(tag: str, N: int, M: int | None = None) -> Op:
+    """X on a decorated basis from the diagram rules (apply_X_kl); the
+    conjugated-matrix oracle is crosscheck_vs_standard(tag, N, "X", M)."""
+    return kl_operator(tag, N, "X", M)
 
 
 # -- BI classification -------------------------------------------------------
@@ -154,7 +61,7 @@ def check_bi_multiplicity_histogram(N: int, M: int) -> bool:
 # -- multiplicities at generic points ----------------------------------------
 
 
-def _rank_of_rows(rows: list[dict[int, Fraction]], dim: int) -> int:
+def _rank_of_rows(rows: list[dict[int, Fraction]]) -> int:
     """Exact rank of a sparse rational matrix by elimination."""
     pivots: dict[int, dict[int, Fraction]] = {}
     rank = 0
@@ -208,7 +115,7 @@ def candidate_eigenvalues(tag: str, N: int, M: int | None):
     out = []
     for i in range(N + 1):
         if tag == "BI":
-            out.append((i, _r(qint(N + M - 2 * i))))
+            out.append((i, RatioElem.from_ring(qint(N + M - 2 * i))))
         else:
             out.append((i, qQ_bracket(N - 2 * i)))
     return out
@@ -223,7 +130,7 @@ def eigen_multiplicities(
     sample points (colliding candidate eigenvalues) are resampled.
     """
     rng = random.Random(seed)
-    X = x_matrix_kl(tag, N, M, check=False)
+    X = x_matrix_kl(tag, N, M)
     order = enumerate_strings(N)
     dim = len(order)
     cands = candidate_eigenvalues(tag, N, M)
@@ -231,7 +138,7 @@ def eigen_multiplicities(
         p = random_generic_point(rng)
         try:
             values = [(i, lam.evaluate(p)) for i, lam in cands]
-        except Exception:
+        except ZeroDenominator:
             continue
         if len({v for _, v in values}) != len(values):
             continue  # eigenvalue collision; resample
@@ -245,7 +152,7 @@ def eigen_multiplicities(
                 row[k] = row.get(k, Fraction(0)) - lam
                 if not row[k]:
                     del row[k]
-            rank = _rank_of_rows(list(rows.values()), dim)
+            rank = _rank_of_rows(list(rows.values()))
             mult[i] = dim - rank
             total += mult[i]
         if total != dim:
@@ -273,7 +180,7 @@ def check_triangular_spectrum(tag: str, N: int) -> bool:
     diagonal symbolically."""
     if tag not in ("BII", "BIII"):
         raise ValueError("triangular spectrum check applies to BII/BIII")
-    X = x_matrix_kl(tag, N, None, check=False)
+    X = x_matrix_kl(tag, N, None)
     order = enumerate_strings(N)
     pos = {s: i for i, s in enumerate(order)}
     counts: dict[int, int] = {}

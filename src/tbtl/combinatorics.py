@@ -182,16 +182,6 @@ def check_sum_conjectures(n_max: int = 9) -> dict:
 # -- q = 1 decompositions ------------------------------------------------------
 
 
-def _sum_q1_poly(tag: str, N: int, strings=None) -> dict[int, Fraction]:
-    """Component sum at q = 1 as a Laurent polynomial in Q."""
-    out: dict[int, Fraction] = {}
-    for s in strings if strings is not None else enumerate_strings(N):
-        f = psi_component(tag, build_diagram(tag, s))
-        for e, c in f.eval_q1().items():
-            out[e] = out.get(e, Fraction(0)) + c
-    return {e: c for e, c in out.items() if c}
-
-
 def _strings_with_pluses(N: int, k: int):
     for pos in combinations(range(N), k):
         chars = ["-"] * N

@@ -31,10 +31,6 @@ def _frac(num: RingElem, *dens: RingElem) -> RatioElem:
     return RatioElem(num, tuple(("raw", d) for d in dens), reduce=False)
 
 
-def _inv(n: int) -> RatioElem:
-    return _frac(RingElem.const(1), qint(n))
-
-
 LEMMA_IDS = (
     "appA",
     "app0",
@@ -493,12 +489,8 @@ def recurrence_step(lemma: str, params: dict) -> bool:
         "app17": lemma_app17,
     }
     build = builders[lemma]
-    if lemma in ("app0", "app1"):
-        full = build(ms, ns)
-        prev = build(ms[:-1], ns[:-1])
-    else:
-        full = build(ms, ns)
-        prev = build(ms[:-1], ns[:-1])
+    full = build(ms, ns)
+    prev = build(ms[:-1], ns[:-1])
     # the induction step: (rhs_full - rhs_prev-carried) equals the final
     # summand, which equals (lhs_full - lhs_prev-carried); verified by
     # checking both lemma instances directly.

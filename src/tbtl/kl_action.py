@@ -1,9 +1,10 @@
-"""Diagrammatic action of e_i, e_N and e_0 on the four decorated bases.
+"""Diagrammatic action of e_i, e_N, e_0 and the coideal generator X on the
+four decorated bases.
 
 Every rewrite is expressed as a coefficient times the basis element of a
 flipped binary string; decorations of the result are recomputed from the
 string, never patched.  The conjugated standard-basis action provides an
-independent oracle (crosscheck_vs_standard).
+independent oracle (crosscheck_vs_standard) for every generator and X.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .basis import (
     enumerate_strings,
     flip,
     reflect,
+    specialize,
     standard_to_kl,
     transition_matrix,
 )
@@ -24,26 +26,24 @@ from .ring import (
     atom_expand,
     dangle,
     qint,
+    qQ_bracket,
     R_ONE,
 )
-from .algebra import Op, Vec, generator_matrix, op_apply, op_subst_Q
+from .algebra import (
+    Op,
+    Vec,
+    _accumulate,
+    generator_names,  # re-exported
+    op_apply,
+    op_mismatches,
+    standard_operator,
+)
 
 _mono = RingElem.mono
 
 
 def _r(c) -> RatioElem:
     return RatioElem.from_ring(c) if isinstance(c, RingElem) else c
-
-
-def _accumulate(out: Vec, s: str, c: RatioElem):
-    if c.is_zero():
-        return
-    cur = out.get(s)
-    nxt = c if cur is None else cur + c
-    if nxt.is_zero():
-        out.pop(s, None)
-    else:
-        out[s] = nxt
 
 
 # -- e_i, 1 <= i <= N-1 ----------------------------------------------------
@@ -533,7 +533,59 @@ def _swap_Q_Q0(c: RatioElem) -> RatioElem:
     return RatioElem(swap_ring(c.num), den, reduce=False)
 
 
+# -- the coideal generator X --------------------------------------------------
+
+
+def apply_X_kl(tag: str, D: Diagram) -> Vec:
+    """The displayed action of X on a basis diagram."""
+    s = D.string
+    out: Vec = {}
+    ups = sorted(D.ups)
+    n_up = len(ups)
+    for i, u in enumerate(ups, start=1):
+        _accumulate(out, flip(s, {u: "-"}), _r(qint(i)))
+
+    if tag == "A":
+        downs = sorted(D.downs, reverse=True)  # right to left
+        wt = n_up - len(downs)
+        for i, d in enumerate(downs, start=1):
+            _accumulate(out, flip(s, {d: "+"}), _r(_mono(1, wt + 1) * qint(i)))
+        _accumulate(out, s, qQ_bracket(0).mul_ring(_mono(1, wt)))
+        return out
+
+    if tag == "BI":
+        if D.unpaired_down is not None:
+            # the (N_up)-th move pairs the last up with the unpaired down
+            # into a dashed arc, which is the same string flip; the extra
+            # move turns the unpaired down into an up.
+            _accumulate(
+                out, flip(s, {D.unpaired_down: "+"}), _r(qint(n_up + 1))
+            )
+        else:
+            labels = {p for _, p in D.labels}
+            if D.star is not None:
+                labels.add(1)
+            r = min(labels) if labels else D.M + 1
+            if r != 1:
+                _accumulate(out, s, _r(qint(n_up + r - 1)))
+        return out
+
+    if tag == "BII":
+        marks = sorted(D.marks)
+        leftmost = marks[0][1] if marks else None
+        n = n_up if leftmost in (None, "e") else -n_up - 1
+        _accumulate(out, s, qQ_bracket(n))
+        return out
+
+    if tag == "BIII":
+        _accumulate(out, s, qQ_bracket(n_up - len(D.circles)))
+        return out
+    raise ValueError(tag)
+
+
 def apply_generator_kl(tag: str, D: Diagram, gen: str) -> Vec:
+    if gen == "X":
+        return apply_X_kl(tag, D)
     if gen == "eN":
         return apply_eN_kl(tag, D)
     if gen == "e0":
@@ -543,39 +595,29 @@ def apply_generator_kl(tag: str, D: Diagram, gen: str) -> Vec:
     raise ValueError(gen)
 
 
-def generator_names(N: int) -> list[str]:
-    return [f"e{i}" for i in range(1, N)] + ["eN", "e0"]
+def kl_operator(tag: str, N: int, gen: str, M: int | None = None) -> Op:
+    """e_g or X on a basis, column by column from the diagram rules; the
+    standard basis takes its matrix."""
+    if tag == "standard":
+        return standard_operator(N, gen)
+    return {
+        s: apply_generator_kl(tag, build_diagram(tag, s, M), gen)
+        for s in enumerate_strings(N)
+    }
 
 
 def crosscheck_vs_standard(tag: str, N: int, gen: str, M: int | None = None):
-    """Diagrammatic action == T^{-1} E_g T, exhaustively over basis diagrams.
+    """Diagrammatic action of e_g or X == T^{-1} E_g T, exhaustively over
+    basis diagrams (for BI after Q -> q^M).
 
-    Returns (ok, mismatches) where mismatches lists offending strings.
+    Returns (ok, mismatches) where mismatches lists the differing
+    (column, row) pairs of basis strings.
     """
-    if gen == "eN":
-        E = generator_matrix("EN", 0, N)
-    elif gen == "e0":
-        E = generator_matrix("E0", 0, N)
-    else:
-        E = generator_matrix("E", int(gen[1:]), N)
-    if tag == "BI":
-        E = op_subst_Q(E, M)
+    E = {s: specialize(col, tag, M) for s, col in standard_operator(N, gen).items()}
     T = transition_matrix(tag, N, M)
-    mismatches = []
+    conjugated = {}
     for s in enumerate_strings(N):
         col = {s2: RatioElem.from_ring(c) for s2, c in T[s].items()}
-        conjugated = standard_to_kl(op_apply(E, col), tag, N, M)
-        direct = apply_generator_kl(tag, build_diagram(tag, s, M), gen)
-        keys = set(conjugated) | set(direct)
-        for s2 in keys:
-            a = conjugated.get(s2)
-            b = direct.get(s2)
-            if a is None:
-                if not b.is_zero():
-                    mismatches.append((s, s2))
-            elif b is None:
-                if not a.is_zero():
-                    mismatches.append((s, s2))
-            elif a != b:
-                mismatches.append((s, s2))
+        conjugated[s] = standard_to_kl(op_apply(E, col), tag, N, M)
+    mismatches = list(op_mismatches(conjugated, kl_operator(tag, N, gen, M)))
     return (not mismatches), mismatches

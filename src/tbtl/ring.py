@@ -105,18 +105,6 @@ class RingElem:
             return RingElem({})
         return RingElem({m: c * v for m, v in self.terms.items()})
 
-    def int_pow(self, n: int) -> "RingElem":
-        if n < 0:
-            raise ValueError("negative power of a RingElem")
-        out = RingElem.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RingElem) and self.terms == other.terms
 
@@ -463,13 +451,6 @@ class RatioElem:
             num = exact_div(num, atom_expand(atom))
         return num
 
-    def is_polynomial(self) -> bool:
-        try:
-            self.as_ring()
-            return True
-        except NotDivisible:
-            return False
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "RatioElem") -> "RatioElem":
@@ -507,12 +488,6 @@ class RatioElem:
 
     def div_atom(self, atom) -> "RatioElem":
         return RatioElem(self.num, self.den + (atom,), reduce=False)
-
-    def int_pow(self, n: int) -> "RatioElem":
-        out = RatioElem.from_int(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatioElem):

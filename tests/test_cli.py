@@ -83,3 +83,32 @@ class TestCommands:
     def test_usage_error(self, capsys):
         code = main(["bogus-verb"])
         assert code == 64
+
+    def test_verify_rejects_bi_m0(self, capsys):
+        code, out = run(
+            capsys, "verify", "--check", "relations", "--type", "BI", "--m", "0", "--n", "3"
+        )
+        assert code == 64 and "PASS" not in out
+
+    @pytest.mark.parametrize("check", ["klactions", "xkl"])
+    def test_verify_standard_needs_decorated_family(self, capsys, check):
+        code = main(["verify", "--check", check, "--type", "standard", "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 64 and "PASS" not in captured.out
+        assert "needs a decorated family" in captured.err
+
+    def test_verify_xkl_mismatch_fails(self, capsys, monkeypatch):
+        from tbtl import kl_action
+
+        rule = kl_action.apply_X_kl
+
+        def perturbed(tag, D):
+            out = rule(tag, D)
+            if D.string == "+-":
+                out["--"] = out["--"].scale(2)
+            return out
+
+        monkeypatch.setattr(kl_action, "apply_X_kl", perturbed)
+        code, out = run(capsys, "verify", "--check", "xkl", "--type", "BIII", "--n", "2")
+        assert code == 1
+        assert out == "FAIL  X action == conjugated matrix: BIII N=2\n"

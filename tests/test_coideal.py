@@ -2,6 +2,8 @@ from math import comb
 
 import pytest
 
+from tbtl import coideal
+
 from tbtl.basis import build_diagram, enumerate_strings
 from tbtl.coideal import (
     apply_X_kl,
@@ -10,9 +12,9 @@ from tbtl.coideal import (
     check_triangular_spectrum,
     classify_bi,
     eigen_multiplicities,
-    x_matrix_kl,
 )
-from tbtl.ring import RatioElem, RingElem, qQ_bracket, qint, R_ONE
+from tbtl.kl_action import crosscheck_vs_standard
+from tbtl.ring import RatioElem, RingElem, ZeroDenominator, qQ_bracket, qint, R_ONE
 
 mono = RingElem.mono
 
@@ -96,8 +98,7 @@ class TestXmatrix:
     )
     def test_oracle(self, tag, M):
         for N in (1, 2, 3, 4):
-            x_matrix_kl.cache_clear()
-            x_matrix_kl(tag, N, M, check=True)  # raises on mismatch
+            assert crosscheck_vs_standard(tag, N, "X", M)[0], (tag, N)
 
     def test_triangular(self):
         for tag in ("BII", "BIII"):
@@ -152,3 +153,16 @@ class TestMultiplicities:
         hist = classify_bi(N, M)
         for i in range(N + 1):
             assert hist.get(N + M - 2 * i, 0) == mult[i] or comb(N, i) == mult[i]
+
+    @pytest.mark.parametrize("error", [TypeError, ZeroDenominator])
+    def test_only_degenerate_points_resample(self, monkeypatch, error):
+        class Candidate:
+            def evaluate(self, p):
+                raise error("candidate cannot be evaluated")
+
+        monkeypatch.setattr(
+            coideal, "candidate_eigenvalues", lambda tag, N, M: [(0, Candidate())]
+        )
+        expected = TypeError if error is TypeError else RuntimeError
+        with pytest.raises(expected):
+            eigen_multiplicities("A", 2, seed=1)

@@ -7,7 +7,6 @@ from tbtl.ground_state import (
     GroundState,
     NonPolynomialComponent,
     e0_requires_condition,
-    hamiltonian_annihilates,
     numeric_ground_state_check,
     oracle_change_of_basis,
     psi_component,
@@ -126,10 +125,6 @@ class TestAnnihilation:
 
     def test_e0_needs_condition(self):
         assert e0_requires_condition(2)
-
-    def test_hamiltonian(self):
-        assert hamiltonian_annihilates("A", 3)
-        assert hamiltonian_annihilates("BIII", 3)
 
 
 class TestChangeOfBasis:

@@ -178,6 +178,21 @@ class TestOracle:
                 ok, mismatches = crosscheck_vs_standard(tag, N, gen, M)
                 assert ok, (tag, M, N, gen, mismatches[:3])
 
+    def test_perturbed_rule_is_located(self, monkeypatch):
+        from tbtl import kl_action
+
+        rule = kl_action.apply_ei_kl
+
+        def perturbed(tag, D, i):
+            out = rule(tag, D, i)
+            if D.string == "+--" and i == 1:
+                out["-+-"] = out["-+-"].scale(2)
+            return out
+
+        monkeypatch.setattr(kl_action, "apply_ei_kl", perturbed)
+        assert crosscheck_vs_standard("A", 3, "e1") == (False, [("+--", "-+-")])
+        assert crosscheck_vs_standard("A", 3, "e2")[0]
+
     def test_ei_squared_diagrammatic(self):
         # conjugation preserves the loop relation; re-check it directly on
         # the diagram action
