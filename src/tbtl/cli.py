@@ -282,13 +282,21 @@ def cmd_table(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    alphas = [int(x) for x in args.alpha.split(",")] if args.alpha else []
-    plus = [int(x) for x in args.plus.split(",")] if args.plus else []
-    minus = [int(x) for x in args.minus.split(",")] if args.minus else []
+    alphas, plus, minus = (
+        [int(x) for x in raw.split(",")] if raw else []
+        for raw in (args.alpha, args.plus, args.minus)
+    )
+    sites = alphas + plus + minus
+    outside = [i for i in sites if not 1 <= i <= args.n]
+    if outside:
+        raise ValueError(f"sites {outside} lie outside 1..{args.n}")
+    if len(set(sites)) != len(sites):
+        # the closed form is a product of one factor per distinct site
+        raise ValueError("a site may appear only once across --alpha, --plus and --minus")
+    p = parse_at(args.at) if args.at else None
     closed = combinatorics.correlation_closed(args.n, alphas, plus, minus)
     agree = combinatorics.correlation_check(args.n, alphas, plus, minus)
-    if args.at:
-        p = parse_at(args.at)
+    if p is not None:
         val = closed.evaluate(p)
         emit(
             args,
@@ -490,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_conjecture)
 
     p = sub.add_parser("identities", help="appendix lemma sweeps")
-    p.add_argument("--lemma", default="all")
+    p.add_argument("--lemma", default="all", choices=("all",) + identities.LEMMA_IDS)
     p.add_argument("--draws", type=int, default=200)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--seed", type=int, default=20260809)

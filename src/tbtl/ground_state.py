@@ -67,12 +67,13 @@ class FactorizedScalar:
             raise NonPolynomialComponent(str(exc)) from exc
 
     def evaluate(self, p: SpecPoint) -> Fraction:
-        v = p.q**self.q_exp * p.Q**self.Q_exp
+        num = p.monomial((self.q_exp, self.Q_exp, 0))
         for atom in self.num:
-            v *= atom_eval(atom, p)
+            num *= atom_eval(atom, p)
+        den = Fraction(1)
         for atom in self.den:
-            v /= atom_eval(atom, p)
-        return v
+            den *= atom_eval(atom, p)
+        return num / den
 
     def eval_q1(self) -> dict[int, Fraction]:
         """Value at q = 1 as a Laurent polynomial in Q: {Q-power: coeff}."""
@@ -531,7 +532,9 @@ def numeric_ground_state_check(
 ):
     """Floating-point Perron-Frobenius check of the two-boundary chain.
 
-    Returns (min_abs_eigenvalue, psi_BI_positive, psi_BIII_positive).
+    Returns (lowest_eigenvalue, min_abs_eigenvalue, positive), where
+    positive maps "BI" (M = 1) and "BIII" to whether every closed-form
+    ground-state component of size N is positive at (q, Q).
     """
     import numpy as np
 
@@ -560,7 +563,7 @@ def numeric_ground_state_check(
 
     pos = {}
     for tag, M in (("BI", 1), ("BIII", None)):
-        gs = psi_vector(tag, min(N, 7), M)
+        gs = psi_vector(tag, N, M)
         vals = gs.evaluate(SpecPoint(qf, Qf, 1))
         pos[tag] = all(v > 0 for v in vals.values())
     return lowest, min_abs, pos

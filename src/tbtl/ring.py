@@ -151,9 +151,10 @@ class RingElem:
         return RingElem(out)
 
     def evaluate(self, p: "SpecPoint") -> Fraction:
+        monomial = p.monomial
         total = Fraction(0)
-        for (e, f, g), c in self.terms.items():
-            total += c * p.q**e * p.Q**f * p.Q0**g
+        for m, c in self.terms.items():
+            total += c * monomial(m)
         return total
 
     def coeffs_nonneg(self) -> bool:
@@ -326,16 +327,35 @@ def try_div(a: RingElem, b: RingElem):
 
 
 class SpecPoint:
-    """Assignment of nonzero rationals to q, Q, Q0."""
+    """Assignment of nonzero rationals to q, Q, Q0.
 
-    __slots__ = ("q", "Q", "Q0")
+    A point memoizes every monomial value q^e Q^f Q0^g and every atom value
+    it computes, for its own lifetime.  The tables assume fixed coordinates,
+    so a point is read-only after construction.  Reuse one point across many
+    evaluations at the same coordinates.
+    """
+
+    __slots__ = ("q", "Q", "Q0", "_monomials", "_atoms")
 
     def __init__(self, q, Q, Q0=1):
-        self.q = Fraction(q)
-        self.Q = Fraction(Q)
-        self.Q0 = Fraction(Q0)
-        if not (self.q and self.Q and self.Q0):
+        q, Q, Q0 = Fraction(q), Fraction(Q), Fraction(Q0)
+        if not (q and Q and Q0):
             raise ValueError("spec point values must be nonzero")
+        for name, value in (("q", q), ("Q", Q), ("Q0", Q0), ("_monomials", {}), ("_atoms", {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError("SpecPoint is read-only")
+
+    __delattr__ = __setattr__
+
+    def monomial(self, m: Monomial) -> Fraction:
+        """q^e Q^f Q0^g for the exponent triple m = (e, f, g)."""
+        v = self._monomials.get(m)
+        if v is None:
+            e, f, g = m
+            v = self._monomials[m] = self.q**e * self.Q**f * self.Q0**g
+        return v
 
     def __repr__(self):
         return f"SpecPoint(q={self.q}, Q={self.Q}, Q0={self.Q0})"
@@ -362,8 +382,13 @@ def atom_expand(atom) -> RingElem:
 
 
 def atom_eval(atom, p: SpecPoint) -> Fraction:
-    v = atom_expand(atom).evaluate(p)
-    if v == 0:
+    """Value of an atom at p, from p's atom table; raises ZeroDenominator on
+    every lookup of an atom that vanishes there."""
+    key = _atom_key(atom)
+    v = p._atoms.get(key)
+    if v is None:
+        v = p._atoms[key] = atom_expand(atom).evaluate(p)
+    if not v:
         raise ZeroDenominator(f"atom {atom} vanishes at {p}")
     return v
 
@@ -502,10 +527,9 @@ class RatioElem:
             b = b * atom_expand(atom)
         return a == b
 
-    def __hash__(self):
-        # Hash on the reduced pair; equal reduced forms hash equally, and
-        # cross-multiplied equality of distinct forms is rare in our use.
-        return hash((self.num, self.den))
+    # Equality cross-multiplies, so equal values may carry different
+    # denominators; no hash of (num, den) can agree with it.
+    __hash__ = None
 
     # -- maps -----------------------------------------------------------
 
@@ -545,10 +569,10 @@ class RatioElem:
         return RatioElem(num, den)
 
     def evaluate(self, p: SpecPoint) -> Fraction:
-        v = self.num.evaluate(p)
+        den = Fraction(1)
         for atom in self.den:
-            v /= atom_eval(atom, p)
-        return v
+            den *= atom_eval(atom, p)
+        return self.num.evaluate(p) / den
 
     def to_text(self) -> str:
         if not self.den:

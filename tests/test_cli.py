@@ -112,3 +112,36 @@ class TestCommands:
         code, out = run(capsys, "verify", "--check", "xkl", "--type", "BIII", "--n", "2")
         assert code == 1
         assert out == "FAIL  X action == conjugated matrix: BIII N=2\n"
+
+
+class TestUsageErrors:
+    def test_identities_unknown_lemma(self, capsys):
+        code = main(["identities", "--lemma", "bogus"])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert "invalid choice: 'bogus'" in captured.err
+
+    @pytest.mark.parametrize(
+        "sites",
+        [
+            ["--alpha", "5"],
+            ["--alpha", "0"],
+            ["--plus", "4"],
+            ["--minus", "-1"],
+            ["--alpha", "1", "--plus", "2,7"],
+            ["--alpha", "2,2"],
+            ["--plus", "2", "--minus", "2"],
+        ],
+    )
+    def test_correlate_rejects_bad_sites_before_work(self, capsys, monkeypatch, sites):
+        from tbtl import combinatorics
+
+        def no_work(*_):
+            raise AssertionError("work started before the sites were checked")
+
+        monkeypatch.setattr(combinatorics, "correlation_closed", no_work)
+        monkeypatch.setattr(combinatorics, "correlation_check", no_work)
+        code = main(["correlate", "--n", "3", *sites])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert captured.err.startswith("error: ")

@@ -164,6 +164,21 @@ class TestNumeric:
             assert minabs <= 1e-9
             assert pos["BI"] and pos["BIII"]
 
+    def test_positivity_at_spectrum_size(self, monkeypatch):
+        from tbtl import ground_state
+
+        sizes = []
+        build = ground_state.psi_vector
+
+        def spy(tag, N, M=None):
+            sizes.append(N)
+            return build(tag, N, M)
+
+        monkeypatch.setattr(ground_state, "psi_vector", spy)
+        _, minabs, pos = numeric_ground_state_check(8, 1.1, 1.3, 1.0, 0.1)
+        assert sizes == [8, 8]
+        assert minabs <= 1e-8 and pos == {"BI": True, "BIII": True}
+
     def test_biii_positive_any_point(self):
         gs = psi_vector("BIII", 6)
         vals = gs.evaluate(SpecPoint(Fraction(13, 7), Fraction(2, 9), 1))

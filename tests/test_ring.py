@@ -11,6 +11,8 @@ from tbtl.ring import (
     SpecPoint,
     ZeroDenominator,
     angle,
+    atom_eval,
+    atom_expand,
     dangle,
     exact_div,
     is_positivity_class,
@@ -161,6 +163,33 @@ class TestBarAndEval:
         with pytest.raises(ZeroDenominator):
             qQ_bracket(0).evaluate(SpecPoint(1, 2, 1))
 
+    def test_vanishing_atom_raises_on_every_lookup(self):
+        p = SpecPoint(1, 2, 1)
+        for _ in range(2):  # the second lookup reads the point's atom table
+            with pytest.raises(ZeroDenominator):
+                atom_eval(("qdiff",), p)
+            with pytest.raises(ZeroDenominator):
+                qQ_bracket(3).evaluate(p)
+
+    def test_spec_point_read_only(self):
+        p = SpecPoint(2, 3, 5)
+        with pytest.raises(AttributeError):
+            p.q = Fraction(7)
+        with pytest.raises(AttributeError):
+            del p.Q
+        assert (p.q, p.Q, p.Q0) == (2, 3, 5)
+
+
+class TestRatioHash:
+    def test_equal_values_unhashable(self):
+        # [2][3]/[2] and [3][4]/[4] are both [3], over different denominators
+        a = RatioElem(qint(2) * qint(3), (("qint", 2),), reduce=False)
+        b = RatioElem(qint(3) * qint(4), (("qint", 4),), reduce=False)
+        assert a.den != b.den and a == b
+        for r in (a, b):
+            with pytest.raises(TypeError):
+                hash(r)
+
 
 class TestPositivity:
     def test_classes(self):
@@ -213,3 +242,76 @@ def test_ring_axioms(ta, tb):
     assert a + b == b + a
     assert a - a == ZERO
     assert (a + b) * b == a * b + b * b
+
+
+# -- cached evaluation against a table-free reference ---------------------------
+
+_exponents = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2))
+_polys = st.dictionaries(_exponents, st.integers(-4, 4).filter(bool), max_size=5).map(
+    RingElem
+)
+_atoms = st.one_of(
+    st.tuples(st.just("qint"), st.integers(-4, 6).filter(bool)),
+    st.tuples(st.just("angle"), st.integers(0, 4)),
+    st.tuples(st.just("qshift"), st.integers(-3, 3)),
+    st.just(("qdiff",)),
+    st.tuples(st.just("raw"), _polys.filter(bool)),
+)
+_coords = st.sampled_from(
+    [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-3, 2)]
+)
+_points = st.tuples(_coords, _coords, _coords)
+
+
+def _ref_poly(a: RingElem, q, Q, Q0) -> Fraction:
+    """Term-by-term Fraction-power sum, with no SpecPoint tables."""
+    return sum((c * q**e * Q**f * Q0**g for (e, f, g), c in a.terms.items()), Fraction(0))
+
+
+def _ref_quotient(prefactor: Fraction, num_atoms, den_atoms, coords):
+    """prefactor * prod(num atoms) / prod(den atoms), or None if an atom
+    vanishes (atom_eval raises for numerator and denominator atoms alike)."""
+    values = [_ref_poly(atom_expand(a), *coords) for a in list(num_atoms) + list(den_atoms)]
+    if not all(values):
+        return None
+    out = prefactor
+    for v in values[: len(num_atoms)]:
+        out *= v
+    for v in values[len(num_atoms):]:
+        out /= v
+    return out
+
+
+def _assert_evaluates_to(value, p, expected):
+    if expected is None:
+        with pytest.raises(ZeroDenominator):
+            value.evaluate(p)
+    else:
+        got = value.evaluate(p)
+        assert isinstance(got, Fraction) and got == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _polys,
+    st.lists(_atoms, max_size=3),
+    st.lists(_atoms, max_size=3),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    _points,
+    _points,
+)
+def test_cached_evaluation_matches_reference(num, num_atoms, den_atoms, a, b, pt1, pt2):
+    from tbtl.ground_state import FactorizedScalar
+
+    ratio = RatioElem(num, den_atoms, reduce=False)
+    fs = FactorizedScalar(a, b, list(num_atoms), list(den_atoms))
+    for coords in (pt1, pt2):
+        p = SpecPoint(*coords)
+        for _ in range(2):  # the second pass reads the point's tables
+            _assert_evaluates_to(num, p, _ref_poly(num, *coords))
+            _assert_evaluates_to(
+                ratio, p, _ref_quotient(_ref_poly(num, *coords), (), den_atoms, coords)
+            )
+            prefactor = coords[0] ** a * coords[1] ** b
+            _assert_evaluates_to(fs, p, _ref_quotient(prefactor, num_atoms, den_atoms, coords))
