@@ -9,18 +9,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 import random
 
-from .basis import build_diagram, enumerate_strings
+from .basis import build_diagram
 from .ground_state import psi_vector, psi_component
-from .ring import (
-    RatioElem,
-    RingElem,
-    SpecPoint,
-    qint,
-    R_ONE,
-)
-from .algebra import Vec
+from .ring import RatioElem, RingElem, SpecPoint, R_ONE
 
 _mono = RingElem.mono
 
@@ -44,8 +38,7 @@ def correlation_closed(N: int, alphas, plus, minus) -> RatioElem:
 
 def correlation_brute(N: int, alphas, plus, minus) -> RatioElem:
     """<Psi0|O|Psi0> / <Psi0|Psi0> from the explicit component sum."""
-    gs = psi_vector("standard", N)
-    comps = {s: f.to_ratio() for s, f in gs.factors.items()}
+    comps = psi_vector("standard", N).components()
     num = RatioElem.from_int(0)
     den = RatioElem.from_int(0)
     alphas, plus, minus = set(alphas), set(plus), set(minus)
@@ -98,17 +91,10 @@ def random_observable(N: int, rng: random.Random):
 
 
 def sum_rule(tag: str, N: int, M: int | None = None, p: SpecPoint | None = None) -> Fraction:
+    """Sum of the ground-state components at p (default q = Q = Q0 = 1)."""
     if p is None:
         p = SpecPoint(1, 1, 1)
-    total = Fraction(0)
-    for s in enumerate_strings(N):
-        f = (
-            psi_component(tag, build_diagram(tag, s, M))
-            if tag != "standard"
-            else psi_component("standard", build_diagram("A", s))
-        )
-        total += f.evaluate(p)
-    return total
+    return sum(psi_vector(tag, N, M).evaluate(p).values(), Fraction(0))
 
 
 def oeis_sequence(name: str, n: int) -> int:
@@ -152,18 +138,25 @@ TABLE_1 = {
 }
 
 
+def table_sums(n_max: int) -> list:
+    """(TABLE_1 key, row label, sums at q = Q = 1 for N = 1..n_max), one
+    triple per family of the table; M = inf means M = N + 1."""
+    out = []
+    for key in TABLE_1:
+        tag, M = key if isinstance(key, tuple) else (key, None)
+        label = tag if M is None else f"{tag}(M={M})"
+        sums = [sum_rule(tag, N, N + 1 if M == "inf" else M) for N in range(1, n_max + 1)]
+        out.append((key, label, sums))
+    return out
+
+
 def check_table1(n_max: int = 9) -> dict:
-    """Reproduce every tabulated component sum at q = Q = 1."""
+    """Reproduce the tabulated component sums at q = Q = 1 for N <= n_max;
+    the table stops at N = 9."""
     report = {}
-    for key, row in TABLE_1.items():
-        if isinstance(key, tuple):
-            tag, M = key
-        else:
-            tag, M = key, None
-        for N in range(1, n_max + 1):
-            m = (N + 1) if M == "inf" else M
-            val = sum_rule(tag, N, m)
-            report[(key, N)] = (val == row[N - 1], val, row[N - 1])
+    for key, _, sums in table_sums(min(n_max, len(TABLE_1["A"]))):
+        for N, (val, want) in enumerate(zip(sums, TABLE_1[key]), start=1):
+            report[(key, N)] = (val == want, val, want)
     return report
 
 
@@ -190,81 +183,29 @@ def _strings_with_pluses(N: int, k: int):
         yield "".join(chars)
 
 
-def decompose_sum_A(N: int, degrees=None) -> dict[int, int]:
-    """Coefficients S_{N,i} of Q^i in the type A sum at q = 1.
+def decompose_sum(tag: str, N: int, degrees=None) -> dict[int, int]:
+    """Coefficients S_{N,i} of the sum at q = 1: of Q^i for type A, of
+    (Q + 1/Q)^i for BII and BIII.
 
-    Each component contributes the single power Q^{#pluses}, so the
-    decomposition can be taken degree by degree.
+    A component with i pluses is c Q^i (type A) or c (Q + 1/Q)^i (BII, BIII),
+    so S_{N,i} sums the values at q = Q = 1 of the components with i pluses,
+    divided by 2^i for BII and BIII.
     """
-    degrees = range(N + 1) if degrees is None else degrees
-    out = {}
-    for i in degrees:
-        total = Fraction(0)
-        for s in _strings_with_pluses(N, i):
-            f = psi_component("A", build_diagram("A", s))
-            poly = f.eval_q1()
-            assert set(poly) == {i}
-            total += poly[i]
-        assert total.denominator == 1
-        out[i] = int(total)
-    return out
-
-
-def decompose_sum_shifted(tag: str, N: int, degrees=None) -> dict[int, int]:
-    """Coefficients of (Q + 1/Q)^i in the BII/BIII sums at q = 1.
-
-    Components contribute a pure power of (Q + 1/Q), namely the number of
-    pluses of the string, so again no reduction is needed.
-    """
-    if tag not in ("BII", "BIII"):
+    if tag not in ("A", "BII", "BIII"):
         raise ValueError(tag)
+    p = SpecPoint(1, 1, 1)
     degrees = range(N + 1) if degrees is None else degrees
     out = {}
     for i in degrees:
+        shifts, Q_exp = (0, i) if tag == "A" else (i, 0)
         total = Fraction(0)
         for s in _strings_with_pluses(N, i):
             f = psi_component(tag, build_diagram(tag, s))
-            shifts = sum(1 for a in f.num if a[0] == "qshift")
-            assert shifts == i and f.Q_exp == 0
-            scalar = Fraction(1)
-            for a in f.num:
-                if a[0] == "qint":
-                    scalar *= a[1]
-                elif a[0] == "angle":
-                    scalar *= 2
-            for a in f.den:
-                if a[0] == "qint":
-                    scalar /= a[1]
-                elif a[0] == "angle":
-                    scalar /= 2
-            total += scalar
+            assert sum(1 for a in f.num if a[0] == "qshift") == shifts and f.Q_exp == Q_exp
+            total += f.evaluate(p)
+        total /= 2**shifts
         assert total.denominator == 1
         out[i] = int(total)
-    return out
-
-
-def chebyshev_decompose(poly: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Rewrite a symmetric Laurent polynomial in Q as a polynomial in
-    (Q + 1/Q) by top-down reduction; raises if not symmetric."""
-    work = dict(poly)
-    out: dict[int, Fraction] = {}
-    while any(c for c in work.values()):
-        d = max(e for e, c in work.items() if c)
-        if d < 0:
-            raise ValueError("polynomial not symmetric under Q -> 1/Q")
-        c = work[d]
-        out[d] = c
-        # subtract c (Q + 1/Q)^d
-        expansion = {0: Fraction(1)}
-        for _ in range(d):
-            nxt: dict[int, Fraction] = {}
-            for e, v in expansion.items():
-                for e2 in (e + 1, e - 1):
-                    nxt[e2] = nxt.get(e2, Fraction(0)) + v
-            expansion = nxt
-        for e, v in expansion.items():
-            work[e] = work.get(e, Fraction(0)) - c * v
-        work = {e: v for e, v in work.items() if v}
     return out
 
 
@@ -305,17 +246,17 @@ def check_bii_P_conjecture(i: int, N: int) -> bool:
     contradicts the S_{N,1} closed form at small N, so the shifted
     convention is the one the data pins down.
     """
-    got = decompose_sum_shifted("BII", N, degrees=[N - i])[N - i]
+    got = decompose_sum("BII", N, degrees=[N - i])[N - i]
     return Fraction(got) == bii_P_polynomial(i, N - i + 1)
 
 
 def check_typeA_P_conjecture(i: int, N: int) -> bool:
-    got = decompose_sum_A(N, degrees=[i])[i]
+    got = decompose_sum("A", N, degrees=[i])[i]
     return Fraction(got) == typeA_P_polynomial(i, N)
 
 
 def check_biii_P_conjecture(i: int, N: int) -> bool:
-    got = decompose_sum_shifted("BIII", N, degrees=[i])[i]
+    got = decompose_sum("BIII", N, degrees=[i])[i]
     return Fraction(got) == typeA_P_polynomial(i, N)
 
 
@@ -359,7 +300,7 @@ def sym_binary_weight_histogram(n: int) -> dict[int, int]:
 
 
 def check_weight_histogram(N: int) -> bool:
-    return sym_binary_weight_histogram(N) == decompose_sum_A(N)
+    return sym_binary_weight_histogram(N) == decompose_sum("A", N)
 
 
 # -- type A component conjecture ------------------------------------------------
@@ -642,10 +583,10 @@ def biii_wt_histogram(N: int) -> dict[int, int]:
 
 
 def biii_Q_coefficients(N: int) -> dict[int, int]:
-    """Coefficients of Q^i in the BIII sum at q = 1."""
-    out: dict[int, Fraction] = {}
-    for s in enumerate_strings(N):
-        f = psi_component("BIII", build_diagram("BIII", s))
-        for e, c in f.eval_q1().items():
-            out[e] = out.get(e, Fraction(0)) + c
-    return {e: int(c) for e, c in out.items() if c}
+    """Coefficients of Q^e in the BIII sum at q = 1, expanded from the
+    (Q + 1/Q)^i coefficients."""
+    out: dict[int, int] = {}
+    for i, c in decompose_sum("BIII", N).items():
+        for k in range(i + 1):
+            out[i - 2 * k] = out.get(i - 2 * k, 0) + c * comb(i, k)
+    return {e: c for e, c in out.items() if c}

@@ -2,8 +2,7 @@
 
 Each component is built as a factored product (monomial prefactor times
 quantum-integer and bracket atoms over an atom denominator), which can be
-expanded exactly, evaluated at a rational point, or specialized at q = 1
-with Q left symbolic.
+expanded exactly or evaluated at a rational point.
 """
 
 from __future__ import annotations
@@ -19,12 +18,11 @@ from .ring import (
     SpecPoint,
     atom_eval,
     atom_expand,
-    qint,
-    qQ_bracket,
     R_ONE,
     is_positivity_class,
 )
 from .kl_action import kl_operator
+from .coideal import candidate_eigenvalues
 from .algebra import generator_names, op_apply, op_eq, standard_operator
 
 _mono = RingElem.mono
@@ -74,37 +72,6 @@ class FactorizedScalar:
         for atom in self.den:
             den *= atom_eval(atom, p)
         return num / den
-
-    def eval_q1(self) -> dict[int, Fraction]:
-        """Value at q = 1 as a Laurent polynomial in Q: {Q-power: coeff}."""
-        scalar = Fraction(1)
-        shifts = 0  # number of (Q + 1/Q) factors
-        for atom in self.num:
-            kind = atom[0]
-            if kind == "qint":
-                scalar *= atom[1]
-            elif kind == "angle":
-                scalar *= 2
-            elif kind == "qshift":
-                shifts += 1
-            else:
-                raise ValueError(atom)
-        for atom in self.den:
-            kind = atom[0]
-            if kind == "qint":
-                scalar /= atom[1]
-            elif kind == "angle":
-                scalar /= 2
-            else:
-                raise ValueError(f"unexpected denominator atom {atom} at q=1")
-        out = {self.Q_exp: scalar}
-        for _ in range(shifts):
-            nxt: dict[int, Fraction] = {}
-            for e, c in out.items():
-                for e2 in (e + 1, e - 1):
-                    nxt[e2] = nxt.get(e2, Fraction(0)) + c
-            out = nxt
-        return out
 
 
 def _sorted_objects(entries):
@@ -431,15 +398,9 @@ def psi_vector(tag: str, N: int, M: int | None = None) -> GroundState:
 # -- verification -------------------------------------------------------------
 
 
-def x_eigenvalue(tag: str, N: int, M: int | None) -> RatioElem:
-    if tag == "BI":
-        return RatioElem.from_ring(qint(N + M))
-    return qQ_bracket(N)
-
-
 def verify_x_eigen(gs: GroundState) -> bool:
     """X Psi = lambda Psi exactly."""
-    lam = x_eigenvalue(gs.tag, gs.N, gs.M)
+    lam = candidate_eigenvalues(gs.tag, gs.N, gs.M)[0][1]
     comps = gs.components()
     image = op_apply(kl_operator(gs.tag, gs.N, "X", gs.M), comps)
     return op_eq({"Psi": image}, {"Psi": {s: lam * c for s, c in comps.items()}})
@@ -527,14 +488,16 @@ def structural_checks(gs: GroundState) -> dict[str, bool]:
     return report
 
 
-def numeric_ground_state_check(
-    N: int, q: float, Q: float, aN: float, a0: float, tol: float = 1e-8
-):
+def numeric_ground_state_check(N: int, q: float, Q: float, aN: float, a0: float):
     """Floating-point Perron-Frobenius check of the two-boundary chain.
 
-    Returns (lowest_eigenvalue, min_abs_eigenvalue, positive), where
+    Returns (lowest, positive): lowest is the lowest eigenvalue of the
+    Hamiltonian H = -sum of the generators (e_N weighted by aN, e_0 by a0)
+    at the integrable point, which the ground-state claim puts at 0; and
     positive maps "BI" (M = 1) and "BIII" to whether every closed-form
-    ground-state component of size N is positive at (q, Q).
+    ground-state component of size N is positive at (q, Q).  Raises
+    ValueError if H is not exactly symmetric, since eigvalsh reads only one
+    triangle of it.
     """
     import numpy as np
 
@@ -557,13 +520,13 @@ def numeric_ground_state_check(
     for gen in generator_names(N):
         subtract(standard_operator(N, gen), couplings.get(gen, 1.0))
 
-    eigs = np.linalg.eigvalsh(H)
-    min_abs = float(np.min(np.abs(eigs)))
-    lowest = float(eigs[0])
+    if not np.array_equal(H, H.T):
+        raise ValueError(f"H is not symmetric at N={N}, q={q}, Q={Q}")
+    lowest = float(np.linalg.eigvalsh(H)[0])
 
     pos = {}
     for tag, M in (("BI", 1), ("BIII", None)):
         gs = psi_vector(tag, N, M)
         vals = gs.evaluate(SpecPoint(qf, Qf, 1))
         pos[tag] = all(v > 0 for v in vals.values())
-    return lowest, min_abs, pos
+    return lowest, pos

@@ -76,6 +76,13 @@ class TestCommands:
         code, out = run(capsys, "conjecture", "--check", "oeis", "--nmax", "5")
         assert code == 0 and "AGREE" in out
 
+    def test_conjecture_table1_beyond_table(self, capsys):
+        # the table stops at N = 9; a larger --nmax compares what it has
+        code = main(["conjecture", "--check", "table1", "--nmax", "10"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out == "AGREE  Table of component sums, N <= 9\n"
+
     def test_identities(self, capsys):
         code, out = run(capsys, "identities", "--lemma", "app0", "--draws", "10")
         assert code == 0 and "PASS  app0" in out

@@ -1,15 +1,12 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from tbtl.combinatorics import (
     TABLE_1,
     bii_P_polynomial,
     bii_S_N1_closed,
     biii_component_histogram,
     block_strings,
-    chebyshev_decompose,
     check_bii_P_conjecture,
     check_biii_P_conjecture,
     check_biii_component_conjecture,
@@ -22,8 +19,7 @@ from tbtl.combinatorics import (
     correlation_check,
     correlation_closed,
     count_pattern_avoiding,
-    decompose_sum_A,
-    decompose_sum_shifted,
+    decompose_sum,
     enumerate_bisym_perm,
     enumerate_sym_binary,
     F_of_links,
@@ -93,7 +89,7 @@ class TestEnumerations:
     def test_weight_histograms(self):
         for n in range(1, 9):
             hist = sym_binary_weight_histogram(n)
-            assert hist == decompose_sum_A(n), n
+            assert hist == decompose_sum("A", n), n
             assert all(hist[i] == hist[n - i] for i in hist)
 
     def test_bisym_counts(self):
@@ -127,32 +123,21 @@ class TestCorrelations:
 
 class TestDecompositions:
     def test_sum_consistency(self):
+        # at Q = 1, Q^i is 1 and (Q + 1/Q)^i is 2^i
         for N in (3, 4, 5):
-            d = decompose_sum_A(N)
-            assert sum(d.values()) == TABLE_1["A"][N - 1]
+            assert sum(decompose_sum("A", N).values()) == TABLE_1["A"][N - 1]
+            for tag in ("BII", "BIII"):
+                d = decompose_sum(tag, N)
+                assert sum(c * 2**i for i, c in d.items()) == TABLE_1[tag][N - 1], (tag, N)
 
-    def test_chebyshev(self):
-        poly = {2: Fraction(1), 0: Fraction(3), -2: Fraction(1)}
-        out = chebyshev_decompose(poly)
-        assert out == {2: Fraction(1), 0: Fraction(1)}
-        with pytest.raises(ValueError):
-            chebyshev_decompose({1: Fraction(1)})
-
-    def test_chebyshev_matches_direct(self):
-        # the per-component degrees reproduce the reduction of the full sum
-        from tbtl.basis import build_diagram, enumerate_strings
-        from tbtl.ground_state import psi_component
-
+    def test_bii_decomposition_matches_sum_at_Q(self):
+        # N + 1 values of Q pin the degree-N polynomial in (Q + 1/Q)
         N = 5
-        total: dict = {}
-        for s in enumerate_strings(N):
-            for e, c in psi_component("BII", build_diagram("BII", s)).eval_q1().items():
-                total[e] = total.get(e, Fraction(0)) + c
-        via_cheb = {
-            k: int(v) for k, v in chebyshev_decompose(total).items() if v
-        }
-        direct = decompose_sum_shifted("BII", N)
-        assert via_cheb == {k: v for k, v in direct.items() if v}
+        d = decompose_sum("BII", N)
+        for Q in range(2, N + 3):
+            x = Q + Fraction(1, Q)
+            direct = sum_rule("BII", N, None, SpecPoint(1, Q, 1))
+            assert direct == sum(c * x**i for i, c in d.items()), Q
 
     def test_typeA_P(self):
         for N in range(1, 11):
@@ -166,7 +151,7 @@ class TestDecompositions:
 
     def test_bii_S_N1(self):
         for N in range(1, 21):
-            got = decompose_sum_shifted("BII", N, degrees=[1])[1]
+            got = decompose_sum("BII", N, degrees=[1])[1]
             assert Fraction(got) == bii_S_N1_closed(N)
 
     def test_bii_P_shifted(self):

@@ -14,8 +14,8 @@ from tbtl.ground_state import (
     structural_checks,
     verify_annihilation,
     verify_x_eigen,
-    x_eigenvalue,
 )
+from tbtl.coideal import candidate_eigenvalues
 from tbtl.ring import (
     RatioElem,
     RingElem,
@@ -111,8 +111,8 @@ class TestEigen:
             assert verify_x_eigen(psi_vector(tag, N, M)), (tag, N)
 
     def test_eigenvalue_values(self):
-        assert x_eigenvalue("BI", 4, 2) == RatioElem.from_ring(qint(6))
-        lam = x_eigenvalue("A", 3, None)
+        assert candidate_eigenvalues("BI", 4, 2)[0][1] == RatioElem.from_ring(qint(6))
+        lam = candidate_eigenvalues("A", 3, None)[0][1]
         assert lam.subst_Q(2).as_ring() == qint(5)
 
 
@@ -160,8 +160,8 @@ class TestStructure:
 class TestNumeric:
     def test_pf(self):
         for a0 in (0.0, 0.1):
-            lowest, minabs, pos = numeric_ground_state_check(4, 1.1, 1.3, 1.0, a0)
-            assert minabs <= 1e-9
+            lowest, pos = numeric_ground_state_check(4, 1.1, 1.3, 1.0, a0)
+            assert abs(lowest) <= 1e-9
             assert pos["BI"] and pos["BIII"]
 
     def test_positivity_at_spectrum_size(self, monkeypatch):
@@ -175,9 +175,27 @@ class TestNumeric:
             return build(tag, N, M)
 
         monkeypatch.setattr(ground_state, "psi_vector", spy)
-        _, minabs, pos = numeric_ground_state_check(8, 1.1, 1.3, 1.0, 0.1)
+        lowest, pos = numeric_ground_state_check(8, 1.1, 1.3, 1.0, 0.1)
         assert sizes == [8, 8]
-        assert minabs <= 1e-8 and pos == {"BI": True, "BIII": True}
+        assert abs(lowest) <= 1e-8 and pos == {"BI": True, "BIII": True}
+
+    def test_asymmetric_hamiltonian_refused(self, monkeypatch):
+        from tbtl import ground_state
+
+        build = ground_state.standard_operator
+
+        def skewed(N, gen):
+            op = build(N, gen)
+            if gen != "e1":
+                return op
+            # one extra entry below the diagonal with no partner above it
+            op = {col: dict(column) for col, column in op.items()}
+            op["+-"]["--"] = RingElem.const(1)
+            return op
+
+        monkeypatch.setattr(ground_state, "standard_operator", skewed)
+        with pytest.raises(ValueError, match="not symmetric"):
+            numeric_ground_state_check(2, 1.1, 1.3, 1.0, 0.1)
 
     def test_biii_positive_any_point(self):
         gs = psi_vector("BIII", 6)
