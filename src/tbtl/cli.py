@@ -330,12 +330,13 @@ def cmd_conjecture(args) -> int:
         )
         record(f"weight histogram of symmetric binary matrices, N <= {min(n_max,8)}", ok)
     if name in ("bii-s1", "all"):
+        n_top = max(n_max, 20)
         ok = all(
             Fraction(combinatorics.decompose_sum("BII", N, degrees=[1])[1])
             == combinatorics.bii_S_N1_closed(N)
-            for N in range(1, max(n_max, 20) + 1)
+            for N in range(1, n_top + 1)
         )
-        record("BII subleading coefficient closed form, N <= 20", ok)
+        record(f"BII subleading coefficient closed form, N <= {n_top}", ok)
     if name in ("p-polys", "all"):
         okA = all(
             combinatorics.check_typeA_P_conjecture(i, N)

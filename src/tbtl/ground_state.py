@@ -7,6 +7,8 @@ expanded exactly or evaluated at a rational point.
 
 from __future__ import annotations
 
+import os
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -52,10 +54,15 @@ class FactorizedScalar:
         self.times_atom(("qint", n), inverse)
 
     def to_ratio(self) -> RatioElem:
+        # Atoms on both sides cancel as a multiset before anything is
+        # expanded; exact division then reduces what is left.
+        num_atoms, den_atoms = Counter(self.num), Counter(self.den)
+        common = num_atoms & den_atoms
         num = _mono(1, self.q_exp, self.Q_exp)
-        for atom in self.num:
+        for atom in (num_atoms - common).elements():
             num = num * atom_expand(atom)
-        return RatioElem(num, tuple(("raw", atom_expand(a)) for a in self.den))
+        den = tuple(("raw", atom_expand(a)) for a in (den_atoms - common).elements())
+        return RatioElem(num, den)
 
     def as_polynomial(self) -> RingElem:
         r = self.to_ratio()
@@ -498,7 +505,14 @@ def numeric_ground_state_check(N: int, q: float, Q: float, aN: float, a0: float)
     ground-state component of size N is positive at (q, Q).  Raises
     ValueError if H is not exactly symmetric, since eigvalsh reads only one
     triangle of it.
+
+    Unless OPENBLAS_NUM_THREADS is already set, it is set to 1 before the
+    first import of numpy; it has no effect once numpy is loaded.  On a
+    2-core machine, eigvalsh of the 256 x 256 H at N = 8 took about 0.5 s
+    with OpenBLAS's default threads in a `verify --check all` run, and
+    0.005 s with one.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np
 
     qf = Fraction(q).limit_denominator(10**12)

@@ -35,6 +35,7 @@ from .algebra import (
     _accumulate,
     generator_names,  # re-exported
     op_apply,
+    op_eq,
     op_mismatches,
     standard_operator,
 )
@@ -610,14 +611,28 @@ def crosscheck_vs_standard(tag: str, N: int, gen: str, M: int | None = None):
     """Diagrammatic action of e_g or X == T^{-1} E_g T, exhaustively over
     basis diagrams (for BI after Q -> q^M).
 
+    T is the transition matrix (KL columns in the standard basis), E the
+    standard matrix of the generator and K its diagram action.  Each column
+    is checked as E T[s] == T K[s], with no inverse of T.  This is the
+    conjugation claim because T is unitriangular, which the klbasis check
+    (validate_kl_conditions) verifies: then T is invertible and
+    E T[s] == T K[s] holds exactly when T^{-1} E T[s] == K[s].  Only a
+    column that differs is back-substituted (standard_to_kl), to name the
+    rows where it differs from K.
+
     Returns (ok, mismatches) where mismatches lists the differing
     (column, row) pairs of basis strings.
     """
     E = {s: specialize(col, tag, M) for s, col in standard_operator(N, gen).items()}
-    T = transition_matrix(tag, N, M)
-    conjugated = {}
+    T = {
+        s: {s2: RatioElem.from_ring(c) for s2, c in col.items()}
+        for s, col in transition_matrix(tag, N, M).items()
+    }
+    K = kl_operator(tag, N, gen, M)
+    mismatches = []
     for s in enumerate_strings(N):
-        col = {s2: RatioElem.from_ring(c) for s2, c in T[s].items()}
-        conjugated[s] = standard_to_kl(op_apply(E, col), tag, N, M)
-    mismatches = list(op_mismatches(conjugated, kl_operator(tag, N, gen, M)))
+        image = op_apply(E, T[s])
+        if not op_eq({s: image}, {s: op_apply(T, K[s])}):
+            conjugated = {s: standard_to_kl(image, tag, N, M)}
+            mismatches.extend(op_mismatches(conjugated, K))
     return (not mismatches), mismatches

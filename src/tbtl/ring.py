@@ -89,6 +89,13 @@ class RingElem:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # A monomial times b shifts every exponent of b: no two terms
+            # merge and no nonzero product of integers vanishes.
+            ((e1, f1, g1), c1), = a.items()
+            return RingElem(
+                {(e1 + e2, f1 + f2, g1 + g2): c1 * c2 for (e2, f2, g2), c2 in b.items()}
+            )
         out: dict[Monomial, int] = {}
         for (e1, f1, g1), c1 in a.items():
             for (e2, f2, g2), c2 in b.items():
@@ -432,7 +439,7 @@ class RatioElem:
 
     def __init__(self, num: RingElem, den=(), reduce: bool = True):
         self.num = num
-        self.den = tuple(sorted(den, key=_atom_key))
+        self.den = tuple(sorted(den, key=_atom_key)) if den else ()
         if reduce and self.den:
             self._reduce()
 

@@ -83,6 +83,13 @@ class TestCommands:
         assert code == 0 and captured.err == ""
         assert captured.out == "AGREE  Table of component sums, N <= 9\n"
 
+    @pytest.mark.parametrize("nmax, top", [("5", 20), ("22", 22)])
+    def test_conjecture_bii_s1_names_checked_bound(self, capsys, nmax, top):
+        # bii-s1 checks N <= max(nmax, 20) and must say so
+        code, out = run(capsys, "conjecture", "--check", "bii-s1", "--nmax", nmax)
+        assert code == 0
+        assert out == f"AGREE  BII subleading coefficient closed form, N <= {top}\n"
+
     def test_identities(self, capsys):
         code, out = run(capsys, "identities", "--lemma", "app0", "--draws", "10")
         assert code == 0 and "PASS  app0" in out

@@ -21,6 +21,7 @@ from tbtl.ring import (
     RingElem,
     SpecPoint,
     angle,
+    atom_expand,
     qint,
     qshift,
     R_ONE,
@@ -136,6 +137,25 @@ class TestChangeOfBasis:
             assert scalar == R_ONE
 
 
+class TestToRatio:
+    @staticmethod
+    def expand_then_reduce(f):
+        """Every atom expanded first, then reduced by exact division."""
+        num = mono(1, f.q_exp, f.Q_exp)
+        for atom in f.num:
+            num = num * atom_expand(atom)
+        return RatioElem(num, tuple(("raw", atom_expand(a)) for a in f.den))
+
+    @pytest.mark.parametrize("tag,M", ALL)
+    def test_matches_expand_then_reduce(self, tag, M):
+        p = SpecPoint(Fraction(3, 2), Fraction(5, 7), 1)
+        for N in range(1, 7):
+            for s, f in psi_vector(tag, N, M).factors.items():
+                got, want = f.to_ratio(), self.expand_then_reduce(f)
+                assert (got.num, got.den) == (want.num, want.den), (tag, M, N, s)
+                assert got.evaluate(p) == want.evaluate(p) == f.evaluate(p)
+
+
 class TestStructure:
     def test_positivity(self):
         for tag, M in ALL:
@@ -196,6 +216,33 @@ class TestNumeric:
         monkeypatch.setattr(ground_state, "standard_operator", skewed)
         with pytest.raises(ValueError, match="not symmetric"):
             numeric_ground_state_check(2, 1.1, 1.3, 1.0, 0.1)
+
+    @pytest.mark.parametrize("preset, expected", [(None, "None 1"), ("2", "2 2")])
+    def test_blas_threads(self, preset, expected):
+        # one OpenBLAS thread unless the caller chose a number; in a fresh
+        # interpreter, since the setting only counts before numpy is imported
+        import os
+        import subprocess
+        import sys
+
+        import tbtl
+
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(tbtl.__file__))
+        code = (
+            "import os\n"
+            "from tbtl.ground_state import numeric_ground_state_check\n"
+            "before = os.environ.get('OPENBLAS_NUM_THREADS')\n"
+            "numeric_ground_state_check(3, 1.1, 1.3, 1.0, 0.0)\n"
+            "print(before, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == expected + "\n"
 
     def test_biii_positive_any_point(self):
         gs = psi_vector("BIII", 6)

@@ -1,6 +1,14 @@
 import pytest
 
-from tbtl.basis import build_diagram, enumerate_strings
+from tbtl import kl_action
+from tbtl.algebra import op_apply, op_mismatches, standard_operator
+from tbtl.basis import (
+    build_diagram,
+    enumerate_strings,
+    specialize,
+    standard_to_kl,
+    transition_matrix,
+)
 from tbtl.kl_action import (
     apply_e0_kl,
     apply_eN_kl,
@@ -8,6 +16,7 @@ from tbtl.kl_action import (
     coeff_c,
     crosscheck_vs_standard,
     generator_names,
+    kl_operator,
 )
 from tbtl.ring import RatioElem, RingElem, angle, dangle, qint, R_ONE
 
@@ -192,6 +201,48 @@ class TestOracle:
         monkeypatch.setattr(kl_action, "apply_ei_kl", perturbed)
         assert crosscheck_vs_standard("A", 3, "e1") == (False, [("+--", "-+-")])
         assert crosscheck_vs_standard("A", 3, "e2")[0]
+
+    @staticmethod
+    def conjugation_mismatches(tag, N, gen, M):
+        """The mismatches of T^{-1} E T against K, every column
+        back-substituted."""
+        E = {s: specialize(col, tag, M) for s, col in standard_operator(N, gen).items()}
+        T = transition_matrix(tag, N, M)
+        conjugated = {
+            s: standard_to_kl(op_apply(E, {s2: r(c) for s2, c in T[s].items()}), tag, N, M)
+            for s in enumerate_strings(N)
+        }
+        return list(op_mismatches(conjugated, kl_operator(tag, N, gen, M)))
+
+    @pytest.mark.parametrize("tag,M", [("A", None), ("BI", 1), ("BI", 2), ("BII", None), ("BIII", None)])
+    @pytest.mark.parametrize("gen", ["e1", "eN", "e0", "X"])
+    @pytest.mark.parametrize("kind", ["scale", "spread"])
+    def test_perturbed_rule_matches_conjugation(self, monkeypatch, tag, M, gen, kind):
+        # "scale" doubles one coefficient of one column; "spread" adds 1 at
+        # every row of that column, so its KL difference spans all 2^N rows
+        rule = kl_action.apply_generator_kl
+        for N in (2, 3, 4):
+            K = kl_operator(tag, N, gen, M)
+            column = [s for s in enumerate_strings(N) if K[s]][-1]
+
+            def perturbed(tag_, D, gen_):
+                out = rule(tag_, D, gen_)
+                if gen_ == gen and D.string == column:
+                    if kind == "scale":
+                        row = next(iter(out))
+                        out[row] = out[row].scale(2)
+                    else:
+                        for row in enumerate_strings(N):
+                            out[row] = out.get(row, RatioElem.from_int(0)) + R_ONE
+                            if out[row].is_zero():
+                                del out[row]
+                return out
+
+            monkeypatch.setattr(kl_action, "apply_generator_kl", perturbed)
+            expected = self.conjugation_mismatches(tag, N, gen, M)
+            assert len(expected) == (1 if kind == "scale" else 2**N)
+            assert crosscheck_vs_standard(tag, N, gen, M) == (False, expected)
+            monkeypatch.setattr(kl_action, "apply_generator_kl", rule)
 
     def test_ei_squared_diagrammatic(self):
         # conjugation preserves the loop relation; re-check it directly on

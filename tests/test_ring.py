@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tbtl.ring import (
     NotDivisible,
@@ -315,3 +315,30 @@ def test_cached_evaluation_matches_reference(num, num_atoms, den_atoms, a, b, pt
             )
             prefactor = coords[0] ** a * coords[1] ** b
             _assert_evaluates_to(fs, p, _ref_quotient(prefactor, num_atoms, den_atoms, coords))
+
+
+# -- monomial products ----------------------------------------------------------
+
+_monomials = st.tuples(_exponents, st.integers(-4, 4).filter(bool)).map(
+    lambda t: RingElem({t[0]: t[1]})
+)
+
+
+def _convolution(a: RingElem, b: RingElem) -> dict:
+    out: dict = {}
+    for (e1, f1, g1), c1 in a.terms.items():
+        for (e2, f2, g2), c2 in b.terms.items():
+            m = (e1 + e2, f1 + f2, g1 + g2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monomials, st.one_of(_polys, _monomials))
+@example(ONE, mono(3, 1, -1) + mono(-2, 0, 2))
+@example(ONE, ONE)
+def test_monomial_product_is_convolution(m, a):
+    for product in (m * a, a * m):
+        assert product.terms == _convolution(m, a)
+        assert all(product.terms.values())
+        assert product.terms is not m.terms and product.terms is not a.terms
