@@ -90,14 +90,6 @@ def op_eq(A: Op, B: Op) -> bool:
     return next(op_mismatches(A, B), None) is None
 
 
-def op_is_zero(A: Op) -> bool:
-    return all(all(c.is_zero() for c in col.values()) for col in A.values())
-
-
-def op_sub(A: Op, B: Op) -> Op:
-    return op_add(A, op_scale(B, RatioElem.from_int(-1)))
-
-
 # -- generators -----------------------------------------------------------
 
 

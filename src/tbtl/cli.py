@@ -8,20 +8,28 @@ Exit codes: 0 all checks passed, 1 a theorem-level check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .ring import SpecPoint, ZeroDenominator
-from .basis import build_diagram, check_tag, enumerate_strings, validate_kl_conditions
-from . import algebra, combinatorics, coideal, ground_state, identities
-from .kl_action import crosscheck_vs_standard, generator_names
+from .ring import RatioElem, SpecPoint, ZeroDenominator
+from .basis import build_diagram, check_tag, enumerate_strings
+from . import algebra, basis, combinatorics, coideal, ground_state, identities, kl_action
 
 EXIT_OK = 0
 EXIT_THEOREM = 1
 EXIT_CONJECTURE = 2
 EXIT_USAGE = 64
+
+
+def size(text: str) -> int:
+    """argparse type of --n, --nmax and --draws: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def parse_at(text: str) -> SpecPoint:
@@ -55,16 +63,12 @@ def emit(args, payload, text_lines):
 
 def cmd_enumerate(args) -> int:
     tag, M = require_tag(args)
+    strings = enumerate_strings(args.n)
     if tag == "standard":
-        rows = [{"string": s} for s in enumerate_strings(args.n)]
-        emit(args, rows, [r["string"] for r in rows])
-        return EXIT_OK
-    rows = [build_diagram(tag, s, M).to_json() for s in enumerate_strings(args.n)]
-    emit(
-        args,
-        rows,
-        [build_diagram(tag, s, M).serialize() for s in enumerate_strings(args.n)],
-    )
+        emit(args, [{"string": s} for s in strings], strings)
+    else:
+        diagrams = [build_diagram(tag, s, M) for s in strings]
+        emit(args, [D.to_json() for D in diagrams], [D.serialize() for D in diagrams])
     return EXIT_OK
 
 
@@ -72,165 +76,99 @@ def cmd_psi(args) -> int:
     tag, M = require_tag(args)
     gs = ground_state.psi_vector(tag, args.n, M)
     if args.at:
-        p = parse_at(args.at)
-        vals = gs.evaluate(p)
-        payload = {s: str(v) for s, v in sorted(vals.items())}
-        emit(args, payload, [f"{s}: {v}" for s, v in sorted(vals.items())])
+        vals = sorted(gs.evaluate(parse_at(args.at)).items())
+        emit(args, {s: str(v) for s, v in vals}, [f"{s}: {v}" for s, v in vals])
     else:
         payload = gs.to_json()
-        emit(
-            args,
-            payload,
-            [f"{s}: {t}" for s, t in sorted(payload["components"].items())],
-        )
+        emit(args, payload, [f"{s}: {t}" for s, t in sorted(payload["components"].items())])
     return EXIT_OK
 
 
-def _run_checks(checks, verbose=True):
-    """checks: list of (name, callable() -> bool); prints one line each."""
+def _run_checks(args, checks, words=("PASS", "FAIL")):
+    """Run the rows of a check table that ``args.check`` selects and that
+    apply to this family; return the labels of the rows that failed.
+
+    A row is (--check group, applies, label, thunk).  Each row prints one
+    line: ``<word>  <label>`` in text, or ``{"check": label, "ok": bool}``
+    under --format json.
+    """
+    selected = [
+        (label, fn)
+        for group, applies, label, fn in checks
+        if applies and args.check in (group, "all")
+    ]
+    if not selected:
+        # only verify has rows that skip a family: those need a decorated one
+        raise ValueError(f"check {args.check!r} needs a decorated family (A, BI, BII or BIII)")
     failed = []
-    for name, fn in checks:
-        ok = fn()
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}")
+    for label, fn in selected:
+        ok = bool(fn())
+        if args.format == "json":
+            print(json.dumps({"check": label, "ok": ok}))
+        else:
+            print(f"{words[0] if ok else words[1]}  {label}")
         if not ok:
-            failed.append(name)
+            failed.append(label)
     return failed
 
 
 def verify_checks(args):
+    """The verify table.  Thunks look their functions up when they run, so a
+    patched module attribute is the one called."""
     tag, M = require_tag(args)
-    N = args.n
-    name = args.check
-    checks = []
-    if name in ("relations", "all"):
-        checks.append(
-            (
-                f"defining relations N={N}",
-                lambda: all(algebra.check_defining_relations(N).values()),
-            )
-        )
-        checks.append(
-            (f"quotient identities N={N}", lambda: algebra.check_quotient_alpha(N)[1])
-        )
-    if name in ("pauli", "all"):
-        from .ring import RatioElem
+    N, seed = args.n, args.seed
+    decorated = tag != "standard"
+    # built inside the first check that needs it, once per run
+    psi = functools.cache(lambda: ground_state.psi_vector(tag, N, M))
 
-        pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
-        checks.append(
-            (
-                f"spin-chain form of H(2B) N={min(N,3)}",
-                lambda: all(
-                    algebra.pauli_equivalence_check(
-                        min(N, 3), RatioElem.from_int(a), RatioElem.from_int(b)
-                    )
-                    for a, b in pts
-                ),
-            )
+    def pauli():
+        r = RatioElem.from_int
+        return all(
+            algebra.pauli_equivalence_check(min(N, 3), r(a), r(b))
+            for a, b in [(0, 0), (1, 0), (0, 1), (1, 1)]
         )
-    if name in ("commutant", "all"):
-        checks.append(
-            (
-                f"[e_g, X] = 0 N={N}",
-                lambda: all(algebra.commutation_check(N).values()),
-            )
-        )
-    if name in ("klbasis", "all"):
-        checks.append(
-            (
-                f"KL triangularity/coefficient classes {tag} N={N}",
-                lambda: all(validate_kl_conditions(tag, N, M).values())
-                if tag != "standard"
-                else True,
-            )
-        )
-    if name in ("klactions", "all"):
-        if tag != "standard":
-            for gen in generator_names(N):
-                checks.append(
-                    (
-                        f"diagram action == conjugated matrix: {tag} {gen} N={N}",
-                        lambda g=gen: crosscheck_vs_standard(tag, N, g, M)[0],
-                    )
-                )
-    if name in ("xkl", "all"):
-        if tag != "standard":
-            checks.append(
-                (
-                    f"X action == conjugated matrix: {tag} N={N}",
-                    lambda: crosscheck_vs_standard(tag, N, "X", M)[0],
-                )
-            )
-    if name in ("eigen", "all"):
-        if tag in ("BII", "BIII"):
-            checks.append(
-                (
-                    f"triangular spectrum {tag} N={N}",
-                    lambda: coideal.check_triangular_spectrum(tag, N),
-                )
-            )
-        if tag != "standard":
-            checks.append(
-                (
-                    f"binomial multiplicities {tag} N={N}",
-                    lambda: coideal.check_multiplicity_theorem(
-                        tag, N, M, seeds=(args.seed, args.seed + 1)
-                    ),
-                )
-            )
-        if tag == "BI":
-            checks.append(
-                (
-                    f"index histogram {tag} N={N} M={M}",
-                    lambda: coideal.check_bi_multiplicity_histogram(N, M),
-                )
-            )
-    if name in ("groundstate", "all"):
-        gs = ground_state.psi_vector(tag, N, M)
-        checks.append((f"X Psi = lambda Psi {tag} N={N}", lambda: ground_state.verify_x_eigen(gs)))
-        checks.append(
-            (
-                f"structural component claims {tag} N={N}",
-                lambda: all(ground_state.structural_checks(gs).values()),
-            )
-        )
-        if tag != "standard":
-            checks.append(
-                (
-                    f"closed form == change of basis {tag} N={N}",
-                    lambda: ground_state.oracle_change_of_basis(tag, N, M)[0],
-                )
-            )
-    if name in ("annihilation", "all"):
-        gs = ground_state.psi_vector(tag, N, M)
-        checks.append(
-            (
-                f"e_g Psi = 0 (e_0 at the integrable point) {tag} N={N}",
-                lambda: all(ground_state.verify_annihilation(gs).values()),
-            )
-        )
-    if name in ("pf", "all"):
-        def pf():
-            lowest, pos = ground_state.numeric_ground_state_check(
-                min(N, 8), 1.1, 1.3, 1.0, 0.1
-            )
-            return abs(lowest) < 1e-8 and all(pos.values())
 
-        checks.append((f"numeric ground-state check N={min(N,8)}", pf))
-    if not checks:
-        # every --check choice adds a check unless it needs a decorated family
-        raise ValueError(f"check {name!r} needs a decorated family (A, BI, BII or BIII)")
-    return checks
+    def pf():
+        lowest, pos = ground_state.numeric_ground_state_check(min(N, 8), 1.1, 1.3, 1.0, 0.1)
+        return abs(lowest) < 1e-8 and all(pos.values())
+
+    return [
+        ("relations", True, f"defining relations N={N}",
+         lambda: all(algebra.check_defining_relations(N).values())),
+        ("relations", True, f"quotient identities N={N}",
+         lambda: algebra.check_quotient_alpha(N)[1]),
+        ("pauli", True, f"spin-chain form of H(2B) N={min(N, 3)}", pauli),
+        ("commutant", True, f"[e_g, X] = 0 N={N}",
+         lambda: all(algebra.commutation_check(N).values())),
+        ("klbasis", decorated, f"KL triangularity/coefficient classes {tag} N={N}",
+         lambda: all(basis.validate_kl_conditions(tag, N, M).values())),
+        *(
+            ("klactions", decorated, f"diagram action == conjugated matrix: {tag} {gen} N={N}",
+             lambda gen=gen: kl_action.crosscheck_vs_standard(tag, N, gen, M)[0])
+            for gen in algebra.generator_names(N)
+        ),
+        ("xkl", decorated, f"X action == conjugated matrix: {tag} N={N}",
+         lambda: kl_action.crosscheck_vs_standard(tag, N, "X", M)[0]),
+        ("eigen", tag in ("BII", "BIII"), f"triangular spectrum {tag} N={N}",
+         lambda: coideal.check_triangular_spectrum(tag, N)),
+        ("eigen", decorated, f"binomial multiplicities {tag} N={N}",
+         lambda: coideal.check_multiplicity_theorem(tag, N, M, seeds=(seed, seed + 1))),
+        ("eigen", tag == "BI", f"index histogram {tag} N={N} M={M}",
+         lambda: coideal.check_bi_multiplicity_histogram(N, M)),
+        ("groundstate", True, f"X Psi = lambda Psi {tag} N={N}",
+         lambda: ground_state.verify_x_eigen(psi())),
+        ("groundstate", True, f"structural component claims {tag} N={N}",
+         lambda: all(ground_state.structural_checks(psi()).values())),
+        ("groundstate", decorated, f"closed form == change of basis {tag} N={N}",
+         lambda: ground_state.oracle_change_of_basis(tag, N, M)[0]),
+        ("annihilation", True, f"e_g Psi = 0 (e_0 at the integrable point) {tag} N={N}",
+         lambda: all(ground_state.verify_annihilation(psi()).values())),
+        ("pf", True, f"numeric ground-state check N={min(N, 8)}", pf),
+    ]
 
 
 def cmd_verify(args) -> int:
-    try:
-        checks = verify_checks(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    failed = _run_checks(checks)
-    return EXIT_THEOREM if failed else EXIT_OK
+    return EXIT_THEOREM if _run_checks(args, verify_checks(args)) else EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
@@ -291,112 +229,84 @@ def cmd_correlate(args) -> int:
     p = parse_at(args.at) if args.at else None
     closed = combinatorics.correlation_closed(args.n, alphas, plus, minus)
     agree = combinatorics.correlation_check(args.n, alphas, plus, minus)
-    if p is not None:
-        val = closed.evaluate(p)
-        emit(
-            args,
-            {"value": str(val), "matches_brute_force": agree},
-            [f"value = {val}", f"closed == brute force: {agree}"],
-        )
-    else:
-        emit(
-            args,
-            {"value": closed.to_text(), "matches_brute_force": agree},
-            [f"value = {closed.to_text()}", f"closed == brute force: {agree}"],
-        )
+    value = str(closed.evaluate(p)) if p is not None else closed.to_text()
+    emit(
+        args,
+        {"value": value, "matches_brute_force": agree},
+        [f"value = {value}", f"closed == brute force: {agree}"],
+    )
     return EXIT_OK if agree else EXIT_THEOREM
 
 
+def conjecture_checks(args):
+    """The conjecture table, in the same row shape as verify's."""
+    n = args.nmax
+    n_top = max(n, 20)
+
+    def near(first, top):
+        return [(i, N) for N in range(first, n + 1) for i in range(1, min(top, N) + 1)]
+
+    return [
+        ("table1", True, f"Table of component sums, N <= {min(n, 9)}",
+         lambda: all(v[0] for v in combinatorics.check_table1(n).values())),
+        ("oeis", True, "sum rules match the three integer sequences",
+         lambda: all(combinatorics.check_sum_conjectures(min(n, 9)).values())),
+        ("weights", True, f"weight histogram of symmetric binary matrices, N <= {min(n, 8)}",
+         lambda: all(combinatorics.check_weight_histogram(N) for N in range(1, min(n, 8) + 1))),
+        ("bii-s1", True, f"BII subleading coefficient closed form, N <= {n_top}",
+         lambda: all(
+             Fraction(combinatorics.decompose_sum("BII", N, degrees=[1])[1])
+             == combinatorics.bii_S_N1_closed(N)
+             for N in range(1, n_top + 1)
+         )),
+        ("p-polys", True, f"type A near-bottom polynomials, N <= {n}",
+         lambda: all(combinatorics.check_typeA_P_conjecture(i, N) for i, N in near(1, 4))),
+        ("p-polys", True, f"type BIII near-bottom polynomials, N <= {n}",
+         lambda: all(combinatorics.check_biii_P_conjecture(i, N) for i, N in near(1, 4))),
+        ("p-polys", True, f"type BII near-top polynomials (shifted argument), N <= {n}",
+         lambda: all(combinatorics.check_bii_P_conjecture(i, N) for i, N in near(2, 3))),
+        ("typea-components", True,
+         f"type A components as admissible-matrix sums, N <= {min(n, 6)}",
+         lambda: all(
+             combinatorics.check_typeA_component_conjecture(N, b)[0]
+             for N in range(1, min(n, 6) + 1)
+             for b in combinatorics.block_strings(N)
+         )),
+        ("biii-paths", True,
+         f"BIII components as signed-matrix path counts, N <= {min(n, 6)}",
+         lambda: all(
+             v[2]
+             for N in range(1, min(n, 6) + 1)
+             for v in combinatorics.check_biii_component_conjecture(N).values()
+         )),
+        ("recurrences", True, "matrix enumerations match their recurrences",
+         lambda: all(
+             combinatorics.enumerate_bisym_perm(k) == combinatorics.oeis_sequence("A000902", k)
+             for k in (2, 3)
+         ) and all(
+             combinatorics.count_pattern_avoiding(k) == combinatorics.oeis_sequence("A083886", k)
+             for k in range(1, 6)
+         )),
+    ]
+
+
 def cmd_conjecture(args) -> int:
-    name = args.check
-    n_max = args.nmax
-    disagreements = []
-
-    def record(label, ok):
-        print(f"{'AGREE' if ok else 'DISAGREE'}  {label}")
-        if not ok:
-            disagreements.append(label)
-
-    if name in ("table1", "all"):
-        rep = combinatorics.check_table1(n_max)
-        bad = [k for k, v in rep.items() if not v[0]]
-        record(f"Table of component sums, N <= {min(n_max, 9)}", not bad)
-    if name in ("oeis", "all"):
-        rep = combinatorics.check_sum_conjectures(min(n_max, 9))
-        record("sum rules match the three integer sequences", all(rep.values()))
-    if name in ("weights", "all"):
-        ok = all(
-            combinatorics.check_weight_histogram(N) for N in range(1, min(n_max, 8) + 1)
-        )
-        record(f"weight histogram of symmetric binary matrices, N <= {min(n_max,8)}", ok)
-    if name in ("bii-s1", "all"):
-        n_top = max(n_max, 20)
-        ok = all(
-            Fraction(combinatorics.decompose_sum("BII", N, degrees=[1])[1])
-            == combinatorics.bii_S_N1_closed(N)
-            for N in range(1, n_top + 1)
-        )
-        record(f"BII subleading coefficient closed form, N <= {n_top}", ok)
-    if name in ("p-polys", "all"):
-        okA = all(
-            combinatorics.check_typeA_P_conjecture(i, N)
-            for N in range(1, n_max + 1)
-            for i in range(1, min(4, N) + 1)
-        )
-        record(f"type A near-bottom polynomials, N <= {n_max}", okA)
-        ok3 = all(
-            combinatorics.check_biii_P_conjecture(i, N)
-            for N in range(1, n_max + 1)
-            for i in range(1, min(4, N) + 1)
-        )
-        record(f"type BIII near-bottom polynomials, N <= {n_max}", ok3)
-        okB = all(
-            combinatorics.check_bii_P_conjecture(i, N)
-            for N in range(2, n_max + 1)
-            for i in range(1, min(3, N) + 1)
-        )
-        record(f"type BII near-top polynomials (shifted argument), N <= {n_max}", okB)
-    if name in ("typea-components", "all"):
-        ok = True
-        for N in range(1, min(n_max, 6) + 1):
-            for b in combinatorics.block_strings(N):
-                good, _, _ = combinatorics.check_typeA_component_conjecture(N, b)
-                ok = ok and good
-        record(f"type A components as admissible-matrix sums, N <= {min(n_max,6)}", ok)
-    if name in ("biii-paths", "all"):
-        ok = True
-        for N in range(1, min(n_max, 6) + 1):
-            res = combinatorics.check_biii_component_conjecture(N)
-            ok = ok and all(v[2] for v in res.values())
-        record(f"BIII components as signed-matrix path counts, N <= {min(n_max,6)}", ok)
-    if name in ("recurrences", "all"):
-        ok = (
-            combinatorics.enumerate_bisym_perm(2) == combinatorics.oeis_sequence("A000902", 2)
-            and combinatorics.enumerate_bisym_perm(3) == combinatorics.oeis_sequence("A000902", 3)
-            and all(
-                combinatorics.count_pattern_avoiding(n)
-                == combinatorics.oeis_sequence("A083886", n)
-                for n in range(1, 6)
-            )
-        )
-        record("matrix enumerations match their recurrences", ok)
-    if disagreements:
-        return EXIT_THEOREM if args.strict_conjectures else EXIT_CONJECTURE
-    return EXIT_OK
+    if not _run_checks(args, conjecture_checks(args), ("AGREE", "DISAGREE")):
+        return EXIT_OK
+    return EXIT_THEOREM if args.strict_conjectures else EXIT_CONJECTURE
 
 
 def cmd_identities(args) -> int:
-    ids = identities.LEMMA_IDS if args.lemma == "all" else (args.lemma,)
-    failed = []
-    for lemma in ids:
+    def check(lemma):
         if lemma == "appA":
-            ok = identities.verify_qidentity("appA", {"N": min(args.n, 4)})
-        else:
-            ok = identities.sweep(lemma, draws=args.draws, seed=args.seed)
-        print(f"{'PASS' if ok else 'FAIL'}  {lemma}")
-        if not ok:
-            failed.append(lemma)
-    return EXIT_THEOREM if failed else EXIT_OK
+            return identities.verify_qidentity("appA", {"N": min(args.n, 4)})
+        return identities.sweep(lemma, draws=args.draws, seed=args.seed)
+
+    checks = [
+        (lemma, True, lemma, lambda lemma=lemma: check(lemma))
+        for lemma in identities.LEMMA_IDS
+    ]
+    return EXIT_THEOREM if _run_checks(args, checks) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=["A", "BI", "BII", "BIII", "standard"],
             )
             p.add_argument("--m", type=int, default=None, help="label bound for BI")
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=size, required=True)
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--seed", type=int, default=20260809)
 
@@ -434,19 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         default="all",
-        choices=[
-            "relations",
-            "pauli",
-            "commutant",
-            "klbasis",
-            "klactions",
-            "xkl",
-            "eigen",
-            "groundstate",
-            "annihilation",
-            "pf",
-            "all",
-        ],
+        choices="relations pauli commutant klbasis klactions xkl eigen groundstate "
+        "annihilation pf all".split(),
     )
     p.set_defaults(fn=cmd_verify)
 
@@ -460,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sum)
 
     p = sub.add_parser("table", help="sum table over every family")
-    p.add_argument("--nmax", type=int, default=9)
+    p.add_argument("--nmax", type=size, default=9)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(fn=cmd_table)
 
@@ -476,27 +375,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         default="all",
-        choices=[
-            "table1",
-            "oeis",
-            "weights",
-            "bii-s1",
-            "p-polys",
-            "typea-components",
-            "biii-paths",
-            "recurrences",
-            "all",
-        ],
+        choices="table1 oeis weights bii-s1 p-polys typea-components biii-paths "
+        "recurrences all".split(),
     )
-    p.add_argument("--nmax", type=int, default=8)
+    p.add_argument("--nmax", type=size, default=8)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--strict-conjectures", action="store_true")
     p.set_defaults(fn=cmd_conjecture)
 
     p = sub.add_parser("identities", help="appendix lemma sweeps")
-    p.add_argument("--lemma", default="all", choices=("all",) + identities.LEMMA_IDS)
-    p.add_argument("--draws", type=int, default=200)
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument(
+        "--lemma", dest="check", default="all", choices=("all",) + identities.LEMMA_IDS
+    )
+    p.add_argument("--draws", type=size, default=200)
+    p.add_argument("--n", type=size, default=3)
     p.add_argument("--seed", type=int, default=20260809)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(fn=cmd_identities)

@@ -461,37 +461,3 @@ def sweep(lemma: str, draws: int = 200, seed: int = 11) -> bool:
         if not verify_qidentity(lemma, random_params(lemma, rng)):
             return False
     return True
-
-
-def recurrence_step(lemma: str, params: dict) -> bool:
-    """One-step form of the induction: the closed form satisfies the same
-    recurrence as the sum, i.e. rhs(I+1) = rhs(I) * carry + last-term."""
-    ms, ns = params["ms"], params.get("ns")
-    if lemma == "app2":
-        x = params["x"]
-        lhs_full, rhs_full = lemma_app2(ms, x)
-        lhs_prev, rhs_prev = lemma_app2(ms[:-1], x)
-        Mi1, Mi = sum(ms[:-1]), sum(ms)
-        extra = _frac(qint(ms[-1]), qint(x + Mi1), qint(x + Mi))
-        return rhs_full == rhs_prev + extra
-    # generic: the last summand of the lemma's sum is lhs(I) - lhs(I-1)
-    # after both are multiplied by the same carried product, so compare
-    # closed forms through the actual sums.
-    builders = {
-        "app0": lemma_app0,
-        "app1": lemma_app1,
-        "app8": lemma_app8,
-        "app9": lemma_app9,
-        "app10": lemma_app10,
-        "app11": lemma_app11,
-        "app15": lemma_app15,
-        "app16": lemma_app16,
-        "app17": lemma_app17,
-    }
-    build = builders[lemma]
-    full = build(ms, ns)
-    prev = build(ms[:-1], ns[:-1])
-    # the induction step: (rhs_full - rhs_prev-carried) equals the final
-    # summand, which equals (lhs_full - lhs_prev-carried); verified by
-    # checking both lemma instances directly.
-    return full[0] == full[1] and prev[0] == prev[1]

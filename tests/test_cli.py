@@ -1,8 +1,18 @@
+import argparse
 import json
 
 import pytest
 
-from tbtl.cli import main, parse_at
+from tbtl.cli import build_parser, main, parse_at
+
+BASES = [
+    ["--type", "A"],
+    ["--type", "BI", "--m", "1"],
+    ["--type", "BI", "--m", "2"],
+    ["--type", "BII"],
+    ["--type", "BIII"],
+    ["--type", "standard"],
+]
 
 
 def run(capsys, *argv):
@@ -104,7 +114,7 @@ class TestCommands:
         )
         assert code == 64 and "PASS" not in out
 
-    @pytest.mark.parametrize("check", ["klactions", "xkl"])
+    @pytest.mark.parametrize("check", ["klactions", "xkl", "klbasis", "eigen"])
     def test_verify_standard_needs_decorated_family(self, capsys, check):
         code = main(["verify", "--check", check, "--type", "standard", "--n", "3"])
         captured = capsys.readouterr()
@@ -127,8 +137,77 @@ class TestCommands:
         assert code == 1
         assert out == "FAIL  X action == conjugated matrix: BIII N=2\n"
 
+    def test_verify_annihilation_fails_if_e0_vanishes(self, capsys, monkeypatch):
+        # an e_0 rule that is zero outright must not pass as e_0 Psi = 0
+        from tbtl import kl_action
+
+        monkeypatch.setattr(kl_action, "apply_e0_kl", lambda tag, D: {})
+        code, out = run(capsys, "verify", "--check", "annihilation", "--type", "A", "--n", "3")
+        assert code == 1
+        assert out == "FAIL  e_g Psi = 0 (e_0 at the integrable point) A N=3\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--check", "relations", "--n", "3"],
+            ["conjecture", "--check", "oeis", "--nmax", "3"],
+            ["identities", "--lemma", "app0", "--draws", "5"],
+        ],
+    )
+    def test_json_lines(self, capsys, argv):
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records and all(set(r) == {"check", "ok"} for r in records)
+        assert all(r["ok"] is True for r in records)
+        code, text = run(capsys, *argv)
+        assert text.splitlines() == [
+            f"{'AGREE' if argv[0] == 'conjecture' else 'PASS'}  {r['check']}" for r in records
+        ]
+
+
+def verify_choices():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    check = next(a for a in sub.choices["verify"]._actions if a.dest == "check")
+    return [c for c in check.choices if c != "all"]
+
+
+def test_verify_all_is_every_choice_in_order(capsys):
+    # --check all runs exactly the rows of the single choices, in choice order,
+    # and every choice selects a check for some family
+    choices = verify_choices()
+    selected = set()
+    for base in BASES:
+        code, everything = run(capsys, "verify", "--check", "all", *base, "--n", "3")
+        assert code == 0
+        joined = ""
+        for choice in choices:
+            code, out = run(capsys, "verify", "--check", choice, *base, "--n", "3")
+            assert code in (0, 64), (base, choice)
+            if code == 0:
+                selected.add(choice)
+            joined += out
+        assert everything == joined, base
+    assert selected == set(choices)
+
 
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["conjecture", "--nmax", "0"],
+            ["conjecture", "--nmax", "-3"],
+            ["identities", "--draws", "-1"],
+            ["identities", "--n", "0", "--lemma", "appA"],
+            ["table", "--nmax", "0"],
+            ["verify", "--check", "relations", "--n", "0"],
+        ],
+    )
+    def test_sizes_below_one(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+
     def test_identities_unknown_lemma(self, capsys):
         code = main(["identities", "--lemma", "bogus"])
         captured = capsys.readouterr()

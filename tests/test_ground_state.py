@@ -4,9 +4,9 @@ import pytest
 
 from tbtl.basis import build_diagram, enumerate_strings
 from tbtl.ground_state import (
+    E0_GENERIC,
     GroundState,
     NonPolynomialComponent,
-    e0_requires_condition,
     numeric_ground_state_check,
     oracle_change_of_basis,
     psi_component,
@@ -125,7 +125,10 @@ class TestAnnihilation:
             assert all(rep.values()), (tag, N, rep)
 
     def test_e0_needs_condition(self):
-        assert e0_requires_condition(2)
+        # e_0 Psi vanishes only after the integrable substitution
+        for tag, M in ALL:
+            for N in (1, 2, 3):
+                assert verify_annihilation(psi_vector(tag, N, M))[E0_GENERIC], (tag, N)
 
 
 class TestChangeOfBasis:

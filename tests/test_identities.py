@@ -1,4 +1,3 @@
-import random
 from itertools import product
 
 import pytest
@@ -9,8 +8,6 @@ from tbtl.identities import (
     lemma_app0,
     lemma_app2,
     lemma_app13,
-    random_params,
-    recurrence_step,
     sweep,
     tridiag_v_closed,
     tridiag_v_sequence,
@@ -69,22 +66,6 @@ class TestSweeps:
     @pytest.mark.parametrize("lemma", [l for l in LEMMA_IDS if l != "appA"])
     def test_random_draws(self, lemma):
         assert sweep(lemma, draws=60, seed=23)
-
-
-class TestRecurrences:
-    @pytest.mark.parametrize(
-        "lemma",
-        ["app0", "app1", "app2", "app8", "app9", "app10", "app11", "app15", "app16", "app17"],
-    )
-    def test_one_step(self, lemma):
-        rng = random.Random(5)
-        for _ in range(10):
-            params = random_params(lemma, rng)
-            if len(params["ms"]) < 2:
-                params["ms"] = params["ms"] + [1]
-                if "ns" in params:
-                    params["ns"] = params["ns"] + [1]
-            assert recurrence_step(lemma, params), (lemma, params)
 
 
 class TestTridiagonal:
