@@ -299,7 +299,7 @@ def cmd_conjecture(args) -> int:
 def cmd_identities(args) -> int:
     def check(lemma):
         if lemma == "appA":
-            return identities.verify_qidentity("appA", {"N": min(args.n, 4)})
+            return identities.verify_qidentity("appA", {"N": args.n})
         return identities.sweep(lemma, draws=args.draws, seed=args.seed)
 
     checks = [
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lemma", dest="check", default="all", choices=("all",) + identities.LEMMA_IDS
     )
     p.add_argument("--draws", type=size, default=200)
-    p.add_argument("--n", type=size, default=3)
+    p.add_argument("--n", type=size, default=3, help="the N of the appA lemma")
     p.add_argument("--seed", type=int, default=20260809)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(fn=cmd_identities)

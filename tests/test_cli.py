@@ -146,6 +146,49 @@ class TestCommands:
         assert code == 1
         assert out == "FAIL  e_g Psi = 0 (e_0 at the integrable point) A N=3\n"
 
+    def test_verify_eigen_fails_on_shifted_candidate(self, capsys, monkeypatch):
+        # a wrong claimed spectrum prints FAIL; it must not end in a traceback
+        from tbtl import coideal
+        from tbtl.ring import RatioElem
+
+        claimed = coideal.candidate_eigenvalues
+
+        def shifted(tag, N, M):
+            (i, lam), *rest = claimed(tag, N, M)
+            return [(i, lam + RatioElem.from_int(1)), *rest]
+
+        monkeypatch.setattr(coideal, "candidate_eigenvalues", shifted)
+        code, out = run(capsys, "verify", "--check", "eigen", "--type", "A", "--n", "3")
+        assert code == 1
+        assert out == "FAIL  binomial multiplicities A N=3\n"
+
+    def test_verify_eigen_fails_on_perturbed_x(self, capsys, monkeypatch):
+        from tbtl import coideal
+        from tbtl.ring import RatioElem
+
+        cached = coideal.x_matrix_kl
+
+        def perturbed(tag, N, M=None):
+            X = {col: dict(column) for col, column in cached(tag, N, M).items()}
+            X["+++"]["+++"] = X["+++"]["+++"] + RatioElem.from_int(1)
+            return X
+
+        monkeypatch.setattr(coideal, "x_matrix_kl", perturbed)
+        code, out = run(capsys, "verify", "--check", "eigen", "--type", "A", "--n", "3")
+        assert code == 1
+        assert out == "FAIL  binomial multiplicities A N=3\n"
+
+    def test_identities_appA_checks_the_given_n(self, capsys, monkeypatch):
+        from tbtl import identities
+
+        seen = []
+        monkeypatch.setattr(
+            identities, "verify_tridiagonal_lemma", lambda N: seen.append(N) or True
+        )
+        code, out = run(capsys, "identities", "--lemma", "appA", "--n", "7")
+        assert code == 0 and out == "PASS  appA\n"
+        assert seen == [7]
+
     @pytest.mark.parametrize(
         "argv",
         [

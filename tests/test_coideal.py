@@ -1,6 +1,8 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tbtl import coideal
 
@@ -166,3 +168,79 @@ class TestMultiplicities:
         expected = TypeError if error is TypeError else RuntimeError
         with pytest.raises(expected):
             eigen_multiplicities("A", 2, seed=1)
+
+
+# -- the rank, against independent eliminations ------------------------------
+
+
+def dense_rank(rows, ncols):
+    """Gauss elimination over Fraction on the dense matrix."""
+    m = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    rank = 0
+    for j in range(ncols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][j] / m[rank][j]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+_entries = st.builds(
+    Fraction,
+    st.integers(-10**6, 10**6).filter(bool),
+    st.integers(1, 10**12),
+)
+
+
+@st.composite
+def sparse_rows(draw):
+    """Sparse rational rows, made rank-deficient by integer combinations of
+    a few base rows, duplicates and empty rows."""
+    ncols = draw(st.integers(1, 8))
+    base = draw(st.lists(
+        st.dictionaries(st.integers(0, ncols - 1), _entries, max_size=ncols),
+        min_size=1, max_size=6,
+    ))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 4))):
+        combo: dict[int, Fraction] = {}
+        for row in draw(st.lists(st.sampled_from(base), min_size=1, max_size=3)):
+            c = draw(st.integers(-5, 5))
+            for k, v in row.items():
+                combo[k] = combo.get(k, Fraction(0)) + c * v
+        rows.append({k: v for k, v in combo.items() if v})
+    rows += draw(st.lists(st.sampled_from(base), max_size=2))
+    rows += [{}] * draw(st.integers(0, 2))
+    return ncols, draw(st.permutations(rows))
+
+
+class TestRank:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_rows(), st.randoms(use_true_random=False))
+    def test_matches_dense_elimination(self, drawn, rnd):
+        ncols, rows = drawn
+        before = [dict(row) for row in rows]
+        rank = coideal._rank_of_rows(rows)
+        assert rows == before  # the input is not modified
+        assert rank == dense_rank(rows, ncols)
+        shuffled = list(rows)
+        rnd.shuffle(shuffled)
+        assert coideal._rank_of_rows(shuffled) == rank
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_rows())
+    def test_matches_sympy(self, drawn):
+        sympy = pytest.importorskip("sympy")
+        ncols, rows = drawn
+        dense = [[sympy.Rational(row.get(j, 0)) for j in range(ncols)] for row in rows]
+        assert coideal._rank_of_rows(rows) == sympy.Matrix(dense).rank()
+
+    def test_deficient_by_construction(self):
+        a = {0: Fraction(3, 10**9), 2: Fraction(-7, 4)}
+        b = {1: Fraction(-5, 6), 2: Fraction(1, 3)}
+        combo = {0: 2 * a[0], 1: -3 * b[1], 2: 2 * a[2] - 3 * b[2]}
+        assert coideal._rank_of_rows([a, combo, {}, b, dict(a)]) == 2
