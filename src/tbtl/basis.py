@@ -68,6 +68,11 @@ def reflect(s: str) -> str:
 
 @dataclass(frozen=True)
 class Diagram:
+    """A decorated diagram.  Every field tuple is sorted by site, so
+    ``dashed[0]`` is the leftmost dashed arc and ``ups[-1]`` the rightmost
+    up.  The rules read the BI labels and star, and the BII marks, through
+    label_sites, first_label and leftmost_mark."""
+
     tag: str
     M: int | None
     string: str
@@ -87,6 +92,21 @@ class Diagram:
 
     def label_map(self) -> dict[int, int]:
         return dict(self.labels)
+
+    def label_sites(self) -> dict[int, int]:
+        """BI: label -> site, the star counted as label 1."""
+        sites = {p: i for i, p in self.labels}
+        if self.star is not None:
+            sites[1] = self.star
+        return sites
+
+    def first_label(self) -> int:
+        """BI: the smallest label (the star is 1), or M + 1 if there is none."""
+        return min(self.label_sites(), default=self.M + 1)
+
+    def leftmost_mark(self) -> str | None:
+        """BII: the mark of the leftmost marked down, or None."""
+        return self.marks[0][1] if self.marks else None
 
     def mark_map(self) -> dict[int, str]:
         return dict(self.marks)
@@ -242,6 +262,7 @@ def build_diagram(tag: str, string: str, M: int | None = None) -> Diagram:
 # -- building-block vectors ---------------------------------------------
 
 _Q = RingElem.mono
+DOWN_KINDS = ("down", "star", "label", "mark", "circle")  # single down arrows
 
 
 def down_block_alpha(kind) -> RingElem:
@@ -269,8 +290,8 @@ def block_vector(block) -> list[tuple[str, RingElem]]:
         return [("-+", ONE), ("+-", _Q(-1, -1))]
     if name == "dash":
         return [("--", ONE), ("++", _Q(-1, -1))]
-    if name in ("down", "star", "label", "mark", "circle"):
-        alpha = down_block_alpha((name,) + block[2:] if name != "down" else (name,))
+    if name in DOWN_KINDS:
+        alpha = down_block_alpha((name,) + block[2:])
         out = [("-", ONE)]
         if alpha.terms:
             out.append(("+", -alpha))

@@ -18,7 +18,7 @@ from .ring import (
     qint,
 )
 from .algebra import Op
-from .kl_action import apply_X_kl, kl_operator  # apply_X_kl is re-exported
+from .kl_action import kl_operator
 
 
 @lru_cache(maxsize=None)
@@ -40,11 +40,7 @@ def classify_bi(N: int, M: int) -> dict[int, int]:
         if D.unpaired_down is not None:
             e = -(n_up + 1)
         else:
-            labels = {p for _, p in D.labels}
-            if D.star is not None:
-                labels.add(1)
-            r = min(labels) if labels else M + 1
-            e = n_up + r - 1
+            e = n_up + D.first_label() - 1
         hist[e] = hist.get(e, 0) + 1
     return hist
 
@@ -202,9 +198,7 @@ def check_triangular_spectrum(tag: str, N: int) -> bool:
         if tag == "BIII":
             n = len(D.ups) - len(D.circles)
         else:
-            marks = sorted(D.marks)
-            leftmost = marks[0][1] if marks else None
-            n = len(D.ups) if leftmost in (None, "e") else -len(D.ups) - 1
+            n = -len(D.ups) - 1 if D.leftmost_mark() == "o" else len(D.ups)
         expected = qQ_bracket(n)
         if col.get(s, RatioElem.from_int(0)) != expected:
             return False

@@ -36,8 +36,9 @@ def correlation_closed(N: int, alphas, plus, minus) -> RatioElem:
     return out
 
 
-def correlation_brute(N: int, alphas, plus, minus) -> RatioElem:
-    """<Psi0|O|Psi0> / <Psi0|Psi0> from the explicit component sum."""
+def correlation_brute(N: int, alphas, plus, minus) -> tuple[RatioElem, RatioElem]:
+    """(<Psi0|O|Psi0>, <Psi0|Psi0>) from the explicit component sum; the
+    correlation is their ratio."""
     comps = psi_vector("standard", N).components()
     num = RatioElem.from_int(0)
     den = RatioElem.from_int(0)
@@ -59,7 +60,6 @@ def correlation_brute(N: int, alphas, plus, minus) -> RatioElem:
             chars[j - 1] = "-"
         target = "".join(chars)
         num = num + comps[target] * c
-    # num/den as a formal ratio: return num * den^{-1} via atom packing
     return num, den
 
 

@@ -87,11 +87,16 @@ def _sorted_objects(entries):
     return [payload for _, payload in sorted(entries, key=lambda e: e[0])]
 
 
+def _half(n: int) -> int:
+    """n / 2 for a length or distance that the rules make even."""
+    h, rem = divmod(n, 2)
+    if rem:
+        raise ValueError(f"parity failure: {n} is odd")
+    return h
+
+
 def _arc_size(pair) -> int:
-    i, j = pair
-    if (j - i + 1) % 2:
-        raise ValueError(f"odd arc span {pair}")
-    return (j - i + 1) // 2
+    return _half(pair[1] - pair[0] + 1)
 
 
 # -- per-family components ---------------------------------------------------
@@ -189,16 +194,11 @@ def _psi_BI(D: Diagram) -> FactorizedScalar:
     f = FactorizedScalar()
     S = list(D.arcs)
     T = list(D.dashed)
-    label_site = {p: i for i, p in D.labels}
-    if D.star is not None:
-        label_site[1] = D.star
+    label_site = D.label_sites()  # the star is label 1
     n1 = 1 if D.unpaired_down is not None else 0
     n_up = len(D.ups)
     have_star = D.star is not None
-    s_M = label_site.get(M) if M >= 2 else (D.star if M == 1 else None)
-
-    def left_end(pair):
-        return pair[0]
+    s_M = label_site.get(M)
 
     sR = []
     sWp = []
@@ -211,15 +211,14 @@ def _psi_BI(D: Diagram) -> FactorizedScalar:
         if n1:
             boundary = D.unpaired_down
         elif T:
-            boundary = min(t[0] for t in T)
+            boundary = T[0][0]  # the leftmost dashed arc
         else:
             boundary = None
         if boundary is not None:
             sW = [a for a in S if boundary < a[0] < D.star]
         leftmost_down = boundary if boundary is not None else D.star
         if n_up:
-            rightmost_up = max(D.ups)
-            sL = [a for a in S if rightmost_up < a[0] < leftmost_down]
+            sL = [a for a in S if D.ups[-1] < a[0] < leftmost_down]
         else:
             sL = [a for a in S if a[0] < leftmost_down]
 
@@ -232,8 +231,8 @@ def _psi_BI(D: Diagram) -> FactorizedScalar:
     sWp_out = [a for a in sW if outer(a)]
     sLp = [a for a in sL if outer(a)]
 
-    U = {p: i for i, p in D.labels}  # 2..M
-    V_size = len(U) + (1 if have_star else 0)
+    U = {p: i for p, i in label_site.items() if p >= 2}
+    V_size = len(label_site)
 
     n2 = n_up + n1 + len(S) + len(T)
     n3 = len(sW) + len(T)
@@ -252,18 +251,14 @@ def _psi_BI(D: Diagram) -> FactorizedScalar:
     # N7
     for p, sp in U.items():
         for a in sRp:
-            d1, rem = divmod(a[0] - sp + M - p + 1, 2)
-            if rem:
-                raise ValueError("parity failure in the boundary distance")
+            d1 = _half(a[0] - sp + M - p + 1)
             f.times_qint(d1)
             f.times_qint(d1 + _arc_size(a), inverse=True)
 
     # N8
     if V_size == M:
         for a in sRp:
-            d2, rem = divmod(a[0] - D.star + M, 2)
-            if rem:
-                raise ValueError("parity failure in the star distance")
+            d2 = _half(a[0] - D.star + M)
             m_a = _arc_size(a)
             for t in range(0, n3 + 1):
                 f.times_qint(d2 + t)
@@ -289,22 +284,14 @@ def _psi_BI(D: Diagram) -> FactorizedScalar:
 
     # N10
     if s_M is not None:
-        Uprime = {p: i for p, i in U.items() if 2 <= p <= M - 1}
-        Vprime = dict(Uprime)
-        if have_star:
-            Vprime[1] = D.star
+        Vprime = {p: i for p, i in label_site.items() if p <= M - 1}
+        Uprime = {p: i for p, i in Vprime.items() if p >= 2}
 
         def d4(p, sp):
-            val, rem = divmod(s_M - sp + M - p, 2)
-            if rem:
-                raise ValueError("parity failure in d4")
-            return val + 1
+            return _half(s_M - sp + M - p) + 1
 
         def d5(E):
-            val, rem = divmod(s_M - E[0] + M + 1, 2)
-            if rem:
-                raise ValueError("parity failure in d5")
-            return val
+            return _half(s_M - E[0] + M + 1)
 
         if n1 == 0 and not T:
             for p, sp in Uprime.items():
@@ -312,10 +299,8 @@ def _psi_BI(D: Diagram) -> FactorizedScalar:
         elif n1 == 0:
             for p, sp in Vprime.items():
                 f.times_qint(d4(p, sp), inverse=True)
-            leftmost_dash = min(T, key=left_end)
-            for E in T:
-                if E != leftmost_dash:
-                    f.times_qint(d5(E), inverse=True)
+            for E in T[1:]:  # all but the leftmost dashed arc
+                f.times_qint(d5(E), inverse=True)
         else:
             for p, sp in Vprime.items():
                 f.times_qint(d4(p, sp), inverse=True)

@@ -31,22 +31,6 @@ def _frac(num: RingElem, *dens: RingElem) -> RatioElem:
     return RatioElem(num, tuple(("raw", d) for d in dens), reduce=False)
 
 
-LEMMA_IDS = (
-    "appA",
-    "app0",
-    "app1",
-    "app2",
-    "app8",
-    "app9",
-    "app10",
-    "app11",
-    "app13",
-    "app15",
-    "app16",
-    "app17",
-)
-
-
 # -- the summation lemmas ----------------------------------------------------
 
 
@@ -335,6 +319,22 @@ def lemma_app17(ms, ns):
     return lhs, rhs
 
 
+LEMMAS = {
+    "app0": lemma_app0,
+    "app1": lemma_app1,
+    "app2": lemma_app2,
+    "app8": lemma_app8,
+    "app9": lemma_app9,
+    "app10": lemma_app10,
+    "app11": lemma_app11,
+    "app13": lemma_app13,
+    "app15": lemma_app15,
+    "app16": lemma_app16,
+    "app17": lemma_app17,
+}
+LEMMA_IDS = ("appA", *LEMMAS)
+
+
 # -- the tridiagonal lemma -----------------------------------------------------
 
 
@@ -417,20 +417,7 @@ def verify_qidentity(lemma: str, params: dict) -> bool:
     """Check one lemma instance; params use keys ms, ns, x, z, N."""
     if lemma == "appA":
         return verify_tridiagonal_lemma(params["N"])
-    builders = {
-        "app0": lambda: lemma_app0(params["ms"], params["ns"]),
-        "app1": lambda: lemma_app1(params["ms"], params["ns"]),
-        "app2": lambda: lemma_app2(params["ms"], params["x"]),
-        "app8": lambda: lemma_app8(params["ms"], params["ns"]),
-        "app9": lambda: lemma_app9(params["ms"], params["ns"]),
-        "app10": lambda: lemma_app10(params["ms"], params["ns"]),
-        "app11": lambda: lemma_app11(params["ms"], params["ns"]),
-        "app13": lambda: lemma_app13(params["ms"], params["x"], params["z"]),
-        "app15": lambda: lemma_app15(params["ms"], params["ns"]),
-        "app16": lambda: lemma_app16(params["ms"], params["ns"]),
-        "app17": lambda: lemma_app17(params["ms"], params["ns"]),
-    }
-    lhs, rhs = builders[lemma]()
+    lhs, rhs = LEMMAS[lemma](**params)
     return lhs == rhs
 
 

@@ -10,8 +10,10 @@ independent oracle (crosscheck_vs_standard) for every generator and X.
 from __future__ import annotations
 
 from .basis import (
+    DOWN_KINDS,
     Diagram,
     build_diagram,
+    down_block_alpha,
     enumerate_strings,
     flip,
     reflect,
@@ -33,7 +35,6 @@ from .algebra import (
     Op,
     Vec,
     _accumulate,
-    generator_names,  # re-exported
     op_apply,
     op_eq,
     op_mismatches,
@@ -41,6 +42,7 @@ from .algebra import (
 )
 
 _mono = RingElem.mono
+_DQ0 = _mono(1, 0, 0, 1) - _mono(1, 0, 0, -1)  # Q0 - 1/Q0
 
 
 def _r(c) -> RatioElem:
@@ -49,8 +51,8 @@ def _r(c) -> RatioElem:
 
 # -- e_i, 1 <= i <= N-1 ----------------------------------------------------
 
-# Coefficients for e_i on two adjacent single-arrow blocks, keyed by the
-# block kinds at sites (i, i+1).  Entries are callables on the kind tuples.
+# The coefficient of e_i on two adjacent single-arrow blocks, from the block
+# kinds at sites (i, i+1).
 
 
 def _pair_coefficient(left, right) -> RingElem:
@@ -95,7 +97,7 @@ def apply_ei_kl(tag: str, D: Diagram, i: int) -> Vec:
     if left == ("dash_l", i + 1):
         return out
 
-    single_kinds = ("up", "down", "star", "label", "mark", "circle")
+    single_kinds = ("up", *DOWN_KINDS)
     l_single = left[0] in single_kinds
     r_single = right[0] in single_kinds
 
@@ -192,6 +194,15 @@ def coeff_c(j: int, i: int) -> RingElem:
     return _mono(1, -i - j + 3) + _mono(1, -i - j + 5)
 
 
+def _cascade(out: Vec, base: str, sites: list[int], ch: str):
+    """The two-arc terms of the boundary cascade: -c_{(j,i)}/q times base with
+    the i-th and j-th of the sites set to ch, for every i < j."""
+    for i in range(1, len(sites)):
+        for j in range(i + 1, len(sites) + 1):
+            c = -(_mono(1, -1) * coeff_c(j, i))
+            _accumulate(out, flip(base, {sites[i - 1]: ch, sites[j - 1]: ch}), _r(c))
+
+
 # -- e_N --------------------------------------------------------------------
 
 
@@ -208,30 +219,19 @@ def apply_eN_kl(tag: str, D: Diagram) -> Vec:
             _accumulate(out, s, _r(_mono(-1, 0, -1)))
             return out
         if kind == ("down",):
-            downs = sorted(D.downs, reverse=True)  # right to left
-            for idx, site in enumerate(downs, start=1):
+            for idx, site in enumerate(reversed(D.downs), start=1):
                 _accumulate(out, flip(s, {site: "+"}), _r(_mono(1, -(idx - 1))))
             _accumulate(out, s, _r(_mono(-1, 0, 1)))
             return out
         if kind[0] == "arc_r":
-            a = kind[1]
-            nd = len(D.downs)
             base = flip(s, {N: "-"})
-            downs = [N, a] + sorted(D.downs, reverse=True)  # right to left in D~
+            downs = [N, kind[1], *reversed(D.downs)]  # right to left in D~
             _accumulate(out, base, R_ONE)
             _accumulate(out, s, _r(_mono(-1, 0, -1)))
             qfac = _mono(1, -1, 1) - _mono(1, -1, -1)  # (Q - 1/Q)/q
-            for idx in range(2, nd + 3):
-                c = qfac * _mono(1, -(idx - 2))
-                _accumulate(out, flip(base, {downs[idx - 1]: "+"}), _r(c))
-            for i2 in range(1, nd + 2):
-                for j2 in range(i2 + 1, nd + 3):
-                    c = -(_mono(1, -1) * coeff_c(j2, i2))
-                    _accumulate(
-                        out,
-                        flip(base, {downs[i2 - 1]: "+", downs[j2 - 1]: "+"}),
-                        _r(c),
-                    )
+            for idx, site in enumerate(downs[1:]):
+                _accumulate(out, flip(base, {site: "+"}), _r(qfac * _mono(1, -idx)))
+            _cascade(out, base, downs, "+")
             return out
         raise AssertionError(f"site N of type A diagram is {kind}")
 
@@ -252,15 +252,12 @@ def apply_eN_kl(tag: str, D: Diagram) -> Vec:
             _accumulate(out, s, _r(-(_mono(1, 0, 1) + _mono(1, 0, -1))))
             return out
         if kind[0] == "arc_r":
-            a = kind[1]
             base = flip(s, {N: "-"})
-            circles = sorted(D.circles)  # ascending sites = descending index
-            r = len(circles)
-            sites_by_index = {k: site for site, k in circles}
-            sites_by_index[0] = a
+            # the arc's left end, then the circles 1, 2, ... (right to left)
+            sites = [kind[1]] + [site for site, _ in reversed(D.circles)]
             _accumulate(out, base, R_ONE)
-            for k in range(1, r + 2):
-                _accumulate(out, flip(base, {sites_by_index[k - 1]: "+"}), _r(dangle(k)))
+            for k, site in enumerate(sites, start=1):
+                _accumulate(out, flip(base, {site: "+"}), _r(dangle(k)))
             return out
         raise AssertionError(f"site N of type BIII diagram is {kind}")
 
@@ -268,17 +265,14 @@ def apply_eN_kl(tag: str, D: Diagram) -> Vec:
         if kind == ("up",):
             _accumulate(out, flip(s, {N: "-"}), R_ONE)
             return out
-        if kind == ("label", M) or (M == 1 and kind == ("star",)):
+        label_sites = D.label_sites()
+        if label_sites.get(M) == N:
             _accumulate(out, s, _r(-angle(M)))
             return out
         if kind[0] == "arc_r":
-            a = kind[1]
             base = flip(s, {N: "-"})
-            label_sites = {p: site for site, p in D.labels}
-            if D.star is not None:
-                label_sites[1] = D.star
-            r = min(label_sites) if label_sites else M + 1
-            label_sites[M + 1] = a
+            r = D.first_label()
+            label_sites[M + 1] = kind[1]
             start = max(r, 2)
             _accumulate(out, base, R_ONE)
             c = RingElem.const(1) if r <= 2 else angle(r - 2)
@@ -302,14 +296,14 @@ def _prepend_down_bii(tail: str) -> list[tuple[RingElem, str]]:
     if not tail:
         return [(RingElem.const(1), "-"), (_mono(1, 0, -1), "+")]
     E = build_diagram("BII", tail)
-    ups = sorted(E.ups)
     terms = [(RingElem.const(1), "-" + tail)]
-    for idx, u in enumerate(ups, start=1):
+    for idx, u in enumerate(E.ups, start=1):
         terms.append((_mono(1, -idx), "+" + flip(tail, {u: "-"})))
-    marks = sorted(E.marks)
-    leftmost = marks[0][1] if marks else None
-    k = len(ups)
-    beta = _mono(1, -k, -1) if leftmost in (None, "e") else _mono(-1, -k - 1, 1)
+    k = len(E.ups)
+    if E.leftmost_mark() == "o":
+        beta = _mono(-1, -k - 1, 1)
+    else:
+        beta = _mono(1, -k, -1)
     terms.append((beta, "+" + tail))
     return terms
 
@@ -317,19 +311,15 @@ def _prepend_down_bii(tail: str) -> list[tuple[RingElem, str]]:
 def _local_down_action(alpha: RingElem, s: str, out: Vec):
     """e_0 on a decorated down arrow at site 1 with block v_- - alpha v_+:
     -(1/Q0 + alpha) D + (1 + alpha (Q0 - 1/Q0) - alpha^2) (site 1 -> +)."""
-    mQ0i = _mono(1, 0, 0, -1)
-    dQ0 = _mono(1, 0, 0, 1) - mQ0i
-    c_diag = -(mQ0i + alpha)
-    c_up = RingElem.const(1) + alpha * dQ0 - alpha * alpha
+    c_diag = -(_mono(1, 0, 0, -1) + alpha)
+    c_up = RingElem.const(1) + alpha * _DQ0 - alpha * alpha
     _accumulate(out, s, _r(c_diag))
     _accumulate(out, flip(s, {1: "+"}), _r(c_up))
 
 
 def apply_e0_kl(tag: str, D: Diagram) -> Vec:
-    N = D.N
     s = D.string
     out: Vec = {}
-    M = D.M
 
     if tag == "A":
         # reflection trick: e_0 = u e_N u with Q -> Q0
@@ -340,188 +330,114 @@ def apply_e0_kl(tag: str, D: Diagram) -> Vec:
         return out
 
     kind = D.site_kind(1)
+    if kind[0] in DOWN_KINDS:
+        _local_down_action(down_block_alpha(kind), s, out)
+        return out
+    n_up = len(D.ups)
 
-    if tag == "BII":
-        marks = sorted(D.marks)
-        leftmost_mark = marks[0][1] if marks else None
-        if kind == ("up",):
-            ups = sorted(D.ups)
-            for idx, site in enumerate(ups, start=1):
-                _accumulate(out, flip(s, {site: "-"}), _r(_mono(1, -(idx - 1))))
-            n_up = len(ups)
-            if leftmost_mark == "o":
-                c = -(_mono(1, 0, 0, 1) + _mono(1, -n_up, 1))  # -(Q0 + Q q^{-n})
-            else:
-                c = _mono(1, -n_up + 1, -1) - _mono(1, 0, 0, 1)  # q^{1-n}/Q - Q0
-            _accumulate(out, s, _r(c))
-            return out
-        if kind[0] == "mark":
-            alpha = _mono(1, 0, -1) if kind[1] == "o" else _mono(-1, -1, 1)
-            _local_down_action(alpha, s, out)
-            return out
-        if kind[0] == "arc_l":
-            # e_0 on the arc block gives, over the pure tensors at (1, j):
-            #   -1/Q0 (arc) + (++) + (Q0 - 1/Q0)/q (+-) - 1/q (--),
-            # and the mixed tensors are re-expanded via the prepend-down
-            # identities, which is what the boundary cascades amount to.
-            j = kind[1]
-            dQ0 = _mono(1, 0, 0, 1) - _mono(1, 0, 0, -1)
+    if kind == ("up",):
+        for idx, site in enumerate(D.ups, start=1):
+            _accumulate(out, flip(s, {site: "-"}), _r(_mono(1, -(idx - 1))))
+        # the diagonal is -Q0 plus a term of the family
+        if tag == "BII" and D.leftmost_mark() == "o":
+            c = -_mono(1, -n_up, 1)  # -Q q^{-n}
+        elif tag == "BII":
+            c = _mono(1, -n_up + 1, -1)  # q^{1-n}/Q
+        elif tag == "BIII":
+            c = _mono(1, -n_up + len(D.circles) + 1, -1)  # q^{1-n+r}/Q
+        elif D.unpaired_down is not None:
+            _accumulate(out, flip(s, {D.unpaired_down: "+"}), _r(_mono(1, -n_up)))
+            c = RingElem.zero()
+        else:
+            r = D.first_label()
+            c = RingElem.zero() if r == 1 else _mono(1, -(r + n_up - 2))
+        _accumulate(out, s, _r(c - _mono(1, 0, 0, 1)))
+        return out
+
+    if tag == "BII" and kind[0] == "arc_l":
+        # e_0 on the arc block gives, over the pure tensors at (1, j):
+        #   -1/Q0 (arc) + (++) + (Q0 - 1/Q0)/q (+-) - 1/q (--),
+        # and the mixed tensors are re-expanded via the prepend-down
+        # identities, which is what the boundary cascades amount to.
+        j = kind[1]
+        _accumulate(out, s, _r(_mono(-1, 0, 0, -1)))
+        _accumulate(out, flip(s, {1: "+"}), R_ONE)
+        middle = s[1 : j - 1]
+        tail = s[j:]
+        for c_a, t_a in _prepend_down_bii(tail):
+            full = "+" + middle + t_a
+            _accumulate(out, full, _r(_mono(1, -1) * _DQ0 * c_a))
+            for c_b, t_b in _prepend_down_bii(middle + t_a):
+                _accumulate(out, t_b, _r(_mono(-1, -1) * c_a * c_b))
+        return out
+
+    if tag == "BIII" and kind[0] == "arc_l":
+        base = flip(s, {1: "+"})
+        ups = [1, kind[1], *D.ups]
+        r = len(D.circles)
+        g = _mono(1, -n_up + r - 1, -1)  # q^{-n+r-1}/Q
+        _accumulate(out, base, _r(RingElem.const(1) + g * _DQ0 - g * g))
+        _accumulate(out, s, _r(-(_mono(1, 0, 0, -1) + g)))
+        for idx in range(2, n_up + 3):
+            ctilde = _mono(1, -(idx - 1)) * _DQ0 - _mono(
+                1, -n_up + r - idx, -1
+            ) * (RingElem.const(1) + _mono(1, 2))
+            _accumulate(out, flip(base, {ups[idx - 1]: "-"}), _r(ctilde))
+        _cascade(out, base, ups, "-")
+        return out
+
+    if tag == "BI" and kind[0] == "dash_l":
+        j = kind[1]
+        _accumulate(out, s, _r(_mono(-1, 0, 0, -1)))
+        _accumulate(out, flip(s, {1: "+"}), _r(RingElem.const(1) - _mono(1, -2)))
+        _accumulate(out, flip(s, {1: "+", j: "+"}), _r(_mono(1, -1) * _DQ0))
+        _accumulate(out, flip(s, {j: "+"}), _r(_mono(-1, -1)))
+        return out
+
+    if tag == "BI" and kind[0] == "arc_l":
+        base = flip(s, {1: "+"})
+        ups = [1, kind[1], *D.ups]
+        r = D.first_label()
+        d = D.unpaired_down
+        if d is not None:
+            _accumulate(out, base, _r(RingElem.const(1) - _mono(1, -2 * n_up - 4)))
             _accumulate(out, s, _r(_mono(-1, 0, 0, -1)))
-            _accumulate(out, flip(s, {1: "+"}), R_ONE)
-            middle = s[1 : j - 1]
-            tail = s[j:]
-            inner = _prepend_down_bii(tail)
-            for c_a, t_a in inner:
-                full = "+" + middle + t_a
-                _accumulate(out, full, _r(_mono(1, -1) * dQ0 * c_a))
-                for c_b, t_b in _prepend_down_bii(middle + t_a):
-                    _accumulate(out, t_b, _r(_mono(-1, -1) * c_a * c_b))
-            return out
-        raise AssertionError(f"site 1 of type BII diagram is {kind}")
-
-    if tag == "BIII":
-        circles = dict(D.circles)
-        r = max(circles.values()) if circles else 0
-        if kind == ("up",):
-            ups = sorted(D.ups)
-            n_up = len(ups)
-            for idx, site in enumerate(ups, start=1):
-                _accumulate(out, flip(s, {site: "-"}), _r(_mono(1, -(idx - 1))))
-            c = _mono(1, -n_up + r + 1, -1) - _mono(1, 0, 0, 1)
-            _accumulate(out, s, _r(c))
-            return out
-        if kind[0] == "circle":
-            alpha = _mono(1, kind[1] - 1, -1)
-            _local_down_action(alpha, s, out)
-            return out
-        if kind[0] == "arc_l":
-            j = kind[1]
-            n_up = len(D.ups)
-            base = flip(s, {1: "+"})
-            ups = [1, j] + sorted(D.ups)
-            dQ0 = _mono(1, 0, 0, 1) - _mono(1, 0, 0, -1)
-            g = _mono(1, -n_up + r - 1, -1)  # q^{-n+r-1}/Q
-            c_base = RingElem.const(1) + g * dQ0 - g * g
-            _accumulate(out, base, _r(c_base))
+            for idx in range(2, n_up + 3):
+                c = _mono(1, -(idx - 1)) * _DQ0
+                _accumulate(out, flip(base, {ups[idx - 1]: "-"}), _r(c))
+            _accumulate(out, flip(base, {d: "+"}), _r(_mono(1, -(n_up + 2)) * _DQ0))
+            _accumulate(
+                out,
+                flip(base, {ups[n_up + 1]: "-", d: "+"}),
+                _r(_mono(-1, -2 * n_up - 3)),
+            )
+            for i2 in range(1, n_up + 2):
+                extra = RingElem.const(1)
+                if i2 != 1:
+                    extra = extra + _mono(1, 2)
+                c = -(_mono(1, -1) * _mono(1, -n_up - i2) * extra)
+                _accumulate(out, flip(base, {ups[i2 - 1]: "-", d: "+"}), _r(c))
+        elif r == 1:
+            _accumulate(out, base, _r(RingElem.const(1) - _mono(1, -2 * n_up - 2)))
+            _accumulate(out, s, _r(_mono(-1, 0, 0, -1)))
+            for idx in range(2, n_up + 3):
+                c = _mono(1, -1) * _DQ0 * _mono(1, -(idx - 2))
+                _accumulate(out, flip(base, {ups[idx - 1]: "-"}), _r(c))
+        else:
+            g = _mono(1, -n_up - r)
+            _accumulate(
+                out, base, _r(RingElem.const(1) + g * _DQ0 - _mono(1, -2 * n_up - 2 * r))
+            )
             _accumulate(out, s, _r(-(_mono(1, 0, 0, -1) + g)))
             for idx in range(2, n_up + 3):
-                ctilde = _mono(1, -(idx - 1)) * dQ0 - _mono(
-                    1, -n_up + r - idx, -1
-                ) * (RingElem.const(1) + _mono(1, 2))
+                extra = RingElem.const(1)
+                if not (r == 2 and idx == n_up + 2):
+                    extra = extra + _mono(1, 2)
+                ctilde = _mono(1, -(idx - 1)) * _DQ0 - _mono(1, -n_up - r - idx + 1) * extra
                 _accumulate(out, flip(base, {ups[idx - 1]: "-"}), _r(ctilde))
-            for i2 in range(1, n_up + 2):
-                for j2 in range(i2 + 1, n_up + 3):
-                    c = -(_mono(1, -1) * coeff_c(j2, i2))
-                    _accumulate(
-                        out,
-                        flip(base, {ups[i2 - 1]: "-", ups[j2 - 1]: "-"}),
-                        _r(c),
-                    )
-            return out
-        raise AssertionError(f"site 1 of type BIII diagram is {kind}")
-
-    if tag == "BI":
-        label_sites = {p: site for site, p in D.labels}
-        if D.star is not None:
-            label_sites[1] = D.star
-        r = min(label_sites) if label_sites else M + 1
-        if kind == ("up",):
-            ups = sorted(D.ups)
-            n_up = len(ups)
-            for idx, site in enumerate(ups, start=1):
-                _accumulate(out, flip(s, {site: "-"}), _r(_mono(1, -(idx - 1))))
-            if D.unpaired_down is not None:
-                _accumulate(
-                    out, flip(s, {D.unpaired_down: "+"}), _r(_mono(1, -n_up))
-                )
-                _accumulate(out, s, _r(_mono(-1, 0, 0, 1)))
-            else:
-                c = -_mono(1, 0, 0, 1)
-                if r != 1:
-                    c = c + _mono(1, -(r + n_up - 2))
-                _accumulate(out, s, _r(c))
-            return out
-        if kind in (("down",), ("star",)) or kind[0] == "label":
-            alpha = RingElem.zero()
-            if kind == ("star",):
-                alpha = _mono(1, -1)
-            elif kind[0] == "label":
-                alpha = _mono(1, -kind[1])
-            _local_down_action(alpha, s, out)
-            return out
-        if kind[0] == "dash_l":
-            j = kind[1]
-            dQ0 = _mono(1, 0, 0, 1) - _mono(1, 0, 0, -1)
-            _accumulate(out, s, _r(_mono(-1, 0, 0, -1)))
-            _accumulate(out, flip(s, {1: "+"}), _r(RingElem.const(1) - _mono(1, -2)))
-            _accumulate(out, flip(s, {1: "+", j: "+"}), _r(_mono(1, -1) * dQ0))
-            _accumulate(out, flip(s, {j: "+"}), _r(_mono(-1, -1)))
-            return out
-        if kind[0] == "arc_l":
-            j = kind[1]
-            n_up = len(D.ups)
-            base = flip(s, {1: "+"})
-            ups = [1, j] + sorted(D.ups)
-            dQ0 = _mono(1, 0, 0, 1) - _mono(1, 0, 0, -1)
-            if D.unpaired_down is not None:
-                d = D.unpaired_down
-                _accumulate(out, base, _r(RingElem.const(1) - _mono(1, -2 * n_up - 4)))
-                _accumulate(out, s, _r(_mono(-1, 0, 0, -1)))
-                for idx in range(2, n_up + 3):
-                    c = _mono(1, -(idx - 1)) * dQ0
-                    _accumulate(out, flip(base, {ups[idx - 1]: "-"}), _r(c))
-                _accumulate(out, flip(base, {d: "+"}), _r(_mono(1, -(n_up + 2)) * dQ0))
-                _accumulate(
-                    out,
-                    flip(base, {ups[n_up + 1]: "-", d: "+"}),
-                    _r(_mono(-1, -2 * n_up - 3)),
-                )
-                for i2 in range(1, n_up + 2):
-                    for j2 in range(i2 + 1, n_up + 3):
-                        c = -(_mono(1, -1) * coeff_c(j2, i2))
-                        _accumulate(
-                            out,
-                            flip(base, {ups[i2 - 1]: "-", ups[j2 - 1]: "-"}),
-                            _r(c),
-                        )
-                for i2 in range(1, n_up + 2):
-                    extra = RingElem.const(1)
-                    if i2 != 1:
-                        extra = extra + _mono(1, 2)
-                    c = -(_mono(1, -1) * _mono(1, -n_up - i2) * extra)
-                    _accumulate(
-                        out, flip(base, {ups[i2 - 1]: "-", d: "+"}), _r(c)
-                    )
-                return out
-            if r == 1:
-                _accumulate(out, base, _r(RingElem.const(1) - _mono(1, -2 * n_up - 2)))
-                _accumulate(out, s, _r(_mono(-1, 0, 0, -1)))
-                for idx in range(2, n_up + 3):
-                    c = _mono(1, -1) * dQ0 * _mono(1, -(idx - 2))
-                    _accumulate(out, flip(base, {ups[idx - 1]: "-"}), _r(c))
-            else:
-                g = _mono(1, -n_up - r)
-                _accumulate(
-                    out, base, _r(RingElem.const(1) + g * dQ0 - _mono(1, -2 * n_up - 2 * r))
-                )
-                _accumulate(out, s, _r(-(_mono(1, 0, 0, -1) + g)))
-                for idx in range(2, n_up + 3):
-                    extra = RingElem.const(1)
-                    if not (r == 2 and idx == n_up + 2):
-                        extra = extra + _mono(1, 2)
-                    ctilde = _mono(1, -(idx - 1)) * dQ0 - _mono(1, -n_up - r - idx + 1) * extra
-                    _accumulate(out, flip(base, {ups[idx - 1]: "-"}), _r(ctilde))
-            for i2 in range(1, n_up + 2):
-                for j2 in range(i2 + 1, n_up + 3):
-                    c = -(_mono(1, -1) * coeff_c(j2, i2))
-                    _accumulate(
-                        out,
-                        flip(base, {ups[i2 - 1]: "-", ups[j2 - 1]: "-"}),
-                        _r(c),
-                    )
-            return out
-        raise AssertionError(f"site 1 of type BI diagram is {kind}")
-    raise ValueError(tag)
+        _cascade(out, base, ups, "-")
+        return out
+    raise AssertionError(f"site 1 of type {tag} diagram is {kind}")
 
 
 def _swap_Q_Q0(c: RatioElem) -> RatioElem:
@@ -541,15 +457,13 @@ def apply_X_kl(tag: str, D: Diagram) -> Vec:
     """The displayed action of X on a basis diagram."""
     s = D.string
     out: Vec = {}
-    ups = sorted(D.ups)
-    n_up = len(ups)
-    for i, u in enumerate(ups, start=1):
+    n_up = len(D.ups)
+    for i, u in enumerate(D.ups, start=1):
         _accumulate(out, flip(s, {u: "-"}), _r(qint(i)))
 
     if tag == "A":
-        downs = sorted(D.downs, reverse=True)  # right to left
-        wt = n_up - len(downs)
-        for i, d in enumerate(downs, start=1):
+        wt = n_up - len(D.downs)
+        for i, d in enumerate(reversed(D.downs), start=1):
             _accumulate(out, flip(s, {d: "+"}), _r(_mono(1, wt + 1) * qint(i)))
         _accumulate(out, s, qQ_bracket(0).mul_ring(_mono(1, wt)))
         return out
@@ -562,19 +476,12 @@ def apply_X_kl(tag: str, D: Diagram) -> Vec:
             _accumulate(
                 out, flip(s, {D.unpaired_down: "+"}), _r(qint(n_up + 1))
             )
-        else:
-            labels = {p for _, p in D.labels}
-            if D.star is not None:
-                labels.add(1)
-            r = min(labels) if labels else D.M + 1
-            if r != 1:
-                _accumulate(out, s, _r(qint(n_up + r - 1)))
+        elif (r := D.first_label()) != 1:
+            _accumulate(out, s, _r(qint(n_up + r - 1)))
         return out
 
     if tag == "BII":
-        marks = sorted(D.marks)
-        leftmost = marks[0][1] if marks else None
-        n = n_up if leftmost in (None, "e") else -n_up - 1
+        n = -n_up - 1 if D.leftmost_mark() == "o" else n_up
         _accumulate(out, s, qQ_bracket(n))
         return out
 

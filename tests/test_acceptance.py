@@ -13,6 +13,7 @@ from tbtl.algebra import (
     check_defining_relations,
     check_quotient_alpha,
     commutation_check,
+    generator_names,
     x_matrix_coproduct,
     x_matrix_direct,
     op_eq,
@@ -47,7 +48,7 @@ from tbtl.ground_state import (
     verify_x_eigen,
 )
 from tbtl.identities import LEMMA_IDS, sweep, verify_qidentity, random_params
-from tbtl.kl_action import crosscheck_vs_standard, generator_names
+from tbtl.kl_action import crosscheck_vs_standard
 from tbtl.ring import RatioElem, SpecPoint, R_ONE
 
 FAMILIES = [("A", None), ("BI", 1), ("BI", 2), ("BII", None), ("BIII", None)]

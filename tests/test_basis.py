@@ -108,6 +108,53 @@ class TestDiagramRules:
         assert d["string"] == "+--+--"
 
 
+def unmatched_downs(s):
+    """The number of '-' that no later '+' closes into an arc."""
+    open_ = 0
+    for c in s:
+        if c == "-":
+            open_ += 1
+        elif open_:
+            open_ -= 1
+    return open_
+
+
+FIELDS = ("arcs", "dashed", "labels", "marks", "circles", "ups", "downs")
+
+
+class TestAccessors:
+    """The decoration accessors against closed forms read off the string."""
+
+    def test_first_label_and_label_sites(self):
+        for N in range(1, 9):
+            for s in enumerate_strings(N):
+                d = unmatched_downs(s)
+                for M in range(1, 5):
+                    D = build_diagram("BI", s, M)
+                    assert D.first_label() == max(M + 1 - d, 1), (s, M)
+                    expected = {p: i for i, p in D.labels}
+                    if D.star is not None:
+                        expected[1] = D.star
+                    assert D.label_sites() == expected, (s, M)
+
+    def test_leftmost_mark(self):
+        for N in range(1, 9):
+            for s in enumerate_strings(N):
+                d = unmatched_downs(s)
+                expected = None if d == 0 else ("o" if d % 2 else "e")
+                assert build_diagram("BII", s).leftmost_mark() == expected, s
+
+    def test_fields_sorted_by_site(self):
+        for N in range(1, 9):
+            for s in enumerate_strings(N):
+                diagrams = [build_diagram(t, s) for t in ("A", "BII", "BIII")]
+                diagrams += [build_diagram("BI", s, M) for M in range(1, 5)]
+                for D in diagrams:
+                    for name in FIELDS:
+                        field = getattr(D, name)
+                        assert list(field) == sorted(field), (D.tag, D.M, s, name)
+
+
 class TestBlocks:
     def test_block_table(self):
         assert block_vector(("up", 1)) == [("+", ONE)]

@@ -8,14 +8,13 @@ from tbtl import coideal
 
 from tbtl.basis import build_diagram, enumerate_strings
 from tbtl.coideal import (
-    apply_X_kl,
     check_bi_multiplicity_histogram,
     check_multiplicity_theorem,
     check_triangular_spectrum,
     classify_bi,
     eigen_multiplicities,
 )
-from tbtl.kl_action import crosscheck_vs_standard
+from tbtl.kl_action import apply_X_kl, crosscheck_vs_standard
 from tbtl.ring import RatioElem, RingElem, ZeroDenominator, qQ_bracket, qint, R_ONE
 
 mono = RingElem.mono

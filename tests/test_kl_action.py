@@ -1,7 +1,7 @@
 import pytest
 
 from tbtl import kl_action
-from tbtl.algebra import op_apply, op_mismatches, standard_operator
+from tbtl.algebra import generator_names, op_apply, op_mismatches, standard_operator
 from tbtl.basis import (
     build_diagram,
     enumerate_strings,
@@ -15,7 +15,6 @@ from tbtl.kl_action import (
     apply_ei_kl,
     coeff_c,
     crosscheck_vs_standard,
-    generator_names,
     kl_operator,
 )
 from tbtl.ring import RatioElem, RingElem, angle, dangle, qint, R_ONE
@@ -180,9 +179,11 @@ class TestBoundaryRows:
 
 
 class TestOracle:
-    @pytest.mark.parametrize("tag,M", [("A", None), ("BI", 1), ("BI", 2), ("BII", None), ("BIII", None)])
+    @pytest.mark.parametrize(
+        "tag,M", [("A", None), ("BI", 1), ("BI", 2), ("BI", 3), ("BII", None), ("BIII", None)]
+    )
     def test_exhaustive(self, tag, M):
-        for N in range(1, 5):
+        for N in range(1, 6):
             for gen in generator_names(N):
                 ok, mismatches = crosscheck_vs_standard(tag, N, gen, M)
                 assert ok, (tag, M, N, gen, mismatches[:3])
