@@ -15,6 +15,7 @@ from .ring import (
     RatioElem,
     RingElem,
     R_ONE,
+    _atom_key,
     qQ_bracket,
 )
 
@@ -60,11 +61,56 @@ def op_scale(A: Op, c: RatioElem) -> Op:
 
 
 def op_apply(A: Op, v: Vec) -> Vec:
-    out: Vec = {}
+    """A v, the one way to apply an operator to a vector.
+
+    A fused multiply-accumulate kernel (after Johnson 1974, Monagan and
+    Pearce 2009): each product c * a of a vector entry c at column s and a
+    matrix entry a of column s is summed term by term into one plain
+    {monomial: int} dict per (row, denominator), where the denominator is
+    the multiset c.den + a.den sorted as RatioElem sorts it.  No product is
+    built as an object: the outer loop runs over the factor with fewer
+    terms, so a monomial factor (the common case) costs one pass over the
+    other factor's terms, and a term is dropped as soon as its coefficient
+    reaches 0.  At the end each nonempty dict is wrapped once, without
+    reduction, and the groups of a row that carry a denominator (rare) are
+    added to it with RatioElem addition.
+
+    The result has the value of the sum of the products c * a and no zero
+    entry, and it shares no term dict with A or v; neither input is changed.
+    Every column of v with a nonzero entry must be a column of A.
+    """
+    plain: dict[str, dict] = {}  # row -> terms of the products with no denominator
+    fractional: dict[tuple, dict] = {}  # (row, den) -> terms
     for col, c in v.items():
-        if not c.is_zero():
-            for row, a in A[col].items():
-                _accumulate(out, row, c * a)
+        ct = c.num.terms
+        if not ct:
+            continue
+        cden = c.den
+        for row, a in A[col].items():
+            at = a.num.terms
+            aden = a.den
+            if cden or aden:
+                den = tuple(sorted(cden + aden, key=_atom_key)) if cden and aden else cden or aden
+                t = fractional.get((row, den))
+                if t is None:
+                    t = fractional[row, den] = {}
+            else:
+                t = plain.get(row)
+                if t is None:
+                    t = plain[row] = {}
+            small, big = (ct, at) if len(ct) <= len(at) else (at, ct)
+            for (e1, f1, g1), c1 in small.items():
+                for (e2, f2, g2), c2 in big.items():
+                    m = (e1 + e2, f1 + f2, g1 + g2)
+                    x = t.get(m, 0) + c1 * c2
+                    if x:
+                        t[m] = x
+                    else:
+                        del t[m]
+    out: Vec = {row: RatioElem(RingElem(t), (), reduce=False) for row, t in plain.items() if t}
+    for (row, den), t in fractional.items():
+        if t:
+            _accumulate(out, row, RatioElem(RingElem(t), den, reduce=False))
     return out
 
 

@@ -64,19 +64,25 @@ def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
 
 
 def _rank_of_rows(rows: list[dict[int, Fraction]]) -> int:
-    """Exact rank over Q of a sparse rational matrix, by integer elimination.
+    """Exact rank over Q of a sparse rational matrix: each row is scaled to
+    integers (_integer_row) and handed to _integer_rank."""
+    return _integer_rank([_integer_row(r) for r in rows if r])
 
-    Each row is scaled to integers, and the rows are eliminated sparsest
-    first, each against the pivot of its smallest column.  A step replaces
-    the row by ``a*row - b*pivot``, where ``a`` and ``b`` are the pivot's and
-    the row's entries in that column over their gcd (fraction-free
-    elimination, Bareiss 1968); a row that becomes a pivot is divided by its
-    content first, which keeps the entries short.  Every step multiplies the
-    row by a nonzero integer or adds a multiple of a pivot, so the number of
-    pivots is the rank over Q.
+
+def _integer_rank(rows: list[dict[int, int]]) -> int:
+    """Exact rank over Q of a sparse integer matrix, by integer elimination.
+
+    The rows are eliminated sparsest first, each against the pivot of its
+    smallest column.  A step replaces the row by ``a*row - b*pivot``, where
+    ``a`` and ``b`` are the pivot's and the row's entries in that column over
+    their gcd (fraction-free elimination, Bareiss 1968); a row that becomes a
+    pivot is divided by its content first, which keeps the entries short.
+    Every step multiplies the row by a nonzero integer or adds a multiple of
+    a pivot, so the number of pivots is the rank over Q.  The input rows are
+    not modified, so they may be shared.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for row in sorted((_integer_row(r) for r in rows if r), key=len):
+    for row in sorted((r for r in rows if r), key=len):
         while row:
             j = min(row)
             pivot = pivots.get(j)
@@ -138,7 +144,7 @@ def eigen_multiplicities(
 
     Computed as the kernel dimension of X - lambda at the point, from its
     rank over Q (exact integer elimination, sparsest rows first; see
-    _rank_of_rows); degenerate sample points (colliding candidate
+    _integer_rank); degenerate sample points (colliding candidate
     eigenvalues) are resampled.  The multiplicities are returned as found:
     if they do not add up to 2^N, check_multiplicity_theorem fails.
     """
@@ -155,16 +161,30 @@ def eigen_multiplicities(
             continue
         if len({v for _, v in values}) != len(values):
             continue  # eigenvalue collision; resample
+        # Only the diagonal of X - lambda depends on lambda, so each row's
+        # off-diagonal part is scaled to integers once per point.
         rows_all = eval_op_at(X, p, order)
+        parts = []
+        for k in range(dim):
+            row = rows_all.get(k, {})
+            off = {j: v for j, v in row.items() if j != k}
+            scale = lcm(*(v.denominator for v in off.values()))
+            off = {j: v.numerator * (scale // v.denominator) for j, v in off.items()}
+            parts.append((k, row.get(k, Fraction(0)), scale, off))
         mult = {}
         for i, lam in values:
-            rows = {k: dict(v) for k, v in rows_all.items()}
-            for k in range(dim):
-                row = rows.setdefault(k, {})
-                row[k] = row.get(k, Fraction(0)) - lam
-                if not row[k]:
-                    del row[k]
-            mult[i] = dim - _rank_of_rows(list(rows.values()))
+            rows = []
+            for k, diag, scale, off in parts:
+                d = diag - lam
+                if not d:
+                    rows.append(off)
+                    continue
+                den = lcm(scale, d.denominator)
+                m = den // scale
+                row = {j: m * v for j, v in off.items()}
+                row[k] = d.numerator * (den // d.denominator)
+                rows.append(row)
+            mult[i] = dim - _integer_rank(rows)
         return mult, p
     raise RuntimeError("no generic sample point found")
 

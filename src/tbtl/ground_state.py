@@ -11,6 +11,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .basis import Diagram, build_diagram, enumerate_strings, specialize, standard_to_kl
 from .ring import (
@@ -65,11 +66,7 @@ class FactorizedScalar:
         return RatioElem(num, den)
 
     def as_polynomial(self) -> RingElem:
-        r = self.to_ratio()
-        try:
-            return r.as_ring()
-        except NotDivisible as exc:
-            raise NonPolynomialComponent(str(exc)) from exc
+        return _as_polynomial(self.to_ratio())
 
     def evaluate(self, p: SpecPoint) -> Fraction:
         num = p.monomial((self.q_exp, self.Q_exp, 0))
@@ -79,6 +76,13 @@ class FactorizedScalar:
         for atom in self.den:
             den *= atom_eval(atom, p)
         return num / den
+
+
+def _as_polynomial(r: RatioElem) -> RingElem:
+    try:
+        return r.as_ring()
+    except NotDivisible as exc:
+        raise NonPolynomialComponent(str(exc)) from exc
 
 
 def _sorted_objects(entries):
@@ -353,16 +357,23 @@ def psi_component(tag: str, D: Diagram) -> FactorizedScalar:
 
 @dataclass
 class GroundState:
+    """Psi as factored components.  Each component is expanded once per
+    ground state (to_ratio) and kept; every caller gets a fresh dict."""
+
     tag: str
     N: int
     M: int | None
     factors: dict[str, FactorizedScalar]
 
-    def components(self) -> dict[str, RatioElem]:
+    @cached_property
+    def _ratios(self) -> dict[str, RatioElem]:
         return {s: f.to_ratio() for s, f in self.factors.items()}
 
+    def components(self) -> dict[str, RatioElem]:
+        return dict(self._ratios)
+
     def polynomial_components(self) -> dict[str, RingElem]:
-        return {s: f.as_polynomial() for s, f in self.factors.items()}
+        return {s: _as_polynomial(r) for s, r in self._ratios.items()}
 
     def evaluate(self, p: SpecPoint) -> dict[str, Fraction]:
         return {s: f.evaluate(p) for s, f in self.factors.items()}
@@ -372,7 +383,7 @@ class GroundState:
         if self.tag == "BI":
             data["M"] = self.M
         data["components"] = {
-            s: f.as_polynomial().to_text() for s, f in sorted(self.factors.items())
+            s: c.to_text() for s, c in sorted(self.polynomial_components().items())
         }
         return data
 

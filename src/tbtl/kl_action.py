@@ -29,6 +29,7 @@ from .ring import (
     dangle,
     qint,
     qQ_bracket,
+    ONE,
     R_ONE,
 )
 from .algebra import (
@@ -43,6 +44,7 @@ from .algebra import (
 
 _mono = RingElem.mono
 _DQ0 = _mono(1, 0, 0, 1) - _mono(1, 0, 0, -1)  # Q0 - 1/Q0
+_ONE_Q2 = ONE + _mono(1, 2)  # 1 + q^2
 
 
 def _r(c) -> RatioElem:
@@ -375,13 +377,9 @@ def apply_e0_kl(tag: str, D: Diagram) -> Vec:
         base = flip(s, {1: "+"})
         ups = [1, kind[1], *D.ups]
         r = len(D.circles)
-        g = _mono(1, -n_up + r - 1, -1)  # q^{-n+r-1}/Q
-        _accumulate(out, base, _r(RingElem.const(1) + g * _DQ0 - g * g))
-        _accumulate(out, s, _r(-(_mono(1, 0, 0, -1) + g)))
+        _local_down_action(_mono(1, -n_up + r - 1, -1), s, out)  # q^{-n+r-1}/Q
         for idx in range(2, n_up + 3):
-            ctilde = _mono(1, -(idx - 1)) * _DQ0 - _mono(
-                1, -n_up + r - idx, -1
-            ) * (RingElem.const(1) + _mono(1, 2))
+            ctilde = _mono(1, -(idx - 1)) * _DQ0 - _mono(1, -n_up + r - idx, -1) * _ONE_Q2
             _accumulate(out, flip(base, {ups[idx - 1]: "-"}), _r(ctilde))
         _cascade(out, base, ups, "-")
         return out
@@ -412,9 +410,7 @@ def apply_e0_kl(tag: str, D: Diagram) -> Vec:
                 _r(_mono(-1, -2 * n_up - 3)),
             )
             for i2 in range(1, n_up + 2):
-                extra = RingElem.const(1)
-                if i2 != 1:
-                    extra = extra + _mono(1, 2)
+                extra = _ONE_Q2 if i2 != 1 else ONE
                 c = -(_mono(1, -1) * _mono(1, -n_up - i2) * extra)
                 _accumulate(out, flip(base, {ups[i2 - 1]: "-", d: "+"}), _r(c))
         elif r == 1:
@@ -424,15 +420,9 @@ def apply_e0_kl(tag: str, D: Diagram) -> Vec:
                 c = _mono(1, -1) * _DQ0 * _mono(1, -(idx - 2))
                 _accumulate(out, flip(base, {ups[idx - 1]: "-"}), _r(c))
         else:
-            g = _mono(1, -n_up - r)
-            _accumulate(
-                out, base, _r(RingElem.const(1) + g * _DQ0 - _mono(1, -2 * n_up - 2 * r))
-            )
-            _accumulate(out, s, _r(-(_mono(1, 0, 0, -1) + g)))
+            _local_down_action(_mono(1, -n_up - r), s, out)
             for idx in range(2, n_up + 3):
-                extra = RingElem.const(1)
-                if not (r == 2 and idx == n_up + 2):
-                    extra = extra + _mono(1, 2)
+                extra = ONE if r == 2 and idx == n_up + 2 else _ONE_Q2
                 ctilde = _mono(1, -(idx - 1)) * _DQ0 - _mono(1, -n_up - r - idx + 1) * extra
                 _accumulate(out, flip(base, {ups[idx - 1]: "-"}), _r(ctilde))
         _cascade(out, base, ups, "-")

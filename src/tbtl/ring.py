@@ -526,11 +526,15 @@ class RatioElem:
             return NotImplemented
         if self.den == other.den:
             return self.num == other.num
+        # a / (C Da) == b / (C Db) iff a Db == b Da: every atom expands to a
+        # nonzero polynomial, so the shared atoms C cancel exactly and only
+        # the atoms missing on each side are multiplied in.
+        _, a_missing, b_missing = _merge_dens(self.den, other.den)
         a = self.num
-        for atom in other.den:
+        for atom in a_missing:
             a = a * atom_expand(atom)
         b = other.num
-        for atom in self.den:
+        for atom in b_missing:
             b = b * atom_expand(atom)
         return a == b
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tbtl.algebra import (
     alpha_closed_form,
@@ -17,7 +18,7 @@ from tbtl.algebra import (
     x_matrix_direct,
     x_matrix_standard,
 )
-from tbtl.ring import RatioElem, RingElem, R_ONE, qQ_bracket
+from tbtl.ring import RatioElem, RingElem, R_ONE, qQ_bracket, qint
 
 mono = RingElem.mono
 
@@ -131,3 +132,72 @@ class TestX:
         X = x_matrix_standard(2)
         E0 = generator_matrix("E0", 0, 2)
         assert not op_eq(op_mul(E0, X), op_mul(X, E0))
+
+
+# -- op_apply against the product-by-product loop ---------------------------------
+
+
+def reference_apply(A, v):
+    """A v as one RatioElem product per (vector entry, matrix entry), each
+    added into its row at once and the row dropped when it sums to zero."""
+    out = {}
+    for col, c in v.items():
+        if c.is_zero():
+            continue
+        for row, a in A[col].items():
+            p = c * a
+            if p.is_zero():
+                continue
+            cur = out.get(row)
+            nxt = p if cur is None else cur + p
+            if nxt.is_zero():
+                out.pop(row, None)
+            else:
+                out[row] = nxt
+    return out
+
+
+_STRINGS = ("++", "+-", "-+", "--")
+# A few atoms, so that entries share atoms, differ in them or have none.
+_ATOMS = (("qint", 2), ("qint", 3), ("angle", 1), ("qdiff",), ("raw", qint(3)))
+_terms = st.dictionaries(
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(0, 1)),
+    st.integers(-2, 2).filter(bool),
+    max_size=3,
+)
+_entries = st.builds(
+    lambda terms, den: RatioElem(RingElem(terms), den, reduce=False),
+    _terms,
+    st.one_of(st.just(()), st.lists(st.sampled_from(_ATOMS), max_size=2)),
+)
+
+
+@st.composite
+def apply_inputs(draw):
+    A = {s: draw(st.dictionaries(st.sampled_from(_STRINGS), _entries, max_size=4)) for s in _STRINGS}
+    v = draw(st.dictionaries(st.sampled_from(_STRINGS), _entries, max_size=4))
+    if draw(st.booleans()):
+        # two columns whose products cancel in every row
+        s, t = draw(st.permutations(_STRINGS))[:2]
+        c = draw(_entries)
+        A[t] = dict(A[s])
+        v[s], v[t] = c, -c
+    return A, v
+
+
+def _snapshot(A, v):
+    entries = [c for col in A.values() for c in col.values()] + list(v.values())
+    return [(dict(c.num.terms), c.den) for c in entries], {id(c.num.terms) for c in entries}
+
+
+@settings(max_examples=300, deadline=None)
+@given(apply_inputs())
+def test_op_apply_matches_reference_loop(inputs):
+    A, v = inputs
+    before, input_dicts = _snapshot(A, v)
+    got, want = op_apply(A, v), reference_apply(A, v)
+    for row in {**got, **want}:
+        assert got.get(row, RatioElem.from_int(0)) == want.get(row, RatioElem.from_int(0)), row
+    assert all(not c.is_zero() for c in got.values())
+    assert _snapshot(A, v)[0] == before
+    assert not any(id(c.num.terms) in input_dicts for c in got.values())

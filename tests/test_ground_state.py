@@ -258,3 +258,33 @@ class TestSerialization:
         data = psi_vector("BI", 3, 2).to_json()
         assert data["type"] == "BI" and data["M"] == 2 and data["N"] == 3
         assert len(data["components"]) == 8
+
+
+class TestComponentsMemo:
+    def test_expanded_once_per_ground_state(self, monkeypatch):
+        from tbtl.ground_state import FactorizedScalar
+
+        calls = []
+        to_ratio = FactorizedScalar.to_ratio
+        monkeypatch.setattr(
+            FactorizedScalar, "to_ratio", lambda self: calls.append(1) or to_ratio(self)
+        )
+        gs = psi_vector("BI", 4, 2)
+        gs.components()
+        gs.components()
+        gs.polynomial_components()
+        assert verify_x_eigen(gs) and all(verify_annihilation(gs).values())
+        assert len(calls) == 16
+
+    def test_mutation_does_not_reach_a_later_call(self):
+        gs = psi_vector("A", 3)
+        first = gs.components()
+        want = {s: (dict(c.num.terms), c.den) for s, c in first.items()}
+        first.clear()
+        first["+++"] = R_ONE
+        second = gs.components()
+        second.pop("---")
+        third = gs.components()
+        assert third is not first and third is not second
+        assert {s: (dict(c.num.terms), c.den) for s, c in third.items()} == want
+        assert verify_x_eigen(gs)

@@ -342,3 +342,42 @@ def test_monomial_product_is_convolution(m, a):
         assert product.terms == _convolution(m, a)
         assert all(product.terms.values())
         assert product.terms is not m.terms and product.terms is not a.terms
+
+
+# -- ratio equality -------------------------------------------------------------
+
+
+def _cross_multiplied_eq(a: RatioElem, b: RatioElem) -> bool:
+    """a == b by plain cross-multiplication over the full denominators."""
+    lhs, rhs = a.num, b.num
+    for atom in b.den:
+        lhs = lhs * atom_expand(atom)
+    for atom in a.den:
+        rhs = rhs * atom_expand(atom)
+    return lhs == rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _polys,
+    _polys,
+    st.lists(_atoms, max_size=3),
+    st.lists(_atoms, max_size=2),
+    st.lists(_atoms, max_size=2),
+    st.lists(_atoms, max_size=2),
+)
+def test_ratio_eq_matches_cross_multiplication(x, y, shared, only_a, only_b, extra):
+    a = RatioElem(x, shared + only_a, reduce=False)
+    b = RatioElem(y, shared + only_b, reduce=False)
+    assert (a == b) == _cross_multiplied_eq(a, b)
+    assert (b == a) == (a == b)
+    # the same value written over a larger denominator multiset
+    num = x
+    for atom in extra:
+        num = num * atom_expand(atom)
+    widened = RatioElem(num, shared + only_a + extra, reduce=False)
+    assert widened == a and a == widened
+    assert _cross_multiplied_eq(widened, a)
+    # and a different value over it
+    shifted = RatioElem(num + mono(1, 9), widened.den, reduce=False)
+    assert shifted != a and not _cross_multiplied_eq(shifted, a)
