@@ -8,6 +8,7 @@ Site 1 is the leftmost tensor factor and the per-site basis order is
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .basis import enumerate_strings, flip
@@ -29,10 +30,6 @@ def _r(c: RingElem) -> RatioElem:
     return RatioElem.from_ring(c)
 
 
-def zero_op(N: int) -> Op:
-    return {s: {} for s in enumerate_strings(N)}
-
-
 def _accumulate(out: Vec, s: str, c: RatioElem):
     if c.is_zero():
         return
@@ -44,20 +41,18 @@ def _accumulate(out: Vec, s: str, c: RatioElem):
         out[s] = nxt
 
 
-def op_add(A: Op, B: Op) -> Op:
-    out: Op = {}
-    for col in A:
-        out[col] = v = dict(A[col])
-        for row, c in B[col].items():
-            _accumulate(v, row, c)
-    return out
+def _add_scaled(H: Op, A: Op, c: RatioElem):
+    """H += c A, in place; a column of A that H lacks is added to H."""
+    for col, column in A.items():
+        out = H.setdefault(col, {})
+        for row, v in column.items():
+            _accumulate(out, row, c * v)
 
 
 def op_scale(A: Op, c: RatioElem) -> Op:
-    return {
-        col: {row: c * v for row, v in column.items() if not (c * v).is_zero()}
-        for col, column in A.items()
-    }
+    out: Op = {}
+    _add_scaled(out, A, c)
+    return out
 
 
 def op_apply(A: Op, v: Vec) -> Vec:
@@ -303,45 +298,24 @@ def _inverse_of(c: RatioElem) -> RatioElem:
 # -- Hamiltonians ----------------------------------------------------------
 
 
-def hamiltonian_matrix(N: int, aN: RatioElem, a0: RatioElem | None = None) -> Op:
-    """-sum e_i - aN eN (- a0 e0); one-boundary when a0 is None."""
-    H = zero_op(N)
-    minus = RatioElem.from_int(-1)
-    for i in range(1, N):
-        H = op_add(H, op_scale(generator_matrix("E", i, N), minus))
-    H = op_add(H, op_scale(generator_matrix("EN", 0, N), minus * aN))
-    if a0 is not None:
-        H = op_add(H, op_scale(generator_matrix("E0", 0, N), minus * a0))
+def hamiltonian_matrix(N: int, aN: RatioElem, a0: RatioElem) -> Op:
+    """H = -sum e_i - aN eN - a0 e0, the one assembly of the two-boundary
+    Hamiltonian: pauli_equivalence_check verifies it and
+    numeric_ground_state_check diagonalizes it."""
+    coupling = {"eN": aN, "e0": a0}
+    H: Op = {}
+    for gen in generator_names(N):
+        _add_scaled(H, standard_operator(N, gen), -coupling.get(gen, R_ONE))
     return H
 
 
-def _site_op(N: int, i: int, local) -> Op:
-    """Single-site operator given by local[(row_char, col_char)]."""
+def _local_op(N: int, i: int, local) -> Op:
+    """Operator on the sites i, i+1, ... given by local[(row_chars, col_chars)]."""
+    k = len(next(iter(local))[0])
     out: Op = {}
     for s in enumerate_strings(N):
-        col: Vec = {}
-        c = s[i - 1]
-        for row_char in "+-":
-            coeff = local.get((row_char, c))
-            if coeff is not None and not coeff.is_zero():
-                col[flip(s, {i: row_char})] = coeff
-        out[s] = col
-    return out
-
-
-def _two_site_op(N: int, i: int, local) -> Op:
-    """Operator on sites i, i+1 given by local[(row_pair, col_pair)]."""
-    out: Op = {}
-    for s in enumerate_strings(N):
-        col: Vec = {}
-        cpair = s[i - 1] + s[i]
-        for (rpair, c2), coeff in local.items():
-            if c2 != cpair or coeff.is_zero():
-                continue
-            row = flip(s, {i: rpair[0], i + 1: rpair[1]})
-            cur = col.get(row)
-            col[row] = coeff if cur is None else cur + coeff
-        out[s] = col
+        head, here, tail = s[: i - 1], s[i - 1 : i - 1 + k], s[i - 1 + k :]
+        out[s] = {head + rows + tail: c for (rows, cols), c in local.items() if cols == here}
     return out
 
 
@@ -352,53 +326,38 @@ def pauli_hamiltonian(N: int, aN: RatioElem, a0: RatioElem) -> Op:
     2(sigma^+ sigma^- + sigma^- sigma^+) so no sqrt(-1) enters.
     """
     one, two = R_ONE, RatioElem.from_int(2)
+    half, quarter = RatioElem.rational(Fraction(1, 2)), RatioElem.rational(Fraction(1, 4))
+    mhalf = -half
 
     # Local two-site operator: sigma+sigma- + sigma-sigma+ flips +- <-> -+.
     fliplocal = {("-+", "+-"): one, ("+-", "-+"): one}
     # sigma^z sigma^z is diagonal with sign product.
+    zz = {("++", "++"): one, ("--", "--"): one, ("+-", "+-"): -one, ("-+", "-+"): -one}
     qq = _r(_mono(1, 1) + _mono(1, -1))  # q + 1/q
 
-    H = zero_op(N)
-    mhalf = RatioElem(RingElem.const(-1), (("raw", RingElem.const(2)),), reduce=False)
-    quarter = RatioElem(RingElem.const(1), (("raw", RingElem.const(4)),), reduce=False)
+    H: Op = {}
     for i in range(1, N):
-        H = op_add(H, op_scale(_two_site_op(N, i, fliplocal), mhalf * two))
-        zz = {
-            ("++", "++"): one,
-            ("--", "--"): one,
-            ("+-", "+-"): -one,
-            ("-+", "-+"): -one,
-        }
-        H = op_add(H, op_scale(_two_site_op(N, i, zz), mhalf * quarter * two * qq))
+        _add_scaled(H, _local_op(N, i, fliplocal), mhalf * two)
+        _add_scaled(H, _local_op(N, i, zz), mhalf * quarter * two * qq)
 
-    qdiffhalf = _r(_mono(1, 1) - _mono(1, -1))  # q - 1/q
+    qdiff = _r(_mono(1, 1) - _mono(1, -1))  # q - 1/q
     z1 = {("+", "+"): one, ("-", "-"): -one}
-    coeff_z1 = mhalf * (
-        qdiffhalf * RatioElem(RingElem.const(1), (("raw", RingElem.const(2)),), reduce=False)
-        - a0 * _r(_mono(1, 0, 0, 1) - _mono(1, 0, 0, -1))
-    )
-    H = op_add(H, op_scale(_site_op(N, 1, z1), coeff_z1))
-    coeff_zN = mhalf * -(
-        qdiffhalf * RatioElem(RingElem.const(1), (("raw", RingElem.const(2)),), reduce=False)
-        - aN * _r(_mono(1, 0, 1) - _mono(1, 0, -1))
-    )
-    H = op_add(H, op_scale(_site_op(N, N, z1), coeff_zN))
+    coeff_z1 = mhalf * (qdiff * half - a0 * _r(_mono(1, 0, 0, 1) - _mono(1, 0, 0, -1)))
+    _add_scaled(H, _local_op(N, 1, z1), coeff_z1)
+    coeff_zN = mhalf * -(qdiff * half - aN * _r(_mono(1, 0, 1) - _mono(1, 0, -1)))
+    _add_scaled(H, _local_op(N, N, z1), coeff_zN)
 
     pm = {("+", "-"): one, ("-", "+"): one}  # sigma+ + sigma-
-    H = op_add(H, op_scale(_site_op(N, 1, pm), mhalf * two * a0))
-    H = op_add(H, op_scale(_site_op(N, N, pm), mhalf * two * aN))
+    _add_scaled(H, _local_op(N, 1, pm), mhalf * two * a0)
+    _add_scaled(H, _local_op(N, N, pm), mhalf * two * aN)
 
     const = (
         quarter * qq * RatioElem.from_int(N - 1)
-        + a0 * _r(_mono(1, 0, 0, 1) + _mono(1, 0, 0, -1)) * RatioElem(
-            RingElem.const(1), (("raw", RingElem.const(2)),), reduce=False
-        )
-        + aN * _r(_mono(1, 0, 1) + _mono(1, 0, -1)) * RatioElem(
-            RingElem.const(1), (("raw", RingElem.const(2)),), reduce=False
-        )
+        + a0 * _r(_mono(1, 0, 0, 1) + _mono(1, 0, 0, -1)) * half
+        + aN * _r(_mono(1, 0, 1) + _mono(1, 0, -1)) * half
     )
-    ident = {s: {s: const} for s in enumerate_strings(N)}
-    return op_add(H, ident)
+    _add_scaled(H, {s: {s: one} for s in enumerate_strings(N)}, const)
+    return H
 
 
 def pauli_equivalence_check(N: int, a0: RatioElem, aN: RatioElem) -> bool:

@@ -57,16 +57,17 @@ def check_bi_multiplicity_histogram(N: int, M: int) -> bool:
 # -- multiplicities at generic points ----------------------------------------
 
 
-def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
-    """The row times the lcm of its denominators."""
-    den = lcm(*(v.denominator for v in row.values()))
-    return {k: v.numerator * (den // v.denominator) for k, v in row.items()}
+def _integer_row(row: dict[int, Fraction]) -> tuple[int, dict[int, int]]:
+    """(scale, the row times scale), where scale is the lcm of the row's
+    denominators."""
+    scale = lcm(*(v.denominator for v in row.values()))
+    return scale, {k: v.numerator * (scale // v.denominator) for k, v in row.items()}
 
 
 def _rank_of_rows(rows: list[dict[int, Fraction]]) -> int:
     """Exact rank over Q of a sparse rational matrix: each row is scaled to
     integers (_integer_row) and handed to _integer_rank."""
-    return _integer_rank([_integer_row(r) for r in rows if r])
+    return _integer_rank([_integer_row(r)[1] for r in rows if r])
 
 
 def _integer_rank(rows: list[dict[int, int]]) -> int:
@@ -167,9 +168,7 @@ def eigen_multiplicities(
         parts = []
         for k in range(dim):
             row = rows_all.get(k, {})
-            off = {j: v for j, v in row.items() if j != k}
-            scale = lcm(*(v.denominator for v in off.values()))
-            off = {j: v.numerator * (scale // v.denominator) for j, v in off.items()}
+            scale, off = _integer_row({j: v for j, v in row.items() if j != k})
             parts.append((k, row.get(k, Fraction(0)), scale, off))
         mult = {}
         for i, lam in values:

@@ -358,39 +358,10 @@ def block_strings(N: int):
 # -- bisymmetric permutation matrices -------------------------------------------
 
 
-def _bisym_involutions(m: int):
-    """Involutions of {0..m-1} whose matrices are symmetric about both
-    diagonals: sigma an involution with rev o sigma also an involution."""
-    out = []
-
-    def rec(assign: dict):
-        free = [i for i in range(m) if i not in assign]
-        if not free:
-            out.append(dict(assign))
-            return
-        i = free[0]
-        for j in free:
-            trial = dict(assign)
-            trial[i] = j
-            trial[j] = i
-            ri, rj = m - 1 - i, m - 1 - j
-            # anti-diagonal symmetry forces sigma(rj) = ri
-            if trial.get(rj, ri) != ri or trial.get(ri, rj) != rj:
-                continue
-            trial[rj] = ri
-            trial[ri] = rj
-            rec(trial)
-
-    rec({})
-    uniq = {tuple(sorted(d.items())) for d in out}
-    return [dict(t) for t in uniq]
-
-
 def enumerate_bisym_perm(n: int) -> int:
     """Orbit count of 2n x 2n bisymmetric permutation matrices modulo a
     quarter turn; matches the B recurrence."""
     m = 2 * n
-    perms = _bisym_involutions(m)
 
     def rot(sigma):
         # quarter turn of the permutation matrix: (i, sigma(i)) -> (sigma(i), m-1-i)
@@ -398,8 +369,10 @@ def enumerate_bisym_perm(n: int) -> int:
 
     seen = set()
     orbits = 0
-    for sigma in perms:
-        key = tuple(sorted(sigma.items()))
+    for signed in signed_bisym_matrices(m):
+        if any(sign < 0 for _, sign in signed.values()):
+            continue  # the permutation matrices are the all-positive ones
+        key = tuple(sorted((i, j) for i, (j, _) in signed.items()))
         if key in seen:
             continue
         orbits += 1

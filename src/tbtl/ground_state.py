@@ -25,8 +25,8 @@ from .ring import (
     is_positivity_class,
 )
 from .kl_action import kl_operator
-from .coideal import candidate_eigenvalues
-from .algebra import generator_names, op_apply, op_eq, standard_operator
+from .coideal import candidate_eigenvalues, eval_op_at
+from .algebra import generator_names, hamiltonian_matrix, op_apply, op_eq
 
 _mono = RingElem.mono
 
@@ -430,12 +430,13 @@ def verify_annihilation(gs: GroundState) -> dict[str, bool]:
     return report
 
 
-def oracle_change_of_basis(tag: str, N: int, M: int | None = None):
-    """standard_to_kl(Psi0) against the closed-form Psi; returns
+def oracle_change_of_basis(gs: GroundState):
+    """standard_to_kl(Psi0) against the closed-form Psi of gs; returns
     (pass, scalar of proportionality)."""
+    tag, N, M = gs.tag, gs.N, gs.M
     psi0 = psi_vector("standard", N).components()
     image = standard_to_kl(specialize(psi0, tag, M), tag, N, M)
-    comps = psi_vector(tag, N, M).components()
+    comps = gs.components()
     scalar = None
     for s in enumerate_strings(N):
         a = image.get(s)
@@ -496,13 +497,14 @@ def structural_checks(gs: GroundState) -> dict[str, bool]:
 def numeric_ground_state_check(N: int, q: float, Q: float, aN: float, a0: float):
     """Floating-point Perron-Frobenius check of the two-boundary chain.
 
-    Returns (lowest, positive): lowest is the lowest eigenvalue of the
-    Hamiltonian H = -sum of the generators (e_N weighted by aN, e_0 by a0)
-    at the integrable point, which the ground-state claim puts at 0; and
-    positive maps "BI" (M = 1) and "BIII" to whether every closed-form
-    ground-state component of size N is positive at (q, Q).  Raises
-    ValueError if H is not exactly symmetric, since eigvalsh reads only one
-    triangle of it.
+    Returns (lowest, positive): lowest is the lowest eigenvalue of
+    hamiltonian_matrix(N, aN, a0), the H that pauli_equivalence_check
+    verifies, evaluated exactly at the integrable point (q, Q, aN and a0
+    rounded to rationals) and then converted to floats; the ground-state
+    claim puts it at 0.  positive maps "BI" (M = 1) and "BIII" to whether
+    every closed-form ground-state component of size N is positive at
+    (q, Q).  Raises ValueError if H is not exactly symmetric, since
+    eigvalsh reads only one triangle of it.
 
     Unless OPENBLAS_NUM_THREADS is already set, it is set to 1 before the
     first import of numpy; it has no effect once numpy is loaded.  On a
@@ -513,24 +515,17 @@ def numeric_ground_state_check(N: int, q: float, Q: float, aN: float, a0: float)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np
 
-    qf = Fraction(q).limit_denominator(10**12)
-    Qf = Fraction(Q).limit_denominator(10**12)
+    qf, Qf, aNf, a0f = (Fraction(x).limit_denominator(10**12) for x in (q, Q, aN, a0))
     Q0f = qf ** (1 - N) / Qf  # the integrable condition
-    p = SpecPoint(qf, Qf, Q0f)
-    dim = 2**N
-    order = enumerate_strings(N)
-    index = {s: i for i, s in enumerate(order)}
-    H = np.zeros((dim, dim))
-
-    def subtract(op, coeff):
-        for col, column in op.items():
-            j = index[col]
-            for row, c in column.items():
-                H[index[row], j] -= coeff * float(c.evaluate(p))
-
-    couplings = {"eN": aN, "e0": a0}
-    for gen in generator_names(N):
-        subtract(standard_operator(N, gen), couplings.get(gen, 1.0))
+    exact = eval_op_at(
+        hamiltonian_matrix(N, RatioElem.rational(aNf), RatioElem.rational(a0f)),
+        SpecPoint(qf, Qf, Q0f),
+        enumerate_strings(N),
+    )
+    H = np.zeros((2**N, 2**N))
+    for i, row in exact.items():
+        for j, v in row.items():
+            H[i, j] = float(v)
 
     if not np.array_equal(H, H.T):
         raise ValueError(f"H is not symmetric at N={N}, q={q}, Q={Q}")

@@ -207,13 +207,6 @@ class RingElem:
             parts.append("*".join(factors))
         return " + ".join(parts).replace("+ -", "- ")
 
-    def to_json_terms(self) -> list:
-        return [[e, f, g, str(c)] for (e, f, g), c in self.canonical_items()]
-
-    @staticmethod
-    def from_json_terms(data) -> "RingElem":
-        return RingElem({(e, f, g): int(c) for e, f, g, c in data})
-
     def __repr__(self):
         return f"RingElem({self.to_text()})"
 
@@ -467,6 +460,14 @@ class RatioElem:
     @staticmethod
     def from_int(c: int) -> "RatioElem":
         return RatioElem(RingElem.const(c), (), reduce=False)
+
+    @staticmethod
+    def rational(c) -> "RatioElem":
+        """The rational constant c (an int or a Fraction), its denominator
+        kept as one raw atom."""
+        c = Fraction(c)
+        den = (("raw", RingElem.const(c.denominator)),) if c.denominator != 1 else ()
+        return RatioElem(RingElem.const(c.numerator), den, reduce=False)
 
     def is_zero(self) -> bool:
         return not self.num.terms

@@ -125,7 +125,7 @@ def test_criterion_5_ground_state():
     scalars_are_one = True
     for tag, M in FAMILIES:
         for N in range(2, 7):
-            good, scalar = oracle_change_of_basis(tag, N, M)
+            good, scalar = oracle_change_of_basis(psi_vector(tag, N, M))
             ok = ok and good
             scalars_are_one = scalars_are_one and scalar == R_ONE
     report("criterion 5: ground state eigen/annihilation/basis-change N<=6 "

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -97,6 +98,24 @@ class TestEnumerations:
         assert enumerate_bisym_perm(2) == 3
         assert enumerate_bisym_perm(3) == 10
         assert enumerate_bisym_perm(4) == 38
+
+    def test_bisym_counts_brute_force(self):
+        # every permutation of 2n, kept if its matrix is symmetric about both
+        # diagonals, counted up to a quarter turn (i, j) -> (j, 2n-1-i)
+        for n in range(1, 5):
+            m = 2 * n
+            orbits = set()
+            for perm in itertools.permutations(range(m)):
+                cells = frozenset(enumerate(perm))
+                if cells != {(j, i) for i, j in cells}:
+                    continue
+                if cells != {(m - 1 - j, m - 1 - i) for i, j in cells}:
+                    continue
+                turns = [cells]
+                for _ in range(3):
+                    turns.append(frozenset((j, m - 1 - i) for i, j in turns[-1]))
+                orbits.add(min(tuple(sorted(t)) for t in turns))
+            assert enumerate_bisym_perm(n) == len(orbits), n
 
     def test_pattern_avoiding_counts(self):
         for n in range(1, 6):

@@ -15,6 +15,7 @@ from tbtl.ground_state import (
     verify_annihilation,
     verify_x_eigen,
 )
+from tbtl.algebra import pauli_hamiltonian
 from tbtl.coideal import candidate_eigenvalues
 from tbtl.ring import (
     RatioElem,
@@ -135,7 +136,7 @@ class TestChangeOfBasis:
     @pytest.mark.parametrize("tag,M", FAMILIES)
     def test_proportionality(self, tag, M):
         for N in (2, 3, 4):
-            ok, scalar = oracle_change_of_basis(tag, N, M)
+            ok, scalar = oracle_change_of_basis(psi_vector(tag, N, M))
             assert ok
             assert scalar == R_ONE
 
@@ -203,9 +204,9 @@ class TestNumeric:
         assert abs(lowest) <= 1e-8 and pos == {"BI": True, "BIII": True}
 
     def test_asymmetric_hamiltonian_refused(self, monkeypatch):
-        from tbtl import ground_state
+        from tbtl import algebra
 
-        build = ground_state.standard_operator
+        build = algebra.standard_operator
 
         def skewed(N, gen):
             op = build(N, gen)
@@ -213,12 +214,38 @@ class TestNumeric:
                 return op
             # one extra entry below the diagonal with no partner above it
             op = {col: dict(column) for col, column in op.items()}
-            op["+-"]["--"] = RingElem.const(1)
+            op["+-"]["--"] = R_ONE
             return op
 
-        monkeypatch.setattr(ground_state, "standard_operator", skewed)
+        monkeypatch.setattr(algebra, "standard_operator", skewed)
         with pytest.raises(ValueError, match="not symmetric"):
             numeric_ground_state_check(2, 1.1, 1.3, 1.0, 0.1)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("a0, a0_exact", [(0.0, Fraction(0)), (0.1, Fraction(1, 10))])
+    def test_diagonalizes_verified_hamiltonian(self, monkeypatch, N, a0, a0_exact):
+        # the array handed to eigvalsh is the spin-chain H of
+        # pauli_equivalence_check at the same point, entry by entry
+        import numpy as np
+
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(H):
+            seen.append(H.copy())
+            return eigvalsh(H)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        numeric_ground_state_check(N, 1.1, 1.3, 1.0, a0)
+        q, Q = Fraction(11, 10), Fraction(13, 10)
+        p = SpecPoint(q, Q, q ** (1 - N) / Q)
+        index = {s: i for i, s in enumerate(enumerate_strings(N))}
+        want = np.zeros((2**N, 2**N))
+        for col, column in pauli_hamiltonian(N, R_ONE, RatioElem.rational(a0_exact)).items():
+            for row, c in column.items():
+                want[index[row], index[col]] = float(c.evaluate(p))
+        assert len(seen) == 1
+        assert np.abs(seen[0] - want).max() <= 1e-12
 
     @pytest.mark.parametrize("preset, expected", [(None, "None 1"), ("2", "2 2")])
     def test_blas_threads(self, preset, expected):
