@@ -102,10 +102,10 @@ def op_apply(A: Op, v: Vec) -> Vec:
                         t[m] = x
                     else:
                         del t[m]
-    out: Vec = {row: RatioElem(RingElem(t), (), reduce=False) for row, t in plain.items() if t}
+    out: Vec = {row: RatioElem(RingElem(t)) for row, t in plain.items() if t}
     for (row, den), t in fractional.items():
         if t:
-            _accumulate(out, row, RatioElem(RingElem(t), den, reduce=False))
+            _accumulate(out, row, RatioElem(RingElem(t), den))
     return out
 
 

@@ -22,6 +22,7 @@ EXIT_OK = 0
 EXIT_THEOREM = 1
 EXIT_CONJECTURE = 2
 EXIT_USAGE = 64
+SEED = 20260809  # default --seed of verify, spectrum and identities
 
 
 def size(text: str) -> int:
@@ -39,7 +40,10 @@ def parse_at(text: str) -> SpecPoint:
         name = name.strip()
         if name not in vals or not raw:
             raise ValueError(f"bad assignment {part!r}; use q=1,Q=2/3,Q0=1")
-        vals[name] = Fraction(raw.strip())
+        try:
+            vals[name] = Fraction(raw.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {part!r}") from None
     return SpecPoint(vals["q"], vals["Q"], vals["Q0"])
 
 
@@ -328,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--m", type=int, default=None, help="label bound for BI")
         p.add_argument("--n", type=size, required=True)
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--seed", type=int, default=20260809)
 
     p = sub.add_parser("enumerate", help="list basis diagrams")
     common(p)
@@ -347,10 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices="relations pauli commutant klbasis klactions xkl eigen groundstate "
         "annihilation pf all".split(),
     )
+    p.add_argument("--seed", type=int, default=SEED)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("spectrum", help="multiplicities at a generic point")
     common(p)
+    p.add_argument("--seed", type=int, default=SEED)
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("sum", help="component sum at a point")
@@ -389,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--draws", type=size, default=200)
     p.add_argument("--n", type=size, default=3, help="the N of the appA lemma")
-    p.add_argument("--seed", type=int, default=20260809)
+    p.add_argument("--seed", type=int, default=SEED)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(fn=cmd_identities)
 

@@ -64,12 +64,6 @@ def _integer_row(row: dict[int, Fraction]) -> tuple[int, dict[int, int]]:
     return scale, {k: v.numerator * (scale // v.denominator) for k, v in row.items()}
 
 
-def _rank_of_rows(rows: list[dict[int, Fraction]]) -> int:
-    """Exact rank over Q of a sparse rational matrix: each row is scaled to
-    integers (_integer_row) and handed to _integer_rank."""
-    return _integer_rank([_integer_row(r)[1] for r in rows if r])
-
-
 def _integer_rank(rows: list[dict[int, int]]) -> int:
     """Exact rank over Q of a sparse integer matrix, by integer elimination.
 

@@ -28,11 +28,11 @@ def correlation_closed(N: int, alphas, plus, minus) -> RatioElem:
     for i in alphas:
         num = _mono(1, 2 * (N - i), 2)
         den = ("raw", RingElem.const(1) + _mono(1, 2 * (N - i), 2))
-        out = out * RatioElem(num, (den,), reduce=False)
+        out = out * RatioElem(num, (den,))
     for j in list(plus) + list(minus):
         num = _mono(1, N - j, 1)
         den = ("raw", RingElem.const(1) + _mono(1, 2 * (N - j), 2))
-        out = out * RatioElem(num, (den,), reduce=False)
+        out = out * RatioElem(num, (den,))
     return out
 
 

@@ -63,7 +63,7 @@ class FactorizedScalar:
         for atom in (num_atoms - common).elements():
             num = num * atom_expand(atom)
         den = tuple(("raw", atom_expand(a)) for a in (den_atoms - common).elements())
-        return RatioElem(num, den)
+        return RatioElem(num, den).reduced()
 
     def as_polynomial(self) -> RingElem:
         return _as_polynomial(self.to_ratio())

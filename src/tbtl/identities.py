@@ -28,7 +28,7 @@ def _r(a: RingElem) -> RatioElem:
 
 
 def _frac(num: RingElem, *dens: RingElem) -> RatioElem:
-    return RatioElem(num, tuple(("raw", d) for d in dens), reduce=False)
+    return RatioElem(num, tuple(("raw", d) for d in dens))
 
 
 # -- the summation lemmas ----------------------------------------------------

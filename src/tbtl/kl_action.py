@@ -25,7 +25,6 @@ from .ring import (
     RatioElem,
     RingElem,
     angle,
-    atom_expand,
     dangle,
     qint,
     qQ_bracket,
@@ -432,12 +431,7 @@ def apply_e0_kl(tag: str, D: Diagram) -> Vec:
 
 def _swap_Q_Q0(c: RatioElem) -> RatioElem:
     """Exchange Q and Q0 in a coefficient (used by the type A reflection)."""
-
-    def swap_ring(a: RingElem) -> RingElem:
-        return RingElem({(e, g, f): v for (e, f, g), v in a.terms.items()})
-
-    den = [("raw", swap_ring(atom_expand(atom))) for atom in c.den]
-    return RatioElem(swap_ring(c.num), den, reduce=False)
+    return c.remap(lambda e, f, g: (e, g, f))
 
 
 # -- the coideal generator X --------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import inf
 
 # A monomial is an exponent triple (eq, eQ, eQ0).
 Monomial = tuple[int, int, int]
@@ -107,11 +108,6 @@ class RingElem:
                     del out[m]
         return RingElem(out)
 
-    def scale(self, c: int) -> "RingElem":
-        if c == 0:
-            return RingElem({})
-        return RingElem({m: c * v for m, v in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RingElem) and self.terms == other.terms
 
@@ -120,42 +116,35 @@ class RingElem:
 
     # -- structure -----------------------------------------------------
 
-    def canonical_items(self):
-        """Terms sorted lexicographically on (eq, eQ, eQ0)."""
-        return sorted(self.terms.items())
-
     def leading(self) -> tuple[Monomial, int]:
         """Lex-largest term; the polynomial must be nonzero."""
         m = max(self.terms)
         return m, self.terms[m]
 
+    def remap(self, fn) -> "RingElem":
+        """The substitution that sends q^e Q^f Q0^g to the monomial with
+        exponents fn(e, f, g); terms that land together are merged."""
+        out: dict[Monomial, int] = {}
+        for (e, f, g), c in self.terms.items():
+            m = fn(e, f, g)
+            v = out.get(m, 0) + c
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+        return RingElem(out)
+
     def bar(self) -> "RingElem":
         """Involution q -> 1/q, Q -> 1/Q, Q0 -> 1/Q0."""
-        return RingElem({(-e, -f, -g): c for (e, f, g), c in self.terms.items()})
+        return self.remap(lambda e, f, g: (-e, -f, -g))
 
     def subst_Q(self, M: int) -> "RingElem":
         """Substitute Q -> q^M."""
-        out: dict[Monomial, int] = {}
-        for (e, f, g), c in self.terms.items():
-            m = (e + M * f, 0, g)
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-        return RingElem(out)
+        return self.remap(_Q_to_q_power(M))
 
     def subst_Q0(self, N: int) -> "RingElem":
         """Substitute Q0 -> q^{1-N} Q^{-1} (the integrable condition)."""
-        out: dict[Monomial, int] = {}
-        for (e, f, g), c in self.terms.items():
-            m = (e + (1 - N) * g, f - g, 0)
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-        return RingElem(out)
+        return self.remap(_integrable(N))
 
     def evaluate(self, p: "SpecPoint") -> Fraction:
         monomial = p.monomial
@@ -163,30 +152,6 @@ class RingElem:
         for m, c in self.terms.items():
             total += c * monomial(m)
         return total
-
-    def coeffs_nonneg(self) -> bool:
-        return all(c > 0 for c in self.terms.values())
-
-    def supported_on(self, q: str = "any", Q: str = "any", Q0: str = "any") -> bool:
-        """True iff every exponent satisfies the given constraint per variable.
-
-        Constraints: 'any', 'nonneg', 'nonpos', 'zero'.
-        """
-
-        def ok(e: int, mode: str) -> bool:
-            if mode == "any":
-                return True
-            if mode == "nonneg":
-                return e >= 0
-            if mode == "nonpos":
-                return e <= 0
-            if mode == "zero":
-                return e == 0
-            raise ValueError(mode)
-
-        return all(
-            ok(e, q) and ok(f, Q) and ok(g, Q0) for (e, f, g) in self.terms
-        )
 
     def max_q_degree(self) -> int:
         return max(e for (e, _, _) in self.terms)
@@ -197,7 +162,7 @@ class RingElem:
         if not self.terms:
             return "0"
         parts = []
-        for (e, f, g), c in self.canonical_items():
+        for (e, f, g), c in sorted(self.terms.items()):
             factors = []
             if c != 1 or (e == 0 and f == 0 and g == 0):
                 factors.append(str(c) if c != -1 else "-1")
@@ -215,21 +180,30 @@ ZERO = RingElem.zero()
 ONE = RingElem.const(1)
 
 
+# -- the substitutions, as exponent maps for remap ---------------------------
+
+
+def _Q_to_q_power(M: int):
+    """Q -> q^M."""
+    return lambda e, f, g: (e + M * f, 0, g)
+
+
+def _integrable(N: int):
+    """Q0 -> q^{1-N} Q^{-1}."""
+    return lambda e, f, g: (e + (1 - N) * g, f - g, 0)
+
+
 def is_positivity_class(a: RingElem, variables: str) -> bool:
     """Membership in N[...] classes named by the paper.
 
     variables is one of 'q' (= N[q,1/q]), 'qQ+' (= N[q,1/q,Q]) or
     'qQ' (= N[q,1/q,Q,1/Q]); Q0 never appears in these claims.
     """
-    if not a.coeffs_nonneg():
-        return False
-    if variables == "q":
-        return a.supported_on(Q="zero", Q0="zero")
-    if variables == "qQ+":
-        return a.supported_on(Q="nonneg", Q0="zero")
-    if variables == "qQ":
-        return a.supported_on(Q0="zero")
-    raise ValueError(variables)
+    bounds = {"q": (0, 0), "qQ+": (0, inf), "qQ": (-inf, inf)}.get(variables)
+    if bounds is None:
+        raise ValueError(variables)
+    lo, hi = bounds
+    return all(c > 0 and lo <= f <= hi and g == 0 for (_, f, g), c in a.terms.items())
 
 
 # -- named elements ------------------------------------------------------
@@ -314,13 +288,6 @@ def exact_div(a: RingElem, b: RingElem) -> RingElem:
         quot[m] = quot.get(m, 0) + c
         rem = rem - b * RingElem.mono(c, *m)
     raise NotDivisible("no exact quotient found")
-
-
-def try_div(a: RingElem, b: RingElem):
-    try:
-        return exact_div(a, b)
-    except NotDivisible:
-        return None
 
 
 # -- specialization ---------------------------------------------------------
@@ -426,40 +393,34 @@ def _merge_dens(a: tuple, b: tuple):
 
 
 class RatioElem:
-    """num / product-of-atoms with opportunistic exact cancellation."""
+    """num / product-of-atoms; reduced() cancels the atoms that divide."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: RingElem, den=(), reduce: bool = True):
+    def __init__(self, num: RingElem, den=()):
         self.num = num
         self.den = tuple(sorted(den, key=_atom_key)) if den else ()
-        if reduce and self.den:
-            self._reduce()
 
-    def _reduce(self):
-        if not self.num.terms:
-            self.den = ()
-            return
-        keep = []
-        num = self.num
+    def reduced(self) -> "RatioElem":
+        """The same value with each atom that divides the numerator exactly
+        divided out, in the stored atom order."""
+        num, keep = self.num, []
         for atom in self.den:
-            q = try_div(num, atom_expand(atom))
-            if q is None:
+            try:
+                num = exact_div(num, atom_expand(atom))
+            except NotDivisible:
                 keep.append(atom)
-            else:
-                num = q
-        self.num = num
-        self.den = tuple(keep)
+        return RatioElem(num, keep)
 
     # -- conversions ----------------------------------------------------
 
     @staticmethod
     def from_ring(a: RingElem) -> "RatioElem":
-        return RatioElem(a, (), reduce=False)
+        return RatioElem(a)
 
     @staticmethod
     def from_int(c: int) -> "RatioElem":
-        return RatioElem(RingElem.const(c), (), reduce=False)
+        return RatioElem(RingElem.const(c))
 
     @staticmethod
     def rational(c) -> "RatioElem":
@@ -467,7 +428,7 @@ class RatioElem:
         kept as one raw atom."""
         c = Fraction(c)
         den = (("raw", RingElem.const(c.denominator)),) if c.denominator != 1 else ()
-        return RatioElem(RingElem.const(c.numerator), den, reduce=False)
+        return RatioElem(RingElem.const(c.numerator), den)
 
     def is_zero(self) -> bool:
         return not self.num.terms
@@ -476,21 +437,20 @@ class RatioElem:
         return bool(self.num.terms)
 
     def as_ring(self) -> RingElem:
-        """The element as a Laurent polynomial; its denominator must clear."""
-        if not self.den:
-            return self.num
-        num = self.num
-        for atom in self.den:
-            num = exact_div(num, atom_expand(atom))
-        return num
+        """The element as a Laurent polynomial; raises NotDivisible unless
+        every atom divides out."""
+        r = self.reduced()
+        if r.den:
+            raise NotDivisible(f"{r.to_text()} is not a Laurent polynomial")
+        return r.num
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "RatioElem") -> "RatioElem":
         if not self.den and not other.den:
-            return RatioElem(self.num + other.num, (), reduce=False)
+            return RatioElem(self.num + other.num)
         if self.den == other.den:
-            return RatioElem(self.num + other.num, self.den, reduce=False)
+            return RatioElem(self.num + other.num, self.den)
         common, a_missing, b_missing = _merge_dens(self.den, other.den)
         a = self.num
         for atom in a_missing:
@@ -498,29 +458,26 @@ class RatioElem:
         b = other.num
         for atom in b_missing:
             b = b * atom_expand(atom)
-        return RatioElem(a + b, common, reduce=False)
+        return RatioElem(a + b, common)
 
     def __neg__(self) -> "RatioElem":
-        return RatioElem(-self.num, self.den, reduce=False)
+        return RatioElem(-self.num, self.den)
 
     def __sub__(self, other: "RatioElem") -> "RatioElem":
         return self + (-other)
 
     def __mul__(self, other: "RatioElem") -> "RatioElem":
         if not self.num.terms or not other.num.terms:
-            return RatioElem(ZERO, (), reduce=False)
-        return RatioElem(self.num * other.num, self.den + other.den, reduce=False)
-
-    def scale(self, c: int) -> "RatioElem":
-        return RatioElem(self.num.scale(c), self.den, reduce=False)
+            return RatioElem(ZERO)
+        return RatioElem(self.num * other.num, self.den + other.den)
 
     def mul_ring(self, a: RingElem) -> "RatioElem":
         if not a.terms or not self.num.terms:
-            return RatioElem(ZERO, (), reduce=False)
-        return RatioElem(self.num * a, self.den, reduce=False)
+            return RatioElem(ZERO)
+        return RatioElem(self.num * a, self.den)
 
     def div_atom(self, atom) -> "RatioElem":
-        return RatioElem(self.num, self.den + (atom,), reduce=False)
+        return RatioElem(self.num, self.den + (atom,))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatioElem):
@@ -545,40 +502,24 @@ class RatioElem:
 
     # -- maps -----------------------------------------------------------
 
-    def bar(self) -> "RatioElem":
-        num = self.num.bar()
+    def remap(self, fn) -> "RatioElem":
+        """RingElem.remap on the numerator and on every atom, each image kept
+        as a raw atom; raises ZeroDenominator if an atom maps to 0."""
         den = []
         for atom in self.den:
-            exp = atom_expand(atom)
-            b = exp.bar()
-            if b == exp:
-                den.append(atom)
-            elif b == -exp:
-                num = -num
-                den.append(atom)
-            else:
-                den.append(("raw", b))
-        return RatioElem(num, den, reduce=False)
+            image = atom_expand(atom).remap(fn)
+            if not image.terms:
+                raise ZeroDenominator(f"atom {atom} maps to 0")
+            den.append(("raw", image))
+        return RatioElem(self.num.remap(fn), den)
 
     def subst_Q(self, M: int) -> "RatioElem":
-        num = self.num.subst_Q(M)
-        den = []
-        for atom in self.den:
-            e = atom_expand(atom).subst_Q(M)
-            if not e.terms:
-                raise ZeroDenominator(f"atom {atom} vanishes under Q -> q^{M}")
-            den.append(("raw", e))
-        return RatioElem(num, den)
+        """Substitute Q -> q^M, then cancel the atoms that divide."""
+        return self.remap(_Q_to_q_power(M)).reduced()
 
     def subst_Q0(self, N: int) -> "RatioElem":
-        num = self.num.subst_Q0(N)
-        den = []
-        for atom in self.den:
-            e = atom_expand(atom).subst_Q0(N)
-            if not e.terms:
-                raise ZeroDenominator(f"atom {atom} vanishes under the integrable condition")
-            den.append(("raw", e))
-        return RatioElem(num, den)
+        """Substitute Q0 -> q^{1-N} Q^{-1}, then cancel the atoms that divide."""
+        return self.remap(_integrable(N)).reduced()
 
     def evaluate(self, p: SpecPoint) -> Fraction:
         den = Fraction(1)
@@ -603,4 +544,4 @@ R_ONE = RatioElem.from_int(1)
 def qQ_bracket(n: int) -> RatioElem:
     """[Q; n] = (Q q^n - Q^{-1} q^{-n}) / (q - q^{-1})."""
     num = RingElem({(n, 1, 0): 1, (-n, -1, 0): -1})
-    return RatioElem(num, (("qdiff",),), reduce=False)
+    return RatioElem(num, (("qdiff",),))

@@ -163,7 +163,7 @@ _terms = st.dictionaries(
     max_size=3,
 )
 _entries = st.builds(
-    lambda terms, den: RatioElem(RingElem(terms), den, reduce=False),
+    lambda terms, den: RatioElem(RingElem(terms), den),
     _terms,
     st.one_of(st.just(()), st.lists(st.sampled_from(_ATOMS), max_size=2)),
 )

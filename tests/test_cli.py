@@ -123,13 +123,14 @@ class TestCommands:
 
     def test_verify_xkl_mismatch_fails(self, capsys, monkeypatch):
         from tbtl import kl_action
+        from tbtl.ring import RatioElem
 
         rule = kl_action.apply_X_kl
 
         def perturbed(tag, D):
             out = rule(tag, D)
             if D.string == "+-":
-                out["--"] = out["--"].scale(2)
+                out["--"] = out["--"] * RatioElem.from_int(2)
             return out
 
         monkeypatch.setattr(kl_action, "apply_X_kl", perturbed)
@@ -250,6 +251,21 @@ class TestUsageErrors:
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 64 and captured.out == ""
+
+    @pytest.mark.parametrize("verb", [["sum"], ["psi"], ["correlate", "--alpha", "1"]])
+    def test_at_zero_denominator(self, capsys, verb):
+        code = main([*verb, "--n", "2", "--at", "q=1/0"])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert captured.err == "error: zero denominator in 'q=1/0'\n"
+
+    @pytest.mark.parametrize("verb", ["enumerate", "psi", "sum", "correlate"])
+    def test_seed_only_where_read(self, capsys, verb):
+        # verify, spectrum and identities take --seed; these verbs draw nothing
+        code = main([verb, "--n", "2", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert "unrecognized arguments: --seed 1" in captured.err
 
     def test_identities_unknown_lemma(self, capsys):
         code = main(["identities", "--lemma", "bogus"])

@@ -148,7 +148,7 @@ class TestToRatio:
         num = mono(1, f.q_exp, f.Q_exp)
         for atom in f.num:
             num = num * atom_expand(atom)
-        return RatioElem(num, tuple(("raw", atom_expand(a)) for a in f.den))
+        return RatioElem(num, tuple(("raw", atom_expand(a)) for a in f.den)).reduced()
 
     @pytest.mark.parametrize("tag,M", ALL)
     def test_matches_expand_then_reduce(self, tag, M):

@@ -196,7 +196,7 @@ class TestOracle:
         def perturbed(tag, D, i):
             out = rule(tag, D, i)
             if D.string == "+--" and i == 1:
-                out["-+-"] = out["-+-"].scale(2)
+                out["-+-"] = out["-+-"] * RatioElem.from_int(2)
             return out
 
         monkeypatch.setattr(kl_action, "apply_ei_kl", perturbed)
@@ -231,7 +231,7 @@ class TestOracle:
                 if gen_ == gen and D.string == column:
                     if kind == "scale":
                         row = next(iter(out))
-                        out[row] = out[row].scale(2)
+                        out[row] = out[row] * RatioElem.from_int(2)
                     else:
                         for row in enumerate_strings(N):
                             out[row] = out.get(row, RatioElem.from_int(0)) + R_ONE

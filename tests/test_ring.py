@@ -80,12 +80,25 @@ class TestBrackets:
     def test_qQ_bracket_reduces(self):
         for n in range(-6, 7):
             for M in range(1, 7):
+                # the (q - q^-1) atom cancels in the substitution itself
+                assert qQ_bracket(n).subst_Q(M).den == ()
                 assert qQ_bracket(n).subst_Q(M).as_ring() == qint(M + n)
 
-    def test_qQ_bracket_bar(self):
-        for n in (-2, 0, 3):
-            b = qQ_bracket(n)
-            assert b.bar() == b
+    def test_vanishing_atom_under_substitution(self):
+        Q_minus_q2 = ("raw", mono(1, 0, 1) - mono(1, 2))
+        with pytest.raises(ZeroDenominator):
+            RatioElem(ONE, (Q_minus_q2,)).subst_Q(2)
+        assert RatioElem(ONE, (Q_minus_q2,)).subst_Q(3).den == (("raw", mono(1, 3) - mono(1, 2)),)
+        integrable = ("raw", mono(1, 3, 1, 1) - ONE)
+        with pytest.raises(ZeroDenominator):
+            RatioElem(ONE, (integrable,)).subst_Q0(4)
+
+    def test_as_ring_needs_every_atom_to_divide(self):
+        two_three = (("qint", 2), ("qint", 3))
+        for r in (RatioElem(ONE, (("qint", 2),)), qQ_bracket(1), RatioElem(qint(4), two_three)):
+            with pytest.raises(NotDivisible):
+                r.as_ring()
+        assert RatioElem(qint(4) * qint(3), two_three).as_ring() == exact_div(qint(4), qint(2))
 
     def test_integrable_condition(self):
         # q^{N-1} Q Q0 -> 1 under the substitution
@@ -183,8 +196,8 @@ class TestBarAndEval:
 class TestRatioHash:
     def test_equal_values_unhashable(self):
         # [2][3]/[2] and [3][4]/[4] are both [3], over different denominators
-        a = RatioElem(qint(2) * qint(3), (("qint", 2),), reduce=False)
-        b = RatioElem(qint(3) * qint(4), (("qint", 4),), reduce=False)
+        a = RatioElem(qint(2) * qint(3), (("qint", 2),))
+        b = RatioElem(qint(3) * qint(4), (("qint", 4),))
         assert a.den != b.den and a == b
         for r in (a, b):
             with pytest.raises(TypeError):
@@ -300,7 +313,7 @@ def _assert_evaluates_to(value, p, expected):
 def test_cached_evaluation_matches_reference(num, num_atoms, den_atoms, a, b, pt1, pt2):
     from tbtl.ground_state import FactorizedScalar
 
-    ratio = RatioElem(num, den_atoms, reduce=False)
+    ratio = RatioElem(num, den_atoms)
     fs = FactorizedScalar(a, b, list(num_atoms), list(den_atoms))
     for coords in (pt1, pt2):
         p = SpecPoint(*coords)
@@ -363,17 +376,44 @@ def _cross_multiplied_eq(a: RatioElem, b: RatioElem) -> bool:
     st.lists(_atoms, max_size=2),
 )
 def test_ratio_eq_matches_cross_multiplication(x, y, shared, only_a, only_b, extra):
-    a = RatioElem(x, shared + only_a, reduce=False)
-    b = RatioElem(y, shared + only_b, reduce=False)
+    a = RatioElem(x, shared + only_a)
+    b = RatioElem(y, shared + only_b)
     assert (a == b) == _cross_multiplied_eq(a, b)
     assert (b == a) == (a == b)
     # the same value written over a larger denominator multiset
     num = x
     for atom in extra:
         num = num * atom_expand(atom)
-    widened = RatioElem(num, shared + only_a + extra, reduce=False)
+    widened = RatioElem(num, shared + only_a + extra)
     assert widened == a and a == widened
     assert _cross_multiplied_eq(widened, a)
     # and a different value over it
-    shifted = RatioElem(num + mono(1, 9), widened.den, reduce=False)
+    shifted = RatioElem(num + mono(1, 9), widened.den)
     assert shifted != a and not _cross_multiplied_eq(shifted, a)
+
+
+# -- substitutions against evaluation -------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, st.lists(_atoms, max_size=3), st.integers(-3, 3), st.integers(1, 6), _points)
+def test_substitution_matches_evaluation(num, den_atoms, M, N, coords):
+    """An image evaluated at (q, Q, Q0) equals the original evaluated where
+    the substitution sends that point."""
+    q, Q, Q0 = coords
+    ratio = RatioElem(num, den_atoms)
+    inverse = SpecPoint(1 / q, 1 / Q, 1 / Q0)
+    cases = [
+        (num.subst_Q, ratio.subst_Q, M, SpecPoint(q, q**M, Q0)),
+        (num.subst_Q0, ratio.subst_Q0, N, SpecPoint(q, Q, q ** (1 - N) / Q)),
+        (num.remap, ratio.remap, lambda e, f, g: (-e, -f, -g), inverse),
+    ]
+    p = SpecPoint(q, Q, Q0)
+    assert num.bar().evaluate(p) == num.evaluate(inverse)
+    for on_ring, on_ratio, arg, original in cases:
+        assert on_ring(arg).evaluate(p) == num.evaluate(original)
+        try:
+            expected = ratio.evaluate(original)
+        except ZeroDenominator:
+            continue  # an atom vanishes at the original point
+        assert on_ratio(arg).evaluate(p) == expected
