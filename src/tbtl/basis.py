@@ -33,7 +33,7 @@ def check_tag(tag: str, M=None):
         raise ValueError(f"M is only meaningful for BI, got M={M} with {tag}")
 
 
-def specialize(vec: dict[str, RatioElem], tag: str, M=None) -> dict[str, RatioElem]:
+def specialize(vec: dict, tag: str, M=None) -> dict:
     """Restrict coefficients to the family's parameters: BI lives at
     Q = q^M, every other family keeps Q free."""
     if tag != "BI":

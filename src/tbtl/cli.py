@@ -140,7 +140,7 @@ def verify_checks(args):
         ("relations", True, f"defining relations N={N}",
          lambda: all(algebra.check_defining_relations(N).values())),
         ("relations", True, f"quotient identities N={N}",
-         lambda: algebra.check_quotient_alpha(N)[1]),
+         lambda: algebra.check_quotient_alpha(N)),
         ("pauli", True, f"spin-chain form of H(2B) N={min(N, 3)}", pauli),
         ("commutant", True, f"[e_g, X] = 0 N={N}",
          lambda: all(algebra.commutation_check(N).values())),
@@ -184,7 +184,7 @@ def cmd_spectrum(args) -> int:
     }
     lines = [f"sampled point: q={p.q} Q={p.Q} Q0={p.Q0}"]
     for i, m in sorted(mult.items()):
-        label = f"[{args.n}+M-{2*i}]" if tag == "BI" else f"[Q;{args.n - 2*i}]"
+        label = f"[{args.n}+{M}-{2*i}]" if tag == "BI" else f"[Q;{args.n - 2*i}]"
         lines.append(f"eigenvalue {label}: multiplicity {m}")
     emit(args, payload, lines)
     return EXIT_OK

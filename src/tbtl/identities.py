@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+from .basis import specialize
 from .ring import (
     RatioElem,
     RingElem,
@@ -396,11 +397,8 @@ def verify_tridiagonal_lemma(N: int) -> bool:
 
 def bi_eigenvalue_consistency(N: int, M: int) -> bool:
     """x_lambda at Q = q^M equals the one-parameter eigenvalue [M+N-2lam]."""
-    for lam in range(0, N + 1):
-        x = qQ_bracket(N - 2 * lam).subst_Q(M)
-        if x != _r(qint(M + N - 2 * lam)):
-            return False
-    return True
+    xs = specialize({lam: qQ_bracket(N - 2 * lam) for lam in range(N + 1)}, "BI", M)
+    return all(x == _r(qint(M + N - 2 * lam)) for lam, x in xs.items())
 
 
 # -- harness -------------------------------------------------------------------

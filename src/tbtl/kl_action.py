@@ -35,10 +35,10 @@ from .algebra import (
     Op,
     Vec,
     _accumulate,
+    generator_matrix,
     op_apply,
     op_eq,
     op_mismatches,
-    standard_operator,
 )
 
 _mono = RingElem.mono
@@ -491,7 +491,7 @@ def kl_operator(tag: str, N: int, gen: str, M: int | None = None) -> Op:
     """e_g or X on a basis, column by column from the diagram rules; the
     standard basis takes its matrix."""
     if tag == "standard":
-        return standard_operator(N, gen)
+        return generator_matrix(N, gen)
     return {
         s: apply_generator_kl(tag, build_diagram(tag, s, M), gen)
         for s in enumerate_strings(N)
@@ -514,7 +514,7 @@ def crosscheck_vs_standard(tag: str, N: int, gen: str, M: int | None = None):
     Returns (ok, mismatches) where mismatches lists the differing
     (column, row) pairs of basis strings.
     """
-    E = {s: specialize(col, tag, M) for s, col in standard_operator(N, gen).items()}
+    E = {s: specialize(col, tag, M) for s, col in generator_matrix(N, gen).items()}
     T = {
         s: {s2: RatioElem.from_ring(c) for s2, c in col.items()}
         for s, col in transition_matrix(tag, N, M).items()

@@ -76,7 +76,7 @@ def test_criterion_2_relations():
     ok = True
     for N in range(2, 7):
         ok = ok and all(check_defining_relations(N).values())
-        _, good = check_quotient_alpha(N)
+        good = check_quotient_alpha(N)
         ok = ok and good
     elapsed = time.time() - t0
     ok = ok and elapsed < 120

@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from tbtl.algebra import (
     alpha_closed_form,
-    all_generators,
     check_defining_relations,
     check_quotient_alpha,
     commutation_check,
     generator_matrix,
+    generator_names,
     hamiltonian_matrix,
     op_apply,
     op_eq,
@@ -20,6 +20,8 @@ from tbtl.algebra import (
     x_matrix_direct,
     x_matrix_standard,
 )
+from tbtl import algebra
+from tbtl.basis import enumerate_strings, flip
 from tbtl.ring import RatioElem, RingElem, R_ONE, qQ_bracket, qint
 
 mono = RingElem.mono
@@ -29,28 +31,61 @@ def r(c):
     return RatioElem.from_ring(c)
 
 
+def reference_generator(N, gen):
+    """The standard-basis matrix of e_i, e_N or e_0 built string by string."""
+    out = {}
+    if gen not in ("eN", "e0"):
+        i = int(gen[1:])
+        for s in enumerate_strings(N):
+            a, b = s[i - 1], s[i]
+            col = {}
+            if (a, b) == ("+", "-"):
+                col[s] = r(mono(-1, -1))
+                col[flip(s, {i: "-", i + 1: "+"})] = R_ONE
+            elif (a, b) == ("-", "+"):
+                col[flip(s, {i: "+", i + 1: "-"})] = R_ONE
+                col[s] = r(mono(-1, 1))
+            out[s] = col
+        return out
+    if gen == "eN":
+        site, dplus, dminus = N, r(mono(-1, 0, -1)), r(mono(-1, 0, 1))
+    else:
+        site, dplus, dminus = 1, r(mono(-1, 0, 0, 1)), r(mono(-1, 0, 0, -1))
+    for s in enumerate_strings(N):
+        col = {flip(s, {site: "-" if s[site - 1] == "+" else "+"}): R_ONE}
+        col[s] = dplus if s[site - 1] == "+" else dminus
+        out[s] = col
+    return out
+
+
 class TestGenerators:
     def test_eN_at_n1(self):
-        E = generator_matrix("EN", 0, 1)
+        E = generator_matrix(1, "eN")
         assert E["+"] == {"+": r(mono(-1, 0, -1)), "-": R_ONE}
         assert E["-"] == {"-": r(mono(-1, 0, 1)), "+": R_ONE}
 
     def test_ei_squared(self):
         for N in (2, 3, 4):
             for i in range(1, N):
-                E = generator_matrix("E", i, N)
+                E = generator_matrix(N, f"e{i}")
                 loop = r(-(mono(1, 1) + mono(1, -1)))
                 assert op_eq(op_mul(E, E), op_scale(E, loop))
 
     def test_boundary_commute(self):
         for N in (2, 3):
-            EN = generator_matrix("EN", 0, N)
-            E0 = generator_matrix("E0", 0, N)
+            EN = generator_matrix(N, "eN")
+            E0 = generator_matrix(N, "e0")
             assert op_eq(op_mul(EN, E0), op_mul(E0, EN))
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            generator_matrix("E", 3, 3)
+        for N, gen in [(3, "e3"), (3, "e0x"), (3, "e"), (3, "f1"), (2, "e-1")]:
+            with pytest.raises(ValueError):
+                generator_matrix(N, gen)
+
+    def test_matches_per_string_builder(self):
+        for N in range(1, 6):
+            for gen in generator_names(N):
+                assert generator_matrix(N, gen) == reference_generator(N, gen), (N, gen)
 
     def test_relations_full(self):
         for N in (2, 3, 4, 5):
@@ -67,15 +102,27 @@ class TestQuotient:
 
     def test_quotient_identities(self):
         for N in (2, 3, 4, 5):
-            alpha, ok = check_quotient_alpha(N)
-            assert ok, N
-            assert alpha == r(alpha_closed_form(N))
+            assert check_quotient_alpha(N) is True, N
+
+    def test_wrong_alpha_fails(self, monkeypatch):
+        closed = algebra.alpha_closed_form
+        monkeypatch.setattr(algebra, "alpha_closed_form", lambda N: closed(N) + mono(1, 1))
+        for N in (2, 3):
+            assert check_quotient_alpha(N) is False, N
+
+    def test_zero_words_fail(self, monkeypatch):
+        # with e_g = 0 both identities hold for any alpha, so only I != 0 fails
+        monkeypatch.setattr(
+            algebra, "generator_matrix", lambda N, gen: {s: {} for s in enumerate_strings(N)}
+        )
+        for N in (2, 3):
+            assert check_quotient_alpha(N) is False, N
 
 
 class TestHamiltonian:
     def test_assembly(self):
         N = 2
-        gens = all_generators(N)
+        gens = {gen: generator_matrix(N, gen) for gen in generator_names(N)}
         H = hamiltonian_matrix(N, R_ONE, R_ONE)
         manual = op_scale(gens["e1"], RatioElem.from_int(-1))
         manual = {
@@ -127,7 +174,7 @@ class TestX:
 
     def test_e0_does_not_commute(self):
         X = x_matrix_standard(2)
-        E0 = generator_matrix("E0", 0, 2)
+        E0 = generator_matrix(2, "e0")
         assert not op_eq(op_mul(E0, X), op_mul(X, E0))
 
 

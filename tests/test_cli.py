@@ -71,6 +71,12 @@ class TestCommands:
         data = json.loads(out)
         assert data["multiplicities"] == {"0": 1, "1": 3, "2": 3, "3": 1}
 
+    def test_spectrum_bi_label_is_numeric(self, capsys):
+        code, out = run(capsys, "spectrum", "--type", "BI", "--m", "2", "--n", "3")
+        labels = [line.split(":")[0] for line in out.splitlines()[1:]]
+        assert code == 0
+        assert labels == [f"eigenvalue [3+2-{k}]" for k in (0, 2, 4, 6)]
+
     def test_spectrum_deterministic(self, capsys):
         _, out1 = run(capsys, "spectrum", "--type", "A", "--n", "3", "--seed", "5")
         _, out2 = run(capsys, "spectrum", "--type", "A", "--n", "3", "--seed", "5")
@@ -146,6 +152,28 @@ class TestCommands:
         code, out = run(capsys, "verify", "--check", "annihilation", "--type", "A", "--n", "3")
         assert code == 1
         assert out == "FAIL  e_g Psi = 0 (e_0 at the integrable point) A N=3\n"
+
+    def test_verify_pf_fails_on_asymmetric_hamiltonian(self, capsys, monkeypatch):
+        # a fault in H is a failed check (exit 1), not a usage error (exit 64)
+        from tbtl import algebra
+        from tbtl.ring import R_ONE
+
+        build = algebra.generator_matrix
+
+        def skewed(N, gen):
+            op = build(N, gen)
+            if gen != "e1":
+                return op
+            op = {col: dict(column) for col, column in op.items()}
+            op["+--"]["---"] = R_ONE  # below the diagonal, no partner above
+            return op
+
+        monkeypatch.setattr(algebra, "generator_matrix", skewed)
+        code = main(["verify", "--check", "pf", "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "FAIL  numeric ground-state check N=3\n"
+        assert captured.err == ""
 
     def test_verify_eigen_fails_on_shifted_candidate(self, capsys, monkeypatch):
         # a wrong claimed spectrum prints FAIL; it must not end in a traceback

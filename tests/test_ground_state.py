@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -206,7 +207,7 @@ class TestNumeric:
     def test_asymmetric_hamiltonian_refused(self, monkeypatch):
         from tbtl import algebra
 
-        build = algebra.standard_operator
+        build = algebra.generator_matrix
 
         def skewed(N, gen):
             op = build(N, gen)
@@ -217,9 +218,11 @@ class TestNumeric:
             op["+-"]["--"] = R_ONE
             return op
 
-        monkeypatch.setattr(algebra, "standard_operator", skewed)
-        with pytest.raises(ValueError, match="not symmetric"):
-            numeric_ground_state_check(2, 1.1, 1.3, 1.0, 0.1)
+        monkeypatch.setattr(algebra, "generator_matrix", skewed)
+        lowest, pos = numeric_ground_state_check(2, 1.1, 1.3, 1.0, 0.1)
+        # nan fails every |lowest| < bound; the positivity part is unaffected
+        assert math.isnan(lowest) and not abs(lowest) < 1e-8
+        assert pos == {"BI": True, "BIII": True}
 
     @pytest.mark.parametrize("N", [2, 3])
     @pytest.mark.parametrize("a0, a0_exact", [(0.0, Fraction(0)), (0.1, Fraction(1, 10))])

@@ -1,7 +1,7 @@
 import pytest
 
 from tbtl import kl_action
-from tbtl.algebra import generator_names, op_apply, op_mismatches, standard_operator
+from tbtl.algebra import generator_matrix, generator_names, op_apply, op_mismatches
 from tbtl.basis import (
     build_diagram,
     enumerate_strings,
@@ -207,7 +207,7 @@ class TestOracle:
     def conjugation_mismatches(tag, N, gen, M):
         """The mismatches of T^{-1} E T against K, every column
         back-substituted."""
-        E = {s: specialize(col, tag, M) for s, col in standard_operator(N, gen).items()}
+        E = {s: specialize(col, tag, M) for s, col in generator_matrix(N, gen).items()}
         T = transition_matrix(tag, N, M)
         conjugated = {
             s: standard_to_kl(op_apply(E, {s2: r(c) for s2, c in T[s].items()}), tag, N, M)
