@@ -69,13 +69,19 @@ class FactorizedScalar:
         return _as_polynomial(self.to_ratio())
 
     def evaluate(self, p: SpecPoint) -> Fraction:
-        num = p.monomial((self.q_exp, self.Q_exp, 0))
+        # Numerators and denominators are multiplied as ints and reduced
+        # once; at q = Q = 1 every atom value is an integer.
+        v = p.monomial((self.q_exp, self.Q_exp, 0))
+        n, d = v.numerator, v.denominator
         for atom in self.num:
-            num *= atom_eval(atom, p)
-        den = Fraction(1)
+            v = atom_eval(atom, p)
+            n *= v.numerator
+            d *= v.denominator
         for atom in self.den:
-            den *= atom_eval(atom, p)
-        return num / den
+            v = atom_eval(atom, p)
+            n *= v.denominator
+            d *= v.numerator
+        return Fraction(n, d)
 
 
 def _as_polynomial(r: RatioElem) -> RingElem:

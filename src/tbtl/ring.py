@@ -26,12 +26,17 @@ class ZeroDenominator(Exception):
 
 
 class RingElem:
-    """Laurent polynomial over Z in q, Q, Q0 with canonical term storage."""
+    """Laurent polynomial over Z in q, Q, Q0 with canonical term storage.
 
-    __slots__ = ("terms",)
+    A value owns its terms: the constructor copies the dict it is given, and
+    ``terms`` is read-only afterwards.  The hash and, for a raw denominator
+    atom, the sorted-term key are computed on first use and kept.
+    """
+
+    __slots__ = ("terms", "_hash", "_key")
 
     def __init__(self, terms=None):
-        self.terms: dict[Monomial, int] = terms if terms is not None else {}
+        self.terms: dict[Monomial, int] = dict(terms) if terms else {}
 
     # -- constructors -------------------------------------------------
 
@@ -112,7 +117,11 @@ class RingElem:
         return isinstance(other, RingElem) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(frozenset(self.terms.items()))
+            return h
 
     # -- structure -----------------------------------------------------
 
@@ -268,7 +277,7 @@ def exact_div(a: RingElem, b: RingElem) -> RingElem:
     if not a.terms:
         return ZERO
     lead_b, cb = b.leading()
-    rem = RingElem(dict(a.terms))
+    rem = a
     quot: dict[Monomial, int] = {}
     # A true quotient's support fits in the Minkowski difference of the
     # exponent boxes, so its term count is bounded by the box volume of a;
@@ -330,7 +339,8 @@ class SpecPoint:
 
 # -- denominator atoms -------------------------------------------------------
 # An atom is a hashable tag: ("qint", n), ("angle", k), ("qshift", i),
-# ("qdiff",) or ("raw", RingElem).  Each expands to a nonzero RingElem.
+# ("qdiff",) or ("raw", RingElem).  Each expands to a nonzero RingElem.  A
+# raw atom's sort key, its sorted terms, is computed once per RingElem.
 
 
 def atom_expand(atom) -> RingElem:
@@ -361,10 +371,14 @@ def atom_eval(atom, p: SpecPoint) -> Fraction:
 
 
 def _atom_key(atom):
-    kind = atom[0]
-    if kind == "raw":
-        return (kind, tuple(sorted(atom[1].terms.items())))
-    return atom
+    if atom[0] != "raw":
+        return atom
+    r = atom[1]
+    try:
+        return r._key
+    except AttributeError:
+        r._key = key = ("raw", tuple(sorted(r.terms.items())))
+        return key
 
 
 def _atom_text(atom) -> str:
@@ -381,15 +395,22 @@ def _atom_text(atom) -> str:
 
 
 def _merge_dens(a: tuple, b: tuple):
-    """Least common multiset of atoms; returns (union, a_missing, b_missing)."""
-    from collections import Counter
+    """Least common multiset of atoms; returns (union, a_missing, b_missing).
 
-    ca, cb = Counter(a), Counter(b)
-    union = ca | cb
-    amiss = list((union - ca).elements())
-    bmiss = list((union - cb).elements())
-    common = list(union.elements())
-    return common, amiss, bmiss
+    a's atoms are counted in one dict; each atom of b uses up one of them or
+    is missing from a.  What is left of a's count is missing from b."""
+    left: dict = {}
+    for atom in a:
+        left[atom] = left.get(atom, 0) + 1
+    a_missing = []
+    for atom in b:
+        n = left.get(atom)
+        if n:
+            left[atom] = n - 1
+        else:
+            a_missing.append(atom)
+    b_missing = [atom for atom, n in left.items() for _ in range(n)]
+    return a + tuple(a_missing), a_missing, b_missing
 
 
 class RatioElem:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -417,3 +418,76 @@ def test_substitution_matches_evaluation(num, den_atoms, M, N, coords):
         except ZeroDenominator:
             continue  # an atom vanishes at the original point
         assert on_ratio(arg).evaluate(p) == expected
+
+
+# -- owned terms and the cached hash --------------------------------------------
+
+
+def test_constructor_copies_terms():
+    for hash_first in (False, True):
+        d = {(1, 0, 0): 2, (0, 0, 1): -1}
+        a = RingElem(d)
+        h = hash(a) if hash_first else None
+        d[(1, 0, 0)] = 5
+        d[(2, 1, 0)] = 1
+        del d[(0, 0, 1)]
+        expected = mono(2, 1) + mono(-1, 0, 0, 1)
+        assert a == expected and a.terms == {(1, 0, 0): 2, (0, 0, 1): -1}
+        assert hash(a) == hash(expected)
+        if hash_first:
+            assert hash(a) == h
+
+
+def test_expanded_product_hashes_as_typed_terms():
+    # (q + Q)(q - Q0) = q^2 - q Q0 + q Q - Q Q0
+    product = (mono(1, 1) + mono(1, 0, 1)) * (mono(1, 1) - mono(1, 0, 0, 1))
+    typed = RingElem({(0, 1, 1): -1, (1, 1, 0): 1, (1, 0, 1): -1, (2, 0, 0): 1})
+    assert hash(typed) == hash(product) and typed == product
+    assert {product: "x"}[typed] == "x"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _polys, st.randoms(use_true_random=False))
+def test_equal_values_hash_equal(a, b, rnd):
+    items = list(a.terms.items())
+    rnd.shuffle(items)
+    shuffled = RingElem(dict(items))
+    ab, ba = a * b, b * a
+    typed = RingElem(dict(sorted(ab.terms.items(), reverse=True)))
+    assert shuffled == a and ab == ba == typed
+    # each hash is computed once and kept, so hash in a drawn order first
+    values = [a, shuffled, ab, ba, typed]
+    for v in rnd.sample(values, len(values)):
+        hash(v)
+    assert hash(a) == hash(shuffled)
+    assert hash(ab) == hash(ba) == hash(typed)
+
+
+# -- ratio addition ---------------------------------------------------------------
+
+# A few atoms drawn with repetition, including ("raw", [2]) beside ("qint", 2):
+# distinct atoms with the same expansion.
+_repeating_atoms = st.lists(
+    st.sampled_from(
+        [("qint", 2), ("qint", 3), ("qdiff",), ("angle", 1), ("qshift", -1), ("raw", qint(2))]
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _polys, _repeating_atoms, _repeating_atoms, _repeating_atoms)
+def test_ratio_add_matches_cross_multiplication(x, y, shared, only_a, only_b):
+    a = RatioElem(x, shared + only_a)
+    b = RatioElem(y, shared + only_b)
+    # the reference sum over the full product of both denominators
+    lhs, rhs = x, y
+    for atom in b.den:
+        lhs = lhs * atom_expand(atom)
+    for atom in a.den:
+        rhs = rhs * atom_expand(atom)
+    reference = RatioElem(lhs + rhs, a.den + b.den)
+    for total in (a + b, b + a):
+        assert _cross_multiplied_eq(total, reference)
+        # the sum is written over the least common multiset of atoms
+        assert Counter(total.den) == Counter(a.den) | Counter(b.den)
