@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .basis import enumerate_strings, flip
+from .basis import enumerate_strings, flip, read_only
 from .ring import (
     RatioElem,
     RingElem,
@@ -172,16 +172,17 @@ def generator_names(N: int) -> list[str]:
 
 @lru_cache(maxsize=None)
 def generator_matrix(N: int, gen: str) -> Op:
-    """Standard-basis matrix on V_1^{⊗N} of e1..e{N-1}, eN, e0 or X, by name."""
+    """Standard-basis matrix on V_1^{⊗N} of e1..e{N-1}, eN, e0 or X, by name;
+    read-only, since every caller shares it."""
     if gen == "X":
-        return x_matrix_standard(N)
+        return read_only(x_matrix_standard(N))
     if gen not in generator_names(N):
         raise ValueError(f"no generator {gen!r} at N={N}")
     if gen == "eN":
-        return _local_op(N, N, _E_N)
+        return read_only(_local_op(N, N, _E_N))
     if gen == "e0":
-        return _local_op(N, 1, _E_0)
-    return _local_op(N, int(gen[1:]), _E_BULK)
+        return read_only(_local_op(N, 1, _E_0))
+    return read_only(_local_op(N, int(gen[1:]), _E_BULK))
 
 
 def check_defining_relations(N: int) -> dict[str, bool]:

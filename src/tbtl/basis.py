@@ -8,9 +8,11 @@ diagrams are rebuilt from strings rather than patched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import product
+from operator import itemgetter
+from types import MappingProxyType
 
 from .ring import (
     ONE,
@@ -90,9 +92,6 @@ class Diagram:
     def N(self) -> int:
         return len(self.string)
 
-    def label_map(self) -> dict[int, int]:
-        return dict(self.labels)
-
     def label_sites(self) -> dict[int, int]:
         """BI: label -> site, the star counted as label 1."""
         sites = {p: i for i, p in self.labels}
@@ -108,14 +107,9 @@ class Diagram:
         """BII: the mark of the leftmost marked down, or None."""
         return self.marks[0][1] if self.marks else None
 
-    def mark_map(self) -> dict[int, str]:
-        return dict(self.marks)
-
-    def circle_map(self) -> dict[int, int]:
-        return dict(self.circles)
-
     def blocks(self):
-        """All building blocks ordered by leftmost site."""
+        """All building blocks ordered by leftmost site: the one block order
+        that site_kind and the closed-form ground state read."""
         out = [("arc", i, j) for (i, j) in self.arcs]
         out += [("dash", i, j) for (i, j) in self.dashed]
         out += [("up", i) for i in self.ups]
@@ -127,38 +121,28 @@ class Diagram:
         out += [("label", i, p) for (i, p) in self.labels]
         out += [("mark", i, m) for (i, m) in self.marks]
         out += [("circle", i, k) for (i, k) in self.circles]
-        out.sort(key=lambda b: b[1])
+        out.sort(key=itemgetter(1))
         return out
+
+    @cached_property
+    def _site_kinds(self) -> dict:
+        """Site -> block role, built once per diagram from blocks()."""
+        kinds = {}
+        for name, i, *rest in self.blocks():
+            if name in ("arc", "dash"):
+                kinds[i] = (f"{name}_l", rest[0])
+                kinds[rest[0]] = (f"{name}_r", i)
+            else:
+                kinds[i] = (name, *rest)
+        return kinds
 
     def site_kind(self, i: int):
         """Block role of site i: ('up',)/('down',)/('star',)/('label',p)/
         ('mark',m)/('circle',k)/('arc_l',j)/('arc_r',h)/('dash_l',j)/('dash_r',h)."""
-        for (a, b) in self.arcs:
-            if i == a:
-                return ("arc_l", b)
-            if i == b:
-                return ("arc_r", a)
-        for (a, b) in self.dashed:
-            if i == a:
-                return ("dash_l", b)
-            if i == b:
-                return ("dash_r", a)
-        if i in self.ups:
-            return ("up",)
-        if i in self.downs or i == self.unpaired_down:
-            return ("down",)
-        if i == self.star:
-            return ("star",)
-        lab = self.label_map().get(i)
-        if lab is not None:
-            return ("label", lab)
-        mark = self.mark_map().get(i)
-        if mark is not None:
-            return ("mark", mark)
-        circ = self.circle_map().get(i)
-        if circ is not None:
-            return ("circle", circ)
-        raise ValueError(f"site {i} not classified in {self}")
+        kind = self._site_kinds.get(i)
+        if kind is None:
+            raise ValueError(f"site {i} not classified in {self}")
+        return kind
 
     def to_json(self) -> dict:
         data = {"type": self.tag, "string": self.string}
@@ -330,14 +314,20 @@ def diagram_to_standard(D: Diagram) -> dict[str, RingElem]:
     return {s: c for s, c in out.items() if c.terms}
 
 
+def read_only(op: dict) -> MappingProxyType:
+    """A read-only view of a map of columns and of each column, for the
+    matrices that a cache hands to every caller."""
+    return MappingProxyType({s: MappingProxyType(col) for s, col in op.items()})
+
+
 @lru_cache(maxsize=None)
 def transition_matrix(tag: str, N: int, M: int | None = None):
     """Columns of KL vectors in the standard basis, keyed by string."""
     check_tag(tag, M)
-    return {
+    return read_only({
         s: diagram_to_standard(build_diagram(tag, s, M))
         for s in enumerate_strings(N)
-    }
+    })
 
 
 def standard_to_kl(vec: dict[str, RatioElem], tag: str, N: int, M: int | None = None):

@@ -9,7 +9,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 import random
 
-from .basis import build_diagram, enumerate_strings
+from .basis import build_diagram, enumerate_strings, read_only
 from .ring import (
     RatioElem,
     SpecPoint,
@@ -24,8 +24,9 @@ from .kl_action import kl_operator
 @lru_cache(maxsize=None)
 def x_matrix_kl(tag: str, N: int, M: int | None = None) -> Op:
     """X on a decorated basis from the diagram rules (apply_X_kl); the
-    conjugated-matrix oracle is crosscheck_vs_standard(tag, N, "X", M)."""
-    return kl_operator(tag, N, "X", M)
+    conjugated-matrix oracle is crosscheck_vs_standard(tag, N, "X", M).
+    Read-only, since every caller shares it."""
+    return read_only(kl_operator(tag, N, "X", M))
 
 
 # -- BI classification -------------------------------------------------------

@@ -445,10 +445,10 @@ def avoids_neg_pattern(sigma: dict) -> bool:
 
 
 @lru_cache(maxsize=None)
-def pattern_avoiding_bisym_signed(n: int) -> list:
+def pattern_avoiding_bisym_signed(n: int) -> tuple:
     """All matrices in the C-family of size 2(n-1) x 2(n-1)."""
     m = 2 * (n - 1)
-    return [s for s in signed_bisym_matrices(m) if avoids_neg_pattern(s)]
+    return tuple(s for s in signed_bisym_matrices(m) if avoids_neg_pattern(s))
 
 
 def count_pattern_avoiding(n: int) -> int:

@@ -91,10 +91,24 @@ def _as_polynomial(r: RatioElem) -> RingElem:
         raise NonPolynomialComponent(str(exc)) from exc
 
 
-def _sorted_objects(entries):
-    """Sort (position, payload) pairs.  Arcs keyed by left end ascending put
-    outer arcs before the arcs nested inside them."""
-    return [payload for _, payload in sorted(entries, key=lambda e: e[0])]
+def _block_kinds(D: Diagram) -> list[str]:
+    """The kind of each block of D in D.blocks() order; a BII mark's kind is
+    its letter, 'e' or 'o'."""
+    return [b[2] if b[0] == "mark" else b[0] for b in D.blocks()]
+
+
+def _places(kinds, counted, taken, from_right=False) -> list[int]:
+    """Number the blocks whose kind is in counted, from the left or from the
+    right, and return the numbers of those whose kind is in taken.  Blocks
+    are ordered by left end, so from the left an outer arc comes before
+    the arcs nested inside it, and from the right after them."""
+    out, n = [], 0
+    for k in reversed(kinds) if from_right else kinds:
+        if k in counted:
+            n += 1
+            if k in taken:
+                out.append(n)
+    return out
 
 
 def _half(n: int) -> int:
@@ -127,71 +141,39 @@ def _psi_A(D: Diagram) -> FactorizedScalar:
     d = len(D.ups) + len(D.arcs)
     f.q_exp += d * (d - 1) // 2
     f.Q_exp += d
-    objects = (
-        [(i, ("up",)) for i in D.ups]
-        + [(i, ("down",)) for i in D.downs]
-        + [(a[0], ("arc", a)) for a in D.arcs]
-    )
-    for idx, obj in enumerate(_sorted_objects(objects), start=1):
-        if obj[0] in ("down", "arc"):
-            f.times_qint(idx)
+    kinds = _block_kinds(D)
+    for n in _places(kinds, ("up", "down", "arc"), ("down", "arc")):
+        f.times_qint(n)
     for a in D.arcs:
         f.times_qint(_arc_size(a), inverse=True)
-    right_objects = [(-i, ("down",)) for i in D.downs] + [
-        (-a[0], ("arc", a)) for a in D.arcs
-    ]
-    for idx, obj in enumerate(_sorted_objects(right_objects), start=1):
-        if obj[0] == "down":
-            f.times_qint(idx, inverse=True)
+    for n in _places(kinds, ("down", "arc"), ("down",), from_right=True):
+        f.times_qint(n, inverse=True)
     return f
 
 
 def _psi_BII(D: Diagram) -> FactorizedScalar:
     f = FactorizedScalar()
-    e_marks = [i for i, m in D.marks if m == "e"]
-    o_marks = [i for i, m in D.marks if m == "o"]
-    left = (
-        [(i, "up") for i in D.ups]
-        + [(i, "e") for i in e_marks]
-        + [(a[0], ("arc", a)) for a in D.arcs]
-    )
-    for idx, obj in enumerate(_sorted_objects(left), start=1):
-        if obj != "up":
-            f.times_qint(idx)
+    kinds = _block_kinds(D)
+    for n in _places(kinds, ("up", "e", "arc"), ("e", "arc")):
+        f.times_qint(n)
     for a in D.arcs:
         f.times_qint(_arc_size(a), inverse=True)
-    right_ae = [(-i, "e") for i in e_marks] + [(-a[0], ("arc", a)) for a in D.arcs]
-    for idx, obj in enumerate(_sorted_objects(right_ae), start=1):
-        if obj == "e":
-            f.times_qint(idx, inverse=True)
-    right_auo = (
-        [(-i, "up") for i in D.ups]
-        + [(-i, "o") for i in o_marks]
-        + [(-a[0], ("arc", a)) for a in D.arcs]
-    )
-    for idx, obj in enumerate(_sorted_objects(right_auo), start=1):
-        if obj != "o":
-            f.times_atom(("qshift", idx - 1))
+    for n in _places(kinds, ("e", "arc"), ("e",), from_right=True):
+        f.times_qint(n, inverse=True)
+    for n in _places(kinds, ("up", "o", "arc"), ("up", "arc"), from_right=True):
+        f.times_atom(("qshift", n - 1))
     return f
 
 
 def _psi_BIII(D: Diagram) -> FactorizedScalar:
     f = FactorizedScalar()
-    circles = [i for i, _ in D.circles]
-    left = (
-        [(i, "up") for i in D.ups]
-        + [(i, "circ") for i in circles]
-        + [(a[0], ("arc", a)) for a in D.arcs]
-    )
-    for idx, obj in enumerate(_sorted_objects(left), start=1):
-        if obj != "up":
-            f.times_qint(idx)
+    kinds = _block_kinds(D)
+    for n in _places(kinds, ("up", "circle", "arc"), ("circle", "arc")):
+        f.times_qint(n)
     for a in D.arcs:
         f.times_qint(_arc_size(a), inverse=True)
-    right = [(-i, "circ") for i in circles] + [(-a[0], ("arc", a)) for a in D.arcs]
-    for idx, obj in enumerate(_sorted_objects(right), start=1):
-        if obj == "circ":
-            f.times_qint(idx, inverse=True)
+    for n in _places(kinds, ("circle", "arc"), ("circle",), from_right=True):
+        f.times_qint(n, inverse=True)
     d = len(D.ups) + len(D.arcs)
     for i in range(1, d + 1):
         f.times_atom(("qshift", i - 1))
@@ -207,7 +189,6 @@ def _psi_BI(D: Diagram) -> FactorizedScalar:
     label_site = D.label_sites()  # the star is label 1
     n1 = 1 if D.unpaired_down is not None else 0
     n_up = len(D.ups)
-    have_star = D.star is not None
     s_M = label_site.get(M)
 
     sR = []
@@ -216,7 +197,7 @@ def _psi_BI(D: Diagram) -> FactorizedScalar:
     sL = []
     if s_M is not None:
         sR = [a for a in S if a[0] > s_M]
-    if have_star:
+    if D.star is not None:
         sWp = [a for a in S if D.star < a[0] < s_M]
         if n1:
             boundary = D.unpaired_down
@@ -319,31 +300,18 @@ def _psi_BI(D: Diagram) -> FactorizedScalar:
 
     # N11: left enumeration of ups, the unpaired down, arcs, dashed arcs and
     # integer-labelled downs (the star is excluded)
-    objects = (
-        [(i, "up") for i in D.ups]
-        + ([(D.unpaired_down, "unpaired")] if n1 else [])
-        + [(a[0], ("arc", a)) for a in S]
-        + [(t[0], ("dash", t)) for t in T]
-        + [(i, ("label", p)) for i, p in D.labels]
-    )
-    for idx, obj in enumerate(_sorted_objects(objects), start=1):
-        if obj == "up":
-            continue
-        f.times_qint(idx)
+    kinds = _block_kinds(D)
+    for n in _places(kinds, ("up", "down", "arc", "dash", "label"),
+                     ("down", "arc", "dash", "label")):
+        f.times_qint(n)
 
     # N12: right enumeration of arcs, dashed arcs, labelled downs and the
-    # star (by descending left end, so nested arcs count inside first)
+    # star, nested arcs counted inside first
     for i in range(1, n2 + 1):
         f.times_atom(("angle", i + M - 1))
-    robjects = (
-        [(-a[0], ("arc", a)) for a in S]
-        + [(-t[0], ("dash", t)) for t in T]
-        + [(-i, ("label", p)) for i, p in D.labels]
-        + ([(-D.star, "star")] if have_star else [])
-    )
-    for idx, obj in enumerate(_sorted_objects(robjects), start=1):
-        if obj == "star" or (isinstance(obj, tuple) and obj[0] == "dash"):
-            f.times_atom(("angle", idx), inverse=True)
+    for n in _places(kinds, ("arc", "dash", "label", "star"), ("dash", "star"),
+                     from_right=True):
+        f.times_atom(("angle", n), inverse=True)
     return f
 
 

@@ -413,6 +413,13 @@ def _merge_dens(a: tuple, b: tuple):
     return a + tuple(a_missing), a_missing, b_missing
 
 
+def _lift(num: RingElem, atoms) -> RingElem:
+    """num times the expansion of each atom, multiplied in one at a time."""
+    for atom in atoms:
+        num = num * atom_expand(atom)
+    return num
+
+
 class RatioElem:
     """num / product-of-atoms; reduced() cancels the atoms that divide."""
 
@@ -473,13 +480,7 @@ class RatioElem:
         if self.den == other.den:
             return RatioElem(self.num + other.num, self.den)
         common, a_missing, b_missing = _merge_dens(self.den, other.den)
-        a = self.num
-        for atom in a_missing:
-            a = a * atom_expand(atom)
-        b = other.num
-        for atom in b_missing:
-            b = b * atom_expand(atom)
-        return RatioElem(a + b, common)
+        return RatioElem(_lift(self.num, a_missing) + _lift(other.num, b_missing), common)
 
     def __neg__(self) -> "RatioElem":
         return RatioElem(-self.num, self.den)
@@ -509,13 +510,7 @@ class RatioElem:
         # nonzero polynomial, so the shared atoms C cancel exactly and only
         # the atoms missing on each side are multiplied in.
         _, a_missing, b_missing = _merge_dens(self.den, other.den)
-        a = self.num
-        for atom in a_missing:
-            a = a * atom_expand(atom)
-        b = other.num
-        for atom in b_missing:
-            b = b * atom_expand(atom)
-        return a == b
+        return _lift(self.num, a_missing) == _lift(other.num, b_missing)
 
     # Equality cross-multiplies, so equal values may carry different
     # denominators; no hash of (num, den) can agree with it.

@@ -56,16 +56,16 @@ class TestDiagramRules:
 
     def test_example_BII(self):
         D = build_diagram("BII", "+--+--")
-        assert D.mark_map() == {6: "o", 5: "e", 2: "o"}
+        assert dict(D.marks) == {6: "o", 5: "e", 2: "o"}
 
     def test_example_BIII(self):
         D = build_diagram("BIII", "+--+--")
-        assert D.circle_map() == {6: 1, 5: 2, 2: 3}
+        assert dict(D.circles) == {6: 1, 5: 2, 2: 3}
 
     def test_example_BI_M2_nine_sites(self):
         D = build_diagram("BI", "+--+---+-", 2)
         assert D.arcs == ((3, 4), (7, 8))
-        assert D.label_map() == {9: 2}
+        assert dict(D.labels) == {9: 2}
         assert D.star == 6
         assert D.dashed == ((2, 5),)
         assert D.unpaired_down is None
@@ -234,3 +234,40 @@ class TestTransition:
         col = {s: RatioElem.from_ring(c) for s, c in T["-+-"].items()}
         back = standard_to_kl(col, "BIII", 3)
         assert back == {"-+-": R_ONE}
+
+
+def classify_from_fields(D):
+    """Site -> role from the Diagram fields alone: the two ends of an arc or
+    a dashed arc name each other; labels, marks and circles carry their
+    value.  Fails if a site gets two roles."""
+    roles = []
+    for name, pairs in (("arc", D.arcs), ("dash", D.dashed)):
+        for a, b in pairs:
+            roles += [(a, (f"{name}_l", b)), (b, (f"{name}_r", a))]
+    roles += [(i, ("up",)) for i in D.ups]
+    roles += [(i, ("down",)) for i in D.downs]
+    if D.unpaired_down is not None:
+        roles.append((D.unpaired_down, ("down",)))
+    if D.star is not None:
+        roles.append((D.star, ("star",)))
+    for name, decorated in (("label", D.labels), ("mark", D.marks), ("circle", D.circles)):
+        roles += [(i, (name, value)) for i, value in decorated]
+    kinds = dict(roles)
+    assert len(kinds) == len(roles), D
+    return kinds
+
+
+@pytest.mark.parametrize(
+    "tag, M", [("A", None), ("BII", None), ("BIII", None)] + [("BI", m) for m in range(1, 5)]
+)
+def test_site_kind_exhaustive(tag, M):
+    for N in range(1, 9):
+        for s in enumerate_strings(N):
+            D = build_diagram(tag, s, M)
+            kinds = classify_from_fields(D)
+            assert sorted(kinds) == list(range(1, N + 1)), s
+            for i in range(1, N + 1):
+                assert D.site_kind(i) == kinds[i], (s, i)
+            for outside in (0, N + 1):
+                with pytest.raises(ValueError):
+                    D.site_kind(outside)

@@ -6,13 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from tbtl import coideal
 
-from tbtl.basis import build_diagram, enumerate_strings
+from tbtl.algebra import generator_matrix
+from tbtl.basis import build_diagram, enumerate_strings, transition_matrix
 from tbtl.coideal import (
     check_bi_multiplicity_histogram,
     check_multiplicity_theorem,
     check_triangular_spectrum,
     classify_bi,
     eigen_multiplicities,
+    x_matrix_kl,
 )
 from tbtl.kl_action import apply_X_kl, crosscheck_vs_standard
 from tbtl.ring import RatioElem, RingElem, ZeroDenominator, qQ_bracket, qint, R_ONE
@@ -43,7 +45,7 @@ class TestWorkedExamples:
         b = "+-" + "-+--+--"[:0] + "-+--"[:0]
         b = "+--+--"  # up, unpaired down would need the right shape; build one
         D = build_diagram("BI", "+-", 2)
-        assert D.label_map() == {2: 2}
+        assert dict(D.labels) == {2: 2}
         out = apply_X_kl("BI", D)
         # no unpaired down: r = 2: diagonal [n_up + r - 1] = [2]
         assert out["--"] == r(qint(1))
@@ -53,7 +55,7 @@ class TestWorkedExamples:
         # M = 3, labels 2 and 3 present, two ups: X = X1 + [2]X2 + [3]D
         b = "+-+--" + "-"
         D = build_diagram("BI", "++--", 3)
-        assert D.label_map() == {3: 2, 4: 3}
+        assert dict(D.labels) == {3: 2, 4: 3}
         out = apply_X_kl("BI", D)
         assert out["-+--"] == r(qint(1))
         assert out["+---"] == r(qint(2))
@@ -75,7 +77,7 @@ class TestWorkedExamples:
         b = "++---++-"
         D = build_diagram("BII", b)
         assert D.arcs == ((4, 7), (5, 6))
-        assert D.mark_map() == {3: "e", 8: "o"}
+        assert dict(D.marks) == {3: "e", 8: "o"}
         out = apply_X_kl("BII", D)
         assert out["-+---++-"] == r(qint(1))
         assert out["+----++-"] == r(qint(2))
@@ -253,3 +255,26 @@ class TestRank:
         b = {1: Fraction(-5, 6), 2: Fraction(1, 3)}
         combo = {0: 2 * a[0], 1: -3 * b[1], 2: 2 * a[2] - 3 * b[2]}
         assert rank_of([a, combo, {}, b, dict(a)]) == 2
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [
+        lambda: x_matrix_kl("A", 3),
+        lambda: generator_matrix(3, "e1"),
+        lambda: transition_matrix("A", 3),
+    ],
+    ids=["x_matrix_kl", "generator_matrix", "transition_matrix"],
+)
+def test_cached_matrix_is_read_only(cached):
+    # every caller gets the same cached object, so no caller may change it
+    before = {col: dict(column) for col, column in cached().items()}
+    op = cached()
+    with pytest.raises(AttributeError):
+        op["+-+"].clear()
+    with pytest.raises(TypeError):
+        op["+-+"]["---"] = R_ONE
+    with pytest.raises(TypeError):
+        op["+-+"] = {}
+    assert cached() == before
+    assert cached()["+-+"] == before["+-+"] != {}

@@ -27,6 +27,7 @@ from tbtl.combinatorics import (
     is_admissible,
     links_string,
     oeis_sequence,
+    pattern_avoiding_bisym_signed,
     random_observable,
     sum_rule,
     sym_binary_weight_histogram,
@@ -120,6 +121,10 @@ class TestEnumerations:
     def test_pattern_avoiding_counts(self):
         for n in range(1, 6):
             assert count_pattern_avoiding(n) == oeis_sequence("A083886", n)
+
+    def test_pattern_avoiding_family_is_a_tuple(self):
+        # the list is lru-cached and shared, so callers get an immutable one
+        assert isinstance(pattern_avoiding_bisym_signed(3), tuple)
 
 
 class TestCorrelations:

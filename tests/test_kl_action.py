@@ -47,12 +47,12 @@ class TestBulkRows:
 
     def test_bii_eo_value(self):
         D = build_diagram("BII", "--")
-        assert D.mark_map() == {1: "e", 2: "o"}
+        assert dict(D.marks) == {1: "e", 2: "o"}
         assert apply_ei_kl("BII", D, 1) == {"-+": r(mono(1, -1, 1) + mono(1, 1, -1))}
 
     def test_bii_oe_value(self):
         D = build_diagram("BII", "----")
-        assert D.mark_map() == {4: "o", 3: "e", 2: "o", 1: "e"}
+        assert dict(D.marks) == {4: "o", 3: "e", 2: "o", 1: "e"}
         out = apply_ei_kl("BII", D, 2)
         assert out == {"--+-": r(-(mono(1, 0, 1) + mono(1, 0, -1)))}
 
@@ -61,12 +61,12 @@ class TestBulkRows:
 
     def test_consecutive_labels(self):
         D = build_diagram("BI", "--", 3)
-        assert D.label_map() == {1: 2, 2: 3}
+        assert dict(D.labels) == {1: 2, 2: 3}
         assert apply_ei_kl("BI", D, 1) == {}
 
     def test_star_label_pair(self):
         D = build_diagram("BI", "--", 2)
-        assert D.star == 1 and D.label_map() == {2: 2}
+        assert D.star == 1 and dict(D.labels) == {2: 2}
         assert apply_ei_kl("BI", D, 1) == {}
 
     def test_down_star_pair(self):
@@ -141,7 +141,7 @@ class TestBoundaryRows:
         assert len(b) == 13
         D = build_diagram("BI", b, 2)
         assert D.arcs == ((3, 4), (7, 8), (10, 13), (11, 12))
-        assert D.star == 6 and D.label_map() == {9: 2} and D.dashed == ((2, 5),)
+        assert D.star == 6 and dict(D.labels) == {9: 2} and D.dashed == ((2, 5),)
         out = apply_eN_kl("BI", D)
         assert out["+--+---+---+-"] == R_ONE  # arc opened
         assert out["+--+---++--+-"] == R_ONE  # smallest label flipped up
@@ -168,7 +168,7 @@ class TestBoundaryRows:
         assert len(b) == 14
         D = build_diagram("BIII", b)
         assert D.arcs == ((1, 2), (5, 6), (8, 9), (11, 14), (12, 13))
-        assert D.circle_map() == {4: 3, 7: 2, 10: 1}
+        assert dict(D.circles) == {4: 3, 7: 2, 10: 1}
         out = apply_eN_kl("BIII", D)
         assert out["-++--+--+---+-"] == R_ONE
         assert out["-++--+--+-+-+-"] == r(dangle(1))
