@@ -11,6 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 import random
+from types import MappingProxyType
 
 from .basis import build_diagram
 from .ground_state import psi_vector, psi_component
@@ -446,9 +447,12 @@ def avoids_neg_pattern(sigma: dict) -> bool:
 
 @lru_cache(maxsize=None)
 def pattern_avoiding_bisym_signed(n: int) -> tuple:
-    """All matrices in the C-family of size 2(n-1) x 2(n-1)."""
+    """All matrices in the C-family of size 2(n-1) x 2(n-1), each a
+    read-only map, since the cache shares them with every caller."""
     m = 2 * (n - 1)
-    return tuple(s for s in signed_bisym_matrices(m) if avoids_neg_pattern(s))
+    return tuple(
+        MappingProxyType(s) for s in signed_bisym_matrices(m) if avoids_neg_pattern(s)
+    )
 
 
 def count_pattern_avoiding(n: int) -> int:

@@ -9,8 +9,11 @@ multivariate gcd.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import inf
 
 # A monomial is an exponent triple (eq, eQ, eQ0).
@@ -102,15 +105,17 @@ class RingElem:
             return RingElem(
                 {(e1 + e2, f1 + f2, g1 + g2): c1 * c2 for (e2, f2, g2), c2 in b.items()}
             )
-        out: dict[Monomial, int] = {}
-        for (e1, f1, g1), c1 in a.items():
-            for (e2, f2, g2), c2 in b.items():
-                m = (e1 + e2, f1 + f2, g1 + g2)
-                v = out.get(m, 0) + c1 * c2
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
+        out = _kronecker_product(a, b) if len(a) * len(b) >= _KRONECKER_MIN_PAIRS else None
+        if out is None:
+            out = {}
+            for (e1, f1, g1), c1 in a.items():
+                for (e2, f2, g2), c2 in b.items():
+                    m = (e1 + e2, f1 + f2, g1 + g2)
+                    v = out.get(m, 0) + c1 * c2
+                    if v:
+                        out[m] = v
+                    else:
+                        del out[m]
         return RingElem(out)
 
     def __eq__(self, other) -> bool:
@@ -187,6 +192,90 @@ class RingElem:
 
 ZERO = RingElem.zero()
 ONE = RingElem.const(1)
+
+
+# -- products by Kronecker substitution ---------------------------------------
+# Number the slots of the product's exponent box so that the slot of a
+# product of monomials is the sum of its factors' slots.  A factor packed as
+# one int with one signed digit per slot then multiplies as an integer, and
+# the digits of the integer product are the coefficients of the polynomial
+# product (Schonhage 1982; Fateman 2010).  No coefficient of a * b exceeds
+# |a|_1 |b|_1 in absolute value, so digits wide enough for that never carry.
+
+# Below this many term pairs the schoolbook loop is cheaper.
+_KRONECKER_MIN_PAIRS = 64
+# A box with more slots than this many times the term pairs is mostly empty
+# and is left to the schoolbook loop.
+_KRONECKER_MAX_FILL = 4
+_BYTE_ORDER = sys.byteorder
+_HALF = 1 << 63  # half the range of a 64-bit digit
+_HALF_DIGIT = _HALF.to_bytes(8, _BYTE_ORDER)
+
+
+def _kronecker_product(a: dict, b: dict) -> dict | None:
+    """The terms of a * b, or None when the product's box is too sparse."""
+    ae, af, ag = zip(*a)
+    be, bf, bg = zip(*b)
+    ea, fa, ga, eb, fb, gb = min(ae), min(af), min(ag), min(be), min(bf), min(bg)
+    # Quantum integers step by 2 in q: when the q-exponents of each factor
+    # share one parity, so do the product's, and only every other q is used.
+    step = 2 if len({e & 1 for e in ae}) == 1 == len({e & 1 for e in be}) else 1
+    nf = max(af) - fa + max(bf) - fb + 1
+    ng = max(ag) - ga + max(bg) - gb + 1
+    slots_a = _slots(a, ea, fa, ga, step, nf, ng)
+    slots_b = _slots(b, eb, fb, gb, step, nf, ng)
+    n = max(slots_a) + max(slots_b) + 1
+    if n > _KRONECKER_MAX_FILL * len(a) * len(b):
+        return None
+    bound = sum(map(abs, a.values())) * sum(map(abs, b.values()))
+    if bound < _HALF:
+        digits = _digits_64(a, slots_a, b, slots_b, n)
+    else:
+        digits = _digits_wide(a, slots_a, b, slots_b, n, bound.bit_length() + 1)
+    qs = range(ea + eb, ea + eb + step * n, step)
+    if nf == ng == 1:
+        f, g = fa + fb, ga + gb
+        return {(e, f, g): c for e, c in zip(qs, digits) if c}
+    monomials = product(qs, range(fa + fb, fa + fb + nf), range(ga + gb, ga + gb + ng))
+    return {m: c for m, c in zip(monomials, digits) if c}
+
+
+def _slots(terms: dict, e0, f0, g0, step, nf, ng) -> list[int]:
+    """The slot of each term, counted from the factor's lowest corner with
+    the product's strides: q slowest in steps of step, then Q, then Q0."""
+    return [((e - e0) // step * nf + f - f0) * ng + g - g0 for e, f, g in terms]
+
+
+def _digits_64(a: dict, slots_a, b: dict, slots_b, n: int):
+    """The n signed 64-bit digits of the packed product.
+
+    Each factor is packed with half a digit's range added to every digit,
+    which keeps the digits nonnegative, and the int of those halves is taken
+    off again.  Adding it to the product and xoring it back out leaves every
+    digit in two's complement."""
+    offset = int.from_bytes(_HALF_DIGIT * n, _BYTE_ORDER)
+    packed = 1
+    for terms, slots in ((a, slots_a), (b, slots_b)):
+        digits = array("Q", _HALF_DIGIT * (max(slots) + 1))
+        for i, c in zip(slots, terms.values()):
+            digits[i] = c + _HALF
+        packed *= int.from_bytes(digits, _BYTE_ORDER) - (offset >> 64 * (n - len(digits)))
+    return memoryview(((packed + offset) ^ offset).to_bytes(8 * n, _BYTE_ORDER)).cast("q")
+
+
+def _digits_wide(a: dict, slots_a, b: dict, slots_b, n: int, bits: int) -> list[int]:
+    """The n signed digits of the packed product, bits wide each, for
+    coefficients too large for 64-bit digits."""
+    packed = 1
+    for terms, slots in ((a, slots_a), (b, slots_b)):
+        packed *= sum(c << bits * i for i, c in zip(slots, terms.values()))
+    half, mask = 1 << bits - 1, (1 << bits) - 1
+    digits = []
+    for _ in range(n):
+        d = ((packed + half) & mask) - half
+        digits.append(d)
+        packed = (packed - d) >> bits
+    return digits
 
 
 # -- the substitutions, as exponent maps for remap ---------------------------

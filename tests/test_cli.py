@@ -207,6 +207,30 @@ class TestCommands:
         assert code == 1
         assert out == "FAIL  binomial multiplicities A N=3\n"
 
+    def test_verify_groundstate_fails_on_shifted_component(self, capsys, monkeypatch):
+        # one closed-form component off by a factor of q must fail every
+        # check that reads Psi, not only the numeric ones
+        from tbtl import ground_state
+
+        closed_form = ground_state.psi_component
+
+        def shifted(tag, D):
+            f = closed_form(tag, D)
+            if D.string == "+-+-":
+                f.q_exp += 1
+            return f
+
+        monkeypatch.setattr(ground_state, "psi_component", shifted)
+        code, out = run(
+            capsys, "verify", "--check", "groundstate", "--type", "BI", "--m", "2", "--n", "4"
+        )
+        assert code == 1
+        assert out == (
+            "FAIL  X Psi = lambda Psi BI N=4\n"
+            "FAIL  structural component claims BI N=4\n"
+            "FAIL  closed form == change of basis BI N=4\n"
+        )
+
     def test_identities_appA_checks_the_given_n(self, capsys, monkeypatch):
         from tbtl import identities
 

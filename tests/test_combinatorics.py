@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from tbtl.combinatorics import (
     TABLE_1,
     bii_P_polynomial,
@@ -125,6 +127,18 @@ class TestEnumerations:
     def test_pattern_avoiding_family_is_a_tuple(self):
         # the list is lru-cached and shared, so callers get an immutable one
         assert isinstance(pattern_avoiding_bisym_signed(3), tuple)
+
+    def test_pattern_avoiding_matrices_are_read_only(self):
+        # each cached matrix is shared too: changing one must raise and
+        # leave the next call's matrices as they were
+        before = [dict(s) for s in pattern_avoiding_bisym_signed(3)]
+        first = pattern_avoiding_bisym_signed(3)[0]
+        with pytest.raises(AttributeError):
+            first.clear()
+        with pytest.raises(TypeError):
+            first[0] = (0, 1)
+        assert [dict(s) for s in pattern_avoiding_bisym_signed(3)] == before
+        assert before[0]
 
 
 class TestCorrelations:

@@ -1,10 +1,13 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tbtl import ring
 from tbtl.ring import (
     NotDivisible,
     RatioElem,
@@ -352,6 +355,92 @@ def test_monomial_product_is_convolution(m, a):
         assert product.terms == _convolution(m, a)
         assert all(product.terms.values())
         assert product.terms is not m.terms and product.terms is not a.terms
+
+
+# -- products by Kronecker substitution ---------------------------------------
+
+
+@st.composite
+def _kernel_factors(draw, multivariate=st.booleans()):
+    """1 to 14 terms with negative exponents allowed: in q alone or in q, Q
+    and Q0; the q-exponents of one parity or mixed; coefficients small, or
+    wide enough that products need digits beyond 64 bits."""
+    parity = draw(st.sampled_from([None, 0, 1]))
+    if parity is None:
+        qs = st.integers(-10, 9)
+    else:
+        qs = st.integers(-5, 4).map(lambda k: 2 * k + parity)
+    others = st.integers(-2, 2) if draw(multivariate) else st.just(0)
+    if draw(st.sampled_from(["small", "small", "wide"])) == "small":
+        coefficients = st.integers(-9, 9).filter(bool)
+    else:
+        coefficients = st.integers(-(2**66), 2**66).filter(bool)
+    keys = st.tuples(qs, others, others)
+    return RingElem(draw(st.dictionaries(keys, coefficients, min_size=1, max_size=14)))
+
+
+def _packed(a: RingElem, b: RingElem) -> dict:
+    """The terms of a * b from the Kronecker kernel, whatever the box's size."""
+    with mock.patch.object(ring, "_KRONECKER_MAX_FILL", math.inf):
+        return ring._kronecker_product(a.terms, b.terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_factors(), _kernel_factors())
+@example(  # q-exponents 2 apart on both sides
+    RingElem({(2 * i - 7, 0, 0): i + 1 for i in range(8)}),
+    RingElem({(2 * i - 9, 0, 0): 1 - 2 * i for i in range(10)}),
+)
+@example(  # alternating signs: every other coefficient of the product is 0
+    RingElem({(2 * i, 0, 0): 1 for i in range(8)}),
+    RingElem({(2 * i, 0, 0): (-1) ** i for i in range(8)}),
+)
+@example(  # |a|_1 |b|_1 just below 2^63: 64-bit digits near -2^62
+    RingElem({(0, 0, 0): 2**59 - 1, **{(i, 0, 0): 1 for i in range(1, 8)}}),
+    RingElem({(0, 0, 0): -7, **{(i, 0, 0): -1 for i in range(1, 8)}}),
+)
+def test_kronecker_product_is_convolution(a, b):
+    expected = _convolution(a, b)
+    assert _packed(a, b) == expected
+    assert _packed(b, a) == expected
+    assert (a * b).terms == (b * a).terms == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_factors())
+def test_kronecker_product_cancels(u):
+    # (1 + q^2)(1 - q^2 + q^4 - ... - q^14) = 1 - q^16: all the middle
+    # coefficients of the packed product cancel to 0
+    a = u * (ONE + mono(1, 2))
+    b = RingElem({(2 * i, 0, 0): (-1) ** i for i in range(8)})
+    expected = _convolution(u, ONE - mono(1, 16))
+    assert _packed(a, b) == _convolution(a, b) == expected
+    assert (a * b).terms == expected
+
+
+def test_kronecker_product_digit_widths(monkeypatch):
+    # |a|_1 |b|_1 = 64 c: below 2^63 the digits are 64-bit, from 2^63 on wider
+    wide = []
+    digits_wide = ring._digits_wide
+
+    def spy(*args):
+        wide.append(args[-1])  # the digit width in bits
+        return digits_wide(*args)
+
+    monkeypatch.setattr(ring, "_digits_wide", spy)
+    for c, widths in ((2**57 - 1, []), (2**57, [65]), (-(2**63), [71])):
+        a = RingElem({(i, 1, -1): c for i in range(8)})
+        b = RingElem({(-2 * i, 0, 0): 1 for i in range(8)})
+        wide.clear()
+        assert (a * b).terms == _convolution(a, b)
+        assert wide == widths
+
+
+def test_sparse_box_is_multiplied_term_by_term():
+    a = RingElem({(10**6 * i, 0, 0): 1 for i in range(8)})
+    b = RingElem({(-(10**6) * i, i, 0): 1 for i in range(8)})
+    assert ring._kronecker_product(a.terms, b.terms) is None
+    assert (a * b).terms == _convolution(a, b)
 
 
 # -- ratio equality -------------------------------------------------------------
