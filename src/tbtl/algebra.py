@@ -266,14 +266,21 @@ def check_quotient_alpha(N: int) -> bool:
 # -- Hamiltonians ----------------------------------------------------------
 
 
-def hamiltonian_matrix(N: int, aN: RatioElem, a0: RatioElem) -> Op:
-    """H = -sum e_i - aN eN - a0 e0, the one assembly of the two-boundary
-    Hamiltonian: pauli_equivalence_check verifies it and
-    numeric_ground_state_check diagonalizes it."""
+def hamiltonian_terms(N: int, aN: RatioElem, a0: RatioElem) -> list[tuple[RatioElem, Op]]:
+    """The (coupling a_g, e_g) pairs of H = -sum a_g e_g, with a_g = 1 for
+    e1..e{N-1}, aN for eN and a0 for e0: the one place that knows H's
+    couplings."""
     coupling = {"eN": aN, "e0": a0}
+    return [(coupling.get(gen, R_ONE), generator_matrix(N, gen)) for gen in generator_names(N)]
+
+
+def hamiltonian_matrix(N: int, aN: RatioElem, a0: RatioElem) -> Op:
+    """H = -sum e_i - aN eN - a0 e0, the sum of hamiltonian_terms:
+    pauli_equivalence_check verifies it, and numeric_ground_state_check
+    certifies its ground state term by term."""
     H: Op = {}
-    for gen in generator_names(N):
-        _add_scaled(H, generator_matrix(N, gen), -coupling.get(gen, R_ONE))
+    for a, E in hamiltonian_terms(N, aN, a0):
+        _add_scaled(H, E, -a)
     return H
 
 

@@ -133,8 +133,10 @@ def verify_checks(args):
         )
 
     def pf():
-        lowest, pos = ground_state.numeric_ground_state_check(min(N, 8), 1.1, 1.3, 1.0, 0.1)
-        return abs(lowest) < 1e-8 and all(pos.values())
+        certified, pos = ground_state.numeric_ground_state_check(
+            N, Fraction(11, 10), Fraction(13, 10), Fraction(1), Fraction(1, 10)
+        )
+        return certified and all(pos.values())
 
     return [
         ("relations", True, f"defining relations N={N}",
@@ -167,7 +169,7 @@ def verify_checks(args):
          lambda: ground_state.oracle_change_of_basis(psi())[0]),
         ("annihilation", True, f"e_g Psi = 0 (e_0 at the integrable point) {tag} N={N}",
          lambda: all(ground_state.verify_annihilation(psi()).values())),
-        ("pf", True, f"numeric ground-state check N={min(N, 8)}", pf),
+        ("pf", True, f"numeric ground-state check N={N}", pf),
     ]
 
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
-import random
 from types import MappingProxyType
 
 from .basis import build_diagram
@@ -69,23 +67,6 @@ def correlation_check(N: int, alphas, plus, minus) -> bool:
     num, den = correlation_brute(N, alphas, plus, minus)
     # closed == num/den  <=>  closed * den == num
     return closed * den == num
-
-
-def random_observable(N: int, rng: random.Random):
-    sites = list(range(1, N + 1))
-    rng.shuffle(sites)
-    k = rng.randint(0, N)
-    chosen = sites[:k]
-    alphas, plus, minus = [], [], []
-    for s in chosen:
-        r = rng.random()
-        if r < 1 / 3:
-            alphas.append(s)
-        elif r < 2 / 3:
-            plus.append(s)
-        else:
-            minus.append(s)
-    return alphas, plus, minus
 
 
 # -- sum rules ----------------------------------------------------------------
@@ -537,33 +518,3 @@ def check_biii_component_conjecture(N: int):
         psi = psi_component("BIII", build_diagram("BIII", b)).evaluate(p)
         results[b] = (hist.get(b, 0), psi, hist.get(b, 0) == psi)
     return results
-
-
-def biii_wt_histogram(N: int) -> dict[int, int]:
-    """Histogram of the signed weight wt(c) over the C-family."""
-    hist: dict[int, int] = {}
-    for sigma in pattern_avoiding_bisym_signed(N + 1):
-        m = 2 * N
-        npos = nneg = 0
-        for i0 in range(m):
-            j0, sg = sigma[i0]
-            i, j = i0 + 1, j0 + 1
-            if sg != 1 or not (1 <= i <= N):
-                continue
-            if i <= j <= N:
-                npos += 1
-            elif N + 1 <= j <= 2 * N + 1 - i:
-                nneg += 1
-        w = npos - nneg
-        hist[w] = hist.get(w, 0) + 1
-    return hist
-
-
-def biii_Q_coefficients(N: int) -> dict[int, int]:
-    """Coefficients of Q^e in the BIII sum at q = 1, expanded from the
-    (Q + 1/Q)^i coefficients."""
-    out: dict[int, int] = {}
-    for i, c in decompose_sum("BIII", N).items():
-        for k in range(i + 1):
-            out[i - 2 * k] = out.get(i - 2 * k, 0) + c * comb(i, k)
-    return {e: c for e, c in out.items() if c}

@@ -7,7 +7,6 @@ expanded exactly or evaluated at a rational point.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,8 +24,8 @@ from .ring import (
     is_positivity_class,
 )
 from .kl_action import kl_operator
-from .coideal import candidate_eigenvalues, eval_op_at
-from .algebra import generator_names, hamiltonian_matrix, op_apply, op_eq
+from .coideal import _integer_rank, _integer_row, candidate_eigenvalues, eval_op_at
+from .algebra import generator_names, hamiltonian_terms, op_apply, op_eq
 
 _mono = RingElem.mono
 
@@ -468,44 +467,54 @@ def structural_checks(gs: GroundState) -> dict[str, bool]:
     return report
 
 
-def numeric_ground_state_check(N: int, q: float, Q: float, aN: float, a0: float):
-    """Floating-point Perron-Frobenius check of the two-boundary chain.
+def _psd_blocks(rows: dict[int, dict[int, Fraction]]) -> bool:
+    """Whether the matrix with these rows is a direct sum of symmetric 1 x 1
+    and 2 x 2 blocks with nonnegative diagonal and determinant, which makes
+    it positive semidefinite.  A matrix of any other shape fails."""
+    for i, row in rows.items():
+        off = [j for j in row if j != i]
+        a = row.get(i, 0)
+        if a < 0 or len(off) > 1:
+            return False
+        if off:
+            (j,) = off
+            partner = rows.get(j, {})
+            if partner.get(i) != row[j] or a * partner.get(j, 0) < row[j] ** 2:
+                return False
+    return True
 
-    Returns (lowest, positive): lowest is the lowest eigenvalue of
-    hamiltonian_matrix(N, aN, a0), the H that pauli_equivalence_check
-    verifies, evaluated exactly at the integrable point (q, Q, aN and a0
-    rounded to rationals) and then converted to floats; the ground-state
-    claim puts it at 0.  positive maps "BI" (M = 1) and "BIII" to whether
-    every closed-form ground-state component of size N is positive at
-    (q, Q).  lowest is nan if H is not exactly symmetric, since eigvalsh
-    reads only one triangle of it; nan fails every bound on |lowest|.
 
-    Unless OPENBLAS_NUM_THREADS is already set, it is set to 1 before the
-    first import of numpy; it has no effect once numpy is loaded.  On a
-    2-core machine, eigvalsh of the 256 x 256 H at N = 8 took about 0.5 s
-    with OpenBLAS's default threads in a `verify --check all` run, and
-    0.005 s with one.
+def numeric_ground_state_check(N: int, q: Fraction, Q: Fraction, aN: Fraction, a0: Fraction):
+    """Exact Perron-Frobenius certificate of the two-boundary chain at a
+    rational point.
+
+    Returns (certified, positive).  certified holds when 0 is the lowest
+    eigenvalue of H = hamiltonian_matrix(N, aN, a0), the H that
+    pauli_equivalence_check verifies, and it is simple, at (q, Q) and the
+    integrable Q0 = q^{1-N}/Q.  It is read off the terms (a_g, e_g) of
+    hamiltonian_terms, evaluated exactly: every -e_g is a direct sum of
+    positive semidefinite blocks (_psd_blocks) and every a_g >= 0, so H is
+    positive semidefinite and its kernel is the common kernel of the e_g
+    with a_g > 0 (H is frustration-free; Bravyi and Terhal, SIAM J. Comput.
+    39, 2009).  That kernel must have dimension 1, by the exact rank of the
+    stacked rows of those e_g.  positive maps "BI" (M = 1) and "BIII" to
+    whether every closed-form ground-state component of size N is positive
+    at (q, Q).
     """
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    import numpy as np
-
-    qf, Qf, aNf, a0f = (Fraction(x).limit_denominator(10**12) for x in (q, Q, aN, a0))
-    Q0f = qf ** (1 - N) / Qf  # the integrable condition
-    exact = eval_op_at(
-        hamiltonian_matrix(N, RatioElem.rational(aNf), RatioElem.rational(a0f)),
-        SpecPoint(qf, Qf, Q0f),
-        enumerate_strings(N),
-    )
-    H = np.zeros((2**N, 2**N))
-    for i, row in exact.items():
-        for j, v in row.items():
-            H[i, j] = float(v)
-
-    lowest = float(np.linalg.eigvalsh(H)[0]) if np.array_equal(H, H.T) else float("nan")
+    p = SpecPoint(q, Q, Fraction(q) ** (1 - N) / Q)  # the integrable condition
+    order = enumerate_strings(N)
+    certified, stacked = True, []
+    for a, E in hamiltonian_terms(N, RatioElem.rational(aN), RatioElem.rational(a0)):
+        coupling = a.evaluate(p)
+        minus_e = {i: {j: -v for j, v in row.items()} for i, row in eval_op_at(E, p, order).items()}
+        certified = certified and coupling >= 0 and _psd_blocks(minus_e)
+        if coupling:
+            stacked.extend(_integer_row(row)[1] for row in minus_e.values())
+    certified = certified and len(order) - _integer_rank(stacked) == 1
 
     pos = {}
     for tag, M in (("BI", 1), ("BIII", None)):
         gs = psi_vector(tag, N, M)
-        vals = gs.evaluate(SpecPoint(qf, Qf, 1))
+        vals = gs.evaluate(SpecPoint(q, Q, 1))
         pos[tag] = all(v > 0 for v in vals.values())
-    return lowest, pos
+    return certified, pos

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 
-from .basis import specialize
 from .ring import (
     RatioElem,
     RingElem,
@@ -393,12 +392,6 @@ def verify_tridiagonal_lemma(N: int) -> bool:
             if v[n] != tridiag_v_closed(N, lam, n):
                 ok = False
     return ok
-
-
-def bi_eigenvalue_consistency(N: int, M: int) -> bool:
-    """x_lambda at Q = q^M equals the one-parameter eigenvalue [M+N-2lam]."""
-    xs = specialize({lam: qQ_bracket(N - 2 * lam) for lam in range(N + 1)}, "BI", M)
-    return all(x == _r(qint(M + N - 2 * lam)) for lam, x in xs.items())
 
 
 # -- harness -------------------------------------------------------------------

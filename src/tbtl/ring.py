@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import inf
+from types import MappingProxyType
 
 # A monomial is an exponent triple (eq, eQ, eQ0).
 Monomial = tuple[int, int, int]
@@ -32,14 +33,15 @@ class RingElem:
     """Laurent polynomial over Z in q, Q, Q0 with canonical term storage.
 
     A value owns its terms: the constructor copies the dict it is given, and
-    ``terms`` is read-only afterwards.  The hash and, for a raw denominator
-    atom, the sorted-term key are computed on first use and kept.
+    ``terms`` is a read-only view of the copy, so a value shared through a
+    cache cannot be changed by one caller.  The hash and, for a raw
+    denominator atom, the sorted-term key are computed on first use and kept.
     """
 
     __slots__ = ("terms", "_hash", "_key")
 
     def __init__(self, terms=None):
-        self.terms: dict[Monomial, int] = dict(terms) if terms else {}
+        self.terms: MappingProxyType[Monomial, int] = MappingProxyType(dict(terms) if terms else {})
 
     # -- constructors -------------------------------------------------
 
@@ -68,7 +70,7 @@ class RingElem:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
+        out = self.terms.copy()
         for m, c in other.terms.items():
             v = out.get(m, 0) + c
             if v:
@@ -83,7 +85,7 @@ class RingElem:
     def __sub__(self, other: "RingElem") -> "RingElem":
         if not other.terms:
             return self
-        out = dict(self.terms)
+        out = self.terms.copy()
         for m, c in other.terms.items():
             v = out.get(m, 0) - c
             if v:

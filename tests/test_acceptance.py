@@ -37,7 +37,6 @@ from tbtl.combinatorics import (
     correlation_check,
     correlation_closed,
     decompose_sum,
-    random_observable,
 )
 from tbtl.ground_state import (
     numeric_ground_state_check,
@@ -50,6 +49,8 @@ from tbtl.ground_state import (
 from tbtl.identities import LEMMA_IDS, sweep, verify_qidentity, random_params
 from tbtl.kl_action import crosscheck_vs_standard
 from tbtl.ring import RatioElem, SpecPoint, R_ONE
+
+from test_combinatorics import random_observable
 
 FAMILIES = [("A", None), ("BI", 1), ("BI", 2), ("BII", None), ("BIII", None)]
 ALL_BASES = FAMILIES + [("standard", None)]
@@ -238,11 +239,14 @@ def test_criterion_10_conjectures():
 
 
 def test_criterion_11_numeric():
-    """Floating-point ground-state check at q=1.1, Q=1.3, a_N=1,
-    a_0 in {0, 0.1}, N <= 8, with entrywise positivity."""
+    """Exact ground-state certificate at q=11/10, Q=13/10, a_N=1,
+    a_0 in {0, 1/10}, 2 <= N <= 8: the lowest eigenvalue of H is 0 and
+    simple, with entrywise positivity of the BI and BIII components."""
     ok = True
     for N in range(2, 9):
-        for a0 in (0.0, 0.1):
-            lowest, pos = numeric_ground_state_check(N, 1.1, 1.3, 1.0, a0)
-            ok = ok and abs(lowest) <= 1e-8 and pos["BI"] and pos["BIII"]
-    report("criterion 11: numeric spectra flat at zero, positive components", ok)
+        for a0 in (Fraction(0), Fraction(1, 10)):
+            certified, pos = numeric_ground_state_check(
+                N, Fraction(11, 10), Fraction(13, 10), Fraction(1), a0
+            )
+            ok = ok and certified and pos["BI"] and pos["BIII"]
+    report("criterion 11: exact spectra flat at a simple zero, positive components", ok)

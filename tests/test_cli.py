@@ -175,6 +175,56 @@ class TestCommands:
         assert captured.out == "FAIL  numeric ground-state check N=3\n"
         assert captured.err == ""
 
+    def test_verify_pf_runs_at_n(self, capsys):
+        code, out = run(capsys, "verify", "--check", "pf", "--n", "9")
+        assert code == 0 and out == "PASS  numeric ground-state check N=9\n"
+
+    def assert_pf_fails(self, capsys):
+        code = main(["verify", "--check", "pf", "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "FAIL  numeric ground-state check N=3\n"
+        assert captured.err == ""
+
+    def test_verify_pf_fails_on_wrong_integrable_q0(self, capsys, monkeypatch):
+        from fractions import Fraction
+
+        from tbtl import ground_state
+        from tbtl.ring import SpecPoint
+
+        # the certificate's point only; the positivity point has Q0 = 1
+        monkeypatch.setattr(
+            ground_state, "SpecPoint",
+            lambda q, Q, Q0=1: SpecPoint(q, Q, Fraction(7, 5) if Q0 != 1 else Q0),
+        )
+        self.assert_pf_fails(capsys)
+
+    def test_verify_pf_fails_on_flipped_block_sign(self, capsys, monkeypatch):
+        from tbtl import algebra
+
+        build = algebra.generator_matrix
+
+        def flipped(N, gen):
+            op = build(N, gen)
+            if gen != "e1":
+                return op
+            op = {col: dict(column) for col, column in op.items()}
+            op["+-+"]["+-+"] = -op["+-+"]["+-+"]  # -1/q -> +1/q in one block
+            return op
+
+        monkeypatch.setattr(algebra, "generator_matrix", flipped)
+        self.assert_pf_fails(capsys)
+
+    def test_verify_pf_fails_on_negative_a0(self, capsys, monkeypatch):
+        from tbtl import ground_state
+
+        check = ground_state.numeric_ground_state_check
+        monkeypatch.setattr(
+            ground_state, "numeric_ground_state_check",
+            lambda N, q, Q, aN, a0: check(N, q, Q, aN, -a0),
+        )
+        self.assert_pf_fails(capsys)
+
     def test_verify_eigen_fails_on_shifted_candidate(self, capsys, monkeypatch):
         # a wrong claimed spectrum prints FAIL; it must not end in a traceback
         from tbtl import coideal
@@ -285,6 +335,29 @@ def test_verify_all_is_every_choice_in_order(capsys):
             joined += out
         assert everything == joined, base
     assert selected == set(choices)
+
+
+def test_verify_leaves_numpy_unloaded():
+    # in a fresh interpreter, since this test process may have numpy loaded
+    import os
+    import subprocess
+    import sys
+
+    import tbtl
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tbtl.__file__)))
+    code = (
+        "import sys\n"
+        "from tbtl.cli import main\n"
+        "main(['verify', '--check', 'all', '--type', 'BI', '--m', '1', '--n', '4'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert "FAIL" not in done.stdout
+    assert done.stdout.endswith("PASS  numeric ground-state check N=4\nFalse\n")
 
 
 class TestUsageErrors:

@@ -17,7 +17,7 @@ from tbtl.coideal import (
     x_matrix_kl,
 )
 from tbtl.kl_action import apply_X_kl, crosscheck_vs_standard
-from tbtl.ring import RatioElem, RingElem, ZeroDenominator, qQ_bracket, qint, R_ONE
+from tbtl.ring import RatioElem, RingElem, ZeroDenominator, qQ_bracket, qfact, qint, R_ONE
 
 mono = RingElem.mono
 
@@ -278,3 +278,24 @@ def test_cached_matrix_is_read_only(cached):
         op["+-+"] = {}
     assert cached() == before
     assert cached()["+-+"] == before["+-+"] != {}
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [
+        lambda: x_matrix_kl("A", 3)["+-+"]["+-+"].num,
+        lambda: generator_matrix(3, "e1")["+-+"]["+-+"].num,
+        lambda: transition_matrix("A", 3)["+-+"]["+-+"],
+        lambda: qint(3),
+        lambda: qfact(3),
+    ],
+    ids=["x_matrix_kl", "generator_matrix", "transition_matrix", "qint", "qfact"],
+)
+def test_cached_value_is_read_only(cached):
+    # the ring values inside a cached result are shared as well
+    before = dict(cached().terms)
+    with pytest.raises(TypeError):
+        cached().terms[(0, 0, 0)] = 99
+    with pytest.raises(AttributeError):
+        cached().terms.clear()
+    assert cached().terms == before != {}

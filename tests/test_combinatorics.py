@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -30,7 +31,6 @@ from tbtl.combinatorics import (
     links_string,
     oeis_sequence,
     pattern_avoiding_bisym_signed,
-    random_observable,
     sum_rule,
     sym_binary_weight_histogram,
     typeA_P_polynomial,
@@ -38,6 +38,55 @@ from tbtl.combinatorics import (
 from tbtl.ring import RingElem, SpecPoint
 
 mono = RingElem.mono
+
+
+def random_observable(N: int, rng: random.Random):
+    """A random observable on N sites: each site, in random order and up to
+    a random count, goes to alphas, plus or minus with equal chance."""
+    sites = list(range(1, N + 1))
+    rng.shuffle(sites)
+    k = rng.randint(0, N)
+    chosen = sites[:k]
+    alphas, plus, minus = [], [], []
+    for s in chosen:
+        r = rng.random()
+        if r < 1 / 3:
+            alphas.append(s)
+        elif r < 2 / 3:
+            plus.append(s)
+        else:
+            minus.append(s)
+    return alphas, plus, minus
+
+
+def biii_wt_histogram(N: int) -> dict[int, int]:
+    """Histogram of the signed weight wt(c) over the C-family."""
+    hist: dict[int, int] = {}
+    for sigma in pattern_avoiding_bisym_signed(N + 1):
+        m = 2 * N
+        npos = nneg = 0
+        for i0 in range(m):
+            j0, sg = sigma[i0]
+            i, j = i0 + 1, j0 + 1
+            if sg != 1 or not (1 <= i <= N):
+                continue
+            if i <= j <= N:
+                npos += 1
+            elif N + 1 <= j <= 2 * N + 1 - i:
+                nneg += 1
+        w = npos - nneg
+        hist[w] = hist.get(w, 0) + 1
+    return hist
+
+
+def biii_Q_coefficients(N: int) -> dict[int, int]:
+    """Coefficients of Q^e in the BIII sum at q = 1, expanded from the
+    (Q + 1/Q)^i coefficients."""
+    out: dict[int, int] = {}
+    for i, c in decompose_sum("BIII", N).items():
+        for k in range(i + 1):
+            out[i - 2 * k] = out.get(i - 2 * k, 0) + c * comb(i, k)
+    return {e: c for e, c in out.items() if c}
 
 
 class TestOEIS:
@@ -226,7 +275,5 @@ class TestComponentConjectures:
             assert all(v[2] for v in res.values()), (N, res)
 
     def test_biii_wt_histogram(self):
-        from tbtl.combinatorics import biii_Q_coefficients, biii_wt_histogram
-
         for N in (1, 2, 3):
             assert biii_wt_histogram(N) == biii_Q_coefficients(N)

@@ -1,13 +1,13 @@
-import math
 from fractions import Fraction
 
 import pytest
 
-from tbtl.basis import build_diagram, enumerate_strings
+from tbtl.basis import build_diagram
 from tbtl.ground_state import (
     E0_GENERIC,
     GroundState,
     NonPolynomialComponent,
+    _psd_blocks,
     numeric_ground_state_check,
     oracle_change_of_basis,
     psi_component,
@@ -16,7 +16,7 @@ from tbtl.ground_state import (
     verify_annihilation,
     verify_x_eigen,
 )
-from tbtl.algebra import pauli_hamiltonian
+from tbtl.algebra import _add_scaled, op_eq, pauli_hamiltonian
 from tbtl.coideal import candidate_eigenvalues
 from tbtl.ring import (
     RatioElem,
@@ -183,10 +183,12 @@ class TestStructure:
 
 
 class TestNumeric:
+    q, Q = Fraction(11, 10), Fraction(13, 10)
+
     def test_pf(self):
-        for a0 in (0.0, 0.1):
-            lowest, pos = numeric_ground_state_check(4, 1.1, 1.3, 1.0, a0)
-            assert abs(lowest) <= 1e-9
+        for a0 in (Fraction(0), Fraction(1, 10)):
+            certified, pos = numeric_ground_state_check(4, self.q, self.Q, Fraction(1), a0)
+            assert certified
             assert pos["BI"] and pos["BIII"]
 
     def test_positivity_at_spectrum_size(self, monkeypatch):
@@ -200,9 +202,9 @@ class TestNumeric:
             return build(tag, N, M)
 
         monkeypatch.setattr(ground_state, "psi_vector", spy)
-        lowest, pos = numeric_ground_state_check(8, 1.1, 1.3, 1.0, 0.1)
+        certified, pos = numeric_ground_state_check(8, self.q, self.Q, Fraction(1), Fraction(1, 10))
         assert sizes == [8, 8]
-        assert abs(lowest) <= 1e-8 and pos == {"BI": True, "BIII": True}
+        assert certified and pos == {"BI": True, "BIII": True}
 
     def test_asymmetric_hamiltonian_refused(self, monkeypatch):
         from tbtl import algebra
@@ -219,63 +221,52 @@ class TestNumeric:
             return op
 
         monkeypatch.setattr(algebra, "generator_matrix", skewed)
-        lowest, pos = numeric_ground_state_check(2, 1.1, 1.3, 1.0, 0.1)
-        # nan fails every |lowest| < bound; the positivity part is unaffected
-        assert math.isnan(lowest) and not abs(lowest) < 1e-8
+        certified, pos = numeric_ground_state_check(2, self.q, self.Q, Fraction(1), Fraction(1, 10))
+        # the positivity part is unaffected
+        assert certified is False
         assert pos == {"BI": True, "BIII": True}
 
+    @pytest.mark.parametrize(
+        "rows, psd",
+        [
+            ({0: {0: 1, 1: -1}, 1: {0: -1, 1: 1}, 2: {2: 3}}, True),
+            ({0: {0: 1, 1: -2}, 1: {0: -2, 1: 1}}, False),  # determinant < 0
+            ({0: {0: -1}}, False),  # negative diagonal
+            ({0: {0: 1, 1: -1}, 1: {0: -2, 1: 1}}, False),  # not symmetric
+            ({0: {1: 1}}, False),  # no partner row
+            ({0: {0: 2, 1: 1}, 1: {0: 1, 1: 2, 2: 1}, 2: {1: 1, 2: 2}}, False),  # 3 x 3 block
+        ],
+    )
+    def test_psd_blocks(self, rows, psd):
+        assert _psd_blocks({i: {j: Fraction(v) for j, v in r.items()} for i, r in rows.items()}) is psd
+
+    def test_degenerate_ground_state_refused(self):
+        # without boundary terms the kernel of H is a whole U_q(sl2)
+        # multiplet, so the lowest eigenvalue is 0 but not simple
+        certified, _ = numeric_ground_state_check(4, self.q, self.Q, Fraction(0), Fraction(0))
+        assert certified is False
+
     @pytest.mark.parametrize("N", [2, 3])
-    @pytest.mark.parametrize("a0, a0_exact", [(0.0, Fraction(0)), (0.1, Fraction(1, 10))])
-    def test_diagonalizes_verified_hamiltonian(self, monkeypatch, N, a0, a0_exact):
-        # the array handed to eigvalsh is the spin-chain H of
-        # pauli_equivalence_check at the same point, entry by entry
-        import numpy as np
+    @pytest.mark.parametrize("a0", [Fraction(0), Fraction(1, 10)])
+    def test_certified_terms_sum_to_verified_hamiltonian(self, monkeypatch, N, a0):
+        # -sum a_g e_g over the terms the certificate reads is the spin-chain
+        # H of pauli_equivalence_check, exactly
+        from tbtl import ground_state
 
         seen = []
-        eigvalsh = np.linalg.eigvalsh
+        terms = ground_state.hamiltonian_terms
 
-        def spy(H):
-            seen.append(H.copy())
-            return eigvalsh(H)
+        def spy(*args):
+            seen.append(terms(*args))
+            return seen[-1]
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        numeric_ground_state_check(N, 1.1, 1.3, 1.0, a0)
-        q, Q = Fraction(11, 10), Fraction(13, 10)
-        p = SpecPoint(q, Q, q ** (1 - N) / Q)
-        index = {s: i for i, s in enumerate(enumerate_strings(N))}
-        want = np.zeros((2**N, 2**N))
-        for col, column in pauli_hamiltonian(N, R_ONE, RatioElem.rational(a0_exact)).items():
-            for row, c in column.items():
-                want[index[row], index[col]] = float(c.evaluate(p))
-        assert len(seen) == 1
-        assert np.abs(seen[0] - want).max() <= 1e-12
-
-    @pytest.mark.parametrize("preset, expected", [(None, "None 1"), ("2", "2 2")])
-    def test_blas_threads(self, preset, expected):
-        # one OpenBLAS thread unless the caller chose a number; in a fresh
-        # interpreter, since the setting only counts before numpy is imported
-        import os
-        import subprocess
-        import sys
-
-        import tbtl
-
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        if preset is not None:
-            env["OPENBLAS_NUM_THREADS"] = preset
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(tbtl.__file__))
-        code = (
-            "import os\n"
-            "from tbtl.ground_state import numeric_ground_state_check\n"
-            "before = os.environ.get('OPENBLAS_NUM_THREADS')\n"
-            "numeric_ground_state_check(3, 1.1, 1.3, 1.0, 0.0)\n"
-            "print(before, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == expected + "\n"
+        monkeypatch.setattr(ground_state, "hamiltonian_terms", spy)
+        certified, _ = numeric_ground_state_check(N, self.q, self.Q, Fraction(1), a0)
+        assert certified and len(seen) == 1
+        H = {}
+        for a, E in seen[0]:
+            _add_scaled(H, E, -a)
+        assert op_eq(H, pauli_hamiltonian(N, R_ONE, RatioElem.rational(a0)))
 
     def test_biii_positive_any_point(self):
         gs = psi_vector("BIII", 6)

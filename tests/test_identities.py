@@ -4,7 +4,6 @@ import pytest
 
 from tbtl.identities import (
     LEMMA_IDS,
-    bi_eigenvalue_consistency,
     lemma_app0,
     lemma_app2,
     lemma_app13,
@@ -14,6 +13,14 @@ from tbtl.identities import (
     verify_qidentity,
     verify_tridiagonal_lemma,
 )
+from tbtl.basis import specialize
+from tbtl.ring import RatioElem, qint, qQ_bracket
+
+
+def bi_eigenvalue_consistency(N: int, M: int) -> bool:
+    """x_lambda at Q = q^M equals the one-parameter eigenvalue [M+N-2lam]."""
+    xs = specialize({lam: qQ_bracket(N - 2 * lam) for lam in range(N + 1)}, "BI", M)
+    return all(x == RatioElem.from_ring(qint(M + N - 2 * lam)) for lam, x in xs.items())
 
 
 class TestSpotInstances:
