@@ -94,7 +94,8 @@ def _run_checks(args, checks, words=("PASS", "FAIL")):
 
     A row is (--check group, applies, label, thunk).  Each row prints one
     line: ``<word>  <label>`` in text, or ``{"check": label, "ok": bool}``
-    under --format json.
+    under --format json.  A thunk that raises has failed: its line also
+    names the exception, and the remaining rows still run.
     """
     selected = [
         (label, fn)
@@ -106,11 +107,14 @@ def _run_checks(args, checks, words=("PASS", "FAIL")):
         raise ValueError(f"check {args.check!r} needs a decorated family (A, BI, BII or BIII)")
     failed = []
     for label, fn in selected:
-        ok = bool(fn())
+        try:
+            ok, error = bool(fn()), None
+        except Exception as exc:
+            ok, error = False, f"{type(exc).__name__}: {exc}"
         if args.format == "json":
-            print(json.dumps({"check": label, "ok": ok}))
+            print(json.dumps({"check": label, "ok": ok, **({"error": error} if error else {})}))
         else:
-            print(f"{words[0] if ok else words[1]}  {label}")
+            print(f"{words[0] if ok else words[1]}  {label}" + (f"  ({error})" if error else ""))
         if not ok:
             failed.append(label)
     return failed
@@ -121,6 +125,8 @@ def verify_checks(args):
     patched module attribute is the one called."""
     tag, M = require_tag(args)
     N, seed = args.n, args.seed
+    if N < 2 and args.check in ("relations", "all"):
+        raise ValueError("need N >= 2")  # the defining relations need two sites
     decorated = tag != "standard"
     # built inside the first check that needs it, once per run
     psi = functools.cache(lambda: ground_state.psi_vector(tag, N, M))

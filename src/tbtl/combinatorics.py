@@ -26,11 +26,11 @@ def correlation_closed(N: int, alphas, plus, minus) -> RatioElem:
     out = R_ONE
     for i in alphas:
         num = _mono(1, 2 * (N - i), 2)
-        den = ("raw", RingElem.const(1) + _mono(1, 2 * (N - i), 2))
+        den = RingElem.const(1) + _mono(1, 2 * (N - i), 2)
         out = out * RatioElem(num, (den,))
     for j in list(plus) + list(minus):
         num = _mono(1, N - j, 1)
-        den = ("raw", RingElem.const(1) + _mono(1, 2 * (N - j), 2))
+        den = RingElem.const(1) + _mono(1, 2 * (N - j), 2)
         out = out * RatioElem(num, (den,))
     return out
 
@@ -183,7 +183,8 @@ def decompose_sum(tag: str, N: int, degrees=None) -> dict[int, int]:
         total = Fraction(0)
         for s in _strings_with_pluses(N, i):
             f = psi_component(tag, build_diagram(tag, s))
-            assert sum(1 for a in f.num if a[0] == "qshift") == shifts and f.Q_exp == Q_exp
+            # one numerator atom in Q, Q q^k + Q^-1 q^-k, per shift
+            assert sum(any(m[1] for m in a.terms) for a in f.num) == shifts and f.Q_exp == Q_exp
             total += f.evaluate(p)
         total /= 2**shifts
         assert total.denominator == 1

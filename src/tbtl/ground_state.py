@@ -18,8 +18,10 @@ from .ring import (
     RatioElem,
     RingElem,
     SpecPoint,
+    angle,
     atom_eval,
-    atom_expand,
+    qint,
+    qshift,
     R_ONE,
     is_positivity_class,
 )
@@ -51,7 +53,7 @@ class FactorizedScalar:
             return
         if n <= 0:
             raise ValueError(f"nonpositive quantum integer [{n}] in a component")
-        self.times_atom(("qint", n), inverse)
+        self.times_atom(qint(n), inverse)
 
     def to_ratio(self) -> RatioElem:
         # Atoms on both sides cancel as a multiset before anything is
@@ -60,9 +62,8 @@ class FactorizedScalar:
         common = num_atoms & den_atoms
         num = _mono(1, self.q_exp, self.Q_exp)
         for atom in (num_atoms - common).elements():
-            num = num * atom_expand(atom)
-        den = tuple(("raw", atom_expand(a)) for a in (den_atoms - common).elements())
-        return RatioElem(num, den).reduced()
+            num = num * atom
+        return RatioElem(num, tuple((den_atoms - common).elements())).reduced()
 
     def as_polynomial(self) -> RingElem:
         return _as_polynomial(self.to_ratio())
@@ -160,7 +161,7 @@ def _psi_BII(D: Diagram) -> FactorizedScalar:
     for n in _places(kinds, ("e", "arc"), ("e",), from_right=True):
         f.times_qint(n, inverse=True)
     for n in _places(kinds, ("up", "o", "arc"), ("up", "arc"), from_right=True):
-        f.times_atom(("qshift", n - 1))
+        f.times_atom(qshift(n - 1))
     return f
 
 
@@ -175,7 +176,7 @@ def _psi_BIII(D: Diagram) -> FactorizedScalar:
         f.times_qint(n, inverse=True)
     d = len(D.ups) + len(D.arcs)
     for i in range(1, d + 1):
-        f.times_atom(("qshift", i - 1))
+        f.times_atom(qshift(i - 1))
     return f
 
 
@@ -307,10 +308,10 @@ def _psi_BI(D: Diagram) -> FactorizedScalar:
     # N12: right enumeration of arcs, dashed arcs, labelled downs and the
     # star, nested arcs counted inside first
     for i in range(1, n2 + 1):
-        f.times_atom(("angle", i + M - 1))
+        f.times_atom(angle(i + M - 1))
     for n in _places(kinds, ("arc", "dash", "label", "star"), ("dash", "star"),
                      from_right=True):
-        f.times_atom(("angle", n), inverse=True)
+        f.times_atom(angle(n), inverse=True)
     return f
 
 

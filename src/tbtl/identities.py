@@ -28,7 +28,7 @@ def _r(a: RingElem) -> RatioElem:
 
 
 def _frac(num: RingElem, *dens: RingElem) -> RatioElem:
-    return RatioElem(num, tuple(("raw", d) for d in dens))
+    return RatioElem(num, dens)
 
 
 # -- the summation lemmas ----------------------------------------------------
@@ -44,9 +44,7 @@ def lemma_app0(ms, ns):
         for j in range(i + 1, I + 1):
             term = term.mul_ring(qint(1 + sum(ns[:j]) + sum(ms[:j])))
         for j in range(i, I + 1):
-            term = term.div_atom(
-                ("raw", qint(1 + ns[j - 1] + sum(ns[: j - 1]) + sum(ms[: j - 1])))
-            )
+            term = term.div_atom(qint(1 + ns[j - 1] + sum(ns[: j - 1]) + sum(ms[: j - 1])))
         lhs = lhs + term
     rhs = _r(qint(sum(ms)))
     return lhs, rhs
@@ -64,9 +62,7 @@ def lemma_app1(ms, ns):
                 qint(1 + sum(ns[: j - 1]) + sum(ms[: j - 1]))
             )
         for j in range(i, I + 2):
-            term = term.div_atom(
-                ("raw", qint(1 + ns[j - 1] + sum(ns[: j - 1]) + sum(ms[: j - 1])))
-            )
+            term = term.div_atom(qint(1 + ns[j - 1] + sum(ns[: j - 1]) + sum(ms[: j - 1])))
         lhs = lhs + term
     rhs = _frac(qint(M), qint(M + Nn + 1))
     return lhs, rhs
@@ -91,23 +87,23 @@ def lemma_app8(ms, ns):
         return sum(ns[: i - 1]) + sum(ms[: i - 1])
 
     first = _r(_mono(1, sum(ms)))
-    first = first.div_atom(("raw", qint(v(I + 1))))
+    first = first.div_atom(qint(v(I + 1)))
     for j in range(1, I + 1):
         first = first.mul_ring(qint(ns[j - 1] + v(j)))
         if j >= 2:
-            first = first.div_atom(("raw", qint(v(j))))
+            first = first.div_atom(qint(v(j)))
     # j = 1 has v(1) = 0 and [0] = 0; the lemma's products implicitly start
     # the telescoping at v(1) = n_1 ... guard against that by requiring the
     # caller to pass parameters with v(j) > 0 for j >= 2.
     lhs = first
     for i in range(1, I + 1):
         term = _r(_mono(1, -sum(ns[:i])) * qint(ms[i - 1]))
-        term = term.div_atom(("raw", qint(v(i)))) if v(i) else term
-        term = term.div_atom(("raw", qint(v(i + 1))))
+        term = term.div_atom(qint(v(i))) if v(i) else term
+        term = term.div_atom(qint(v(i + 1)))
         for j in range(1, i):
             term = term.mul_ring(qint(ns[j - 1] + v(j)))
             if v(j):
-                term = term.div_atom(("raw", qint(v(j))))
+                term = term.div_atom(qint(v(j)))
         lhs = lhs + term
     return lhs, R_ONE
 
@@ -122,16 +118,16 @@ def lemma_app9(ms, ns):
     lhs = R_ZERO
     for i in range(1, I + 1):
         term = _r(_mono(1, -sum(ns[: i - 1]) - 1) * qint(ms[i - 1]))
-        term = term.div_atom(("raw", qint(1 + v(i))))
-        term = term.div_atom(("raw", qint(1 + v(i + 1))))
+        term = term.div_atom(qint(1 + v(i)))
+        term = term.div_atom(qint(1 + v(i + 1)))
         for j in range(i + 1, I + 1):
             term = term.mul_ring(qint(1 + ms[j - 1] + v(j)))
-            term = term.div_atom(("raw", qint(1 + v(j + 1))))
+            term = term.div_atom(qint(1 + v(j + 1)))
         lhs = lhs + term
     rhs = R_ONE
     for j in range(1, I + 1):
         rhs = rhs.mul_ring(qint(1 + ms[j - 1] + v(j)))
-        rhs = rhs.div_atom(("raw", qint(1 + v(j + 1))))
+        rhs = rhs.div_atom(qint(1 + v(j + 1)))
     rhs = rhs - _frac(_mono(1, sum(ms)), qint(1 + v(I + 1)))
     return lhs, rhs
 
@@ -151,14 +147,14 @@ def lemma_app10(ms, ns):
     lhs = R_ZERO
     for i in range(1, I + 1):
         term = _r(_mono(1, -sum(ns[:i])) * qint(ms[i - 1]))
-        term = term.div_atom(("raw", qint(w(i))))
-        term = term.div_atom(("raw", qint(w(i + 1))))
+        term = term.div_atom(qint(w(i)))
+        term = term.div_atom(qint(w(i + 1)))
         for k in range(i + 2, I + 2):
             term = term.mul_ring(qint(1 + v(k)))
-            term = term.div_atom(("raw", qint(w(k))))
+            term = term.div_atom(qint(w(k)))
         for k in range(1, i):
             term = term.mul_ring(qint(ns[k - 1] + v(k)))
-            term = term.div_atom(("raw", qint(v(k + 1))))
+            term = term.div_atom(qint(v(k + 1)))
         brace = _r(_mono(1, sum(ms[: i - 1])) * (RingElem.const(1) + _mono(1, -2)))
         brace = brace - _frac(
             _mono(1, -sum(ns[:i]) - 1) * qint(ms[i - 1] - 1), qint(v(i + 1))
@@ -168,11 +164,11 @@ def lemma_app10(ms, ns):
     rhs = _r(_mono(1, -sum(ms)))
     for j in range(1, I + 2):
         rhs = rhs.mul_ring(qint(1 + v(j)))
-        rhs = rhs.div_atom(("raw", qint(w(j))))
+        rhs = rhs.div_atom(qint(w(j)))
     second = _frac(_mono(1, sum(ms)), qint(w(I + 1)))
     for j in range(1, I + 1):
         second = second.mul_ring(qint(ns[j - 1] + v(j)))
-        second = second.div_atom(("raw", qint(v(j + 1))))
+        second = second.div_atom(qint(v(j + 1)))
     rhs = rhs - second
     return lhs, rhs
 
@@ -194,16 +190,16 @@ def lemma_app11(ms, ns):
     lhs = R_ZERO
     for i in range(1, I + 1):
         term = _r(_mono(1, -1 - sum(ns[:i])) * qint(ms[i - 1]))
-        term = term.div_atom(("raw", qint(w2(i))))
-        term = term.div_atom(("raw", qint(w2(i + 1))))
+        term = term.div_atom(qint(w2(i)))
+        term = term.div_atom(qint(w2(i + 1)))
         for j in range(i + 2, I + 2):
             term = term.mul_ring(qint(1 + v(j)))
-            term = term.div_atom(("raw", qint(w2(j))))
+            term = term.div_atom(qint(w2(j)))
         lhs = lhs + term
     rhs = R_ONE
     for i in range(1, I + 2):
         rhs = rhs.mul_ring(qint(1 + v(i)))
-        rhs = rhs.div_atom(("raw", qint(w2(i))))
+        rhs = rhs.div_atom(qint(w2(i)))
     rhs = rhs - _frac(_mono(1, sum(ms)), qint(w2(I + 1)))
     return lhs, rhs
 
@@ -215,9 +211,7 @@ def lemma_app13(ms, x, z):
         out = R_ONE
         for j in range(1, i + 1):
             out = out.mul_ring(qint(2 + 2 * z + 2 * sum(ms[j - 1 :])))
-            out = out.div_atom(
-                ("raw", qint(2 + 2 * z + ms[j - 1] + 2 * sum(ms[j:])))
-            )
+            out = out.div_atom(qint(2 + 2 * z + ms[j - 1] + 2 * sum(ms[j:])))
         return out
 
     def Jfac(i):
@@ -229,9 +223,7 @@ def lemma_app13(ms, x, z):
     lhs = R_ZERO
     for i in range(1, K + 1):
         lhs = lhs + Ifac(i) * Jfac(i)
-    lhs = lhs + Ifac(K).mul_ring(qint(2 * z + 2)).div_atom(
-        ("raw", qint(1 + x + sum(ms)))
-    )
+    lhs = lhs + Ifac(K).mul_ring(qint(2 * z + 2)).div_atom(qint(1 + x + sum(ms)))
     rhs = _frac(qint(2 + 2 * z + 2 * sum(ms)), qint(1 + x))
     return lhs, rhs
 
@@ -246,16 +238,16 @@ def lemma_app15(ms, ns):
     lhs = R_ZERO
     for i in range(1, I + 1):
         term = _r(_mono(1, -sum(ns[:i])) * qint(ms[i - 1]))
-        term = term.div_atom(("raw", qint(v(i))))
+        term = term.div_atom(qint(v(i)))
         for l in range(1, i):
             term = term.mul_ring(qint(ns[l - 1] + v(l - 1)))
-            term = term.div_atom(("raw", qint(v(l))))
+            term = term.div_atom(qint(v(l)))
         lhs = lhs + term
     rhs = R_ONE
     prod = _r(_mono(1, sum(ms)))
     for l in range(1, I + 1):
         prod = prod.mul_ring(qint(ns[l - 1] + v(l - 1)))
-        prod = prod.div_atom(("raw", qint(v(l))))
+        prod = prod.div_atom(qint(v(l)))
     rhs = rhs - prod
     return lhs, rhs
 
@@ -270,15 +262,15 @@ def lemma_app16(ms, ns):
     lhs = R_ZERO
     for i in range(1, I + 1):
         term = _r(_mono(1, -sum(ns[:i])) * qint(ms[i - 1]))
-        term = term.div_atom(("raw", qint(1 + ns[i - 1] + v(i - 1))))
+        term = term.div_atom(qint(1 + ns[i - 1] + v(i - 1)))
         for j in range(i + 1, I + 1):
             term = term.mul_ring(qint(1 + v(j)))
-            term = term.div_atom(("raw", qint(1 + ns[j - 1] + v(j - 1))))
+            term = term.div_atom(qint(1 + ns[j - 1] + v(j - 1)))
         lhs = lhs + term
     rhs = _r(_mono(1, 1))
     for j in range(1, I + 1):
         rhs = rhs.mul_ring(qint(1 + v(j)))
-        rhs = rhs.div_atom(("raw", qint(1 + ns[j - 1] + v(j - 1))))
+        rhs = rhs.div_atom(qint(1 + ns[j - 1] + v(j - 1)))
     rhs = rhs - _r(_mono(1, 1 + sum(ms)))
     return lhs, rhs
 
@@ -293,13 +285,13 @@ def lemma_app17(ms, ns):
     lhs = R_ZERO
     for i in range(1, I + 1):
         term = _r(_mono(1, -sum(ns[:i])) * qint(ms[i - 1]))
-        term = term.div_atom(("raw", qint(1 + ns[i - 1] + v(i - 1))))
+        term = term.div_atom(qint(1 + ns[i - 1] + v(i - 1)))
         for j in range(1, i):
             term = term.mul_ring(qint(ns[j - 1] + v(j - 1)))
-            term = term.div_atom(("raw", qint(v(j))))
+            term = term.div_atom(qint(v(j)))
         for j in range(i + 1, I + 1):
             term = term.mul_ring(qint(1 + v(j)))
-            term = term.div_atom(("raw", qint(1 + ns[j - 1] + v(j - 1))))
+            term = term.div_atom(qint(1 + ns[j - 1] + v(j - 1)))
         brace = _r(
             _mono(1, sum(ms[: i - 1])) * (RingElem.const(1) + _mono(1, -2))
         )
@@ -310,11 +302,11 @@ def lemma_app17(ms, ns):
     rhs = _r(_mono(1, -1))
     for j in range(1, I + 1):
         rhs = rhs.mul_ring(qint(1 + v(j)))
-        rhs = rhs.div_atom(("raw", qint(1 + ns[j - 1] + v(j - 1))))
+        rhs = rhs.div_atom(qint(1 + ns[j - 1] + v(j - 1)))
     second = _r(_mono(1, 2 * sum(ms) - 1))
     for j in range(1, I + 1):
         second = second.mul_ring(qint(ns[j - 1] + v(j - 1)))
-        second = second.div_atom(("raw", qint(v(j))))
+        second = second.div_atom(qint(v(j)))
     rhs = rhs - second
     return lhs, rhs
 

@@ -2,9 +2,9 @@
 
 Elements of Z[q^{+-1}, Q^{+-1}, Q0^{+-1}] are dicts mapping exponent
 triples to integer coefficients.  Fractions keep their denominators as
-multisets of structured atoms (quantum integers, angle brackets, Qq^i
-shifts) and cancel them by exact division only; there is no general
-multivariate gcd.
+multisets of nonzero RingElem atoms (quantum integers, angle brackets, Qq^i
+shifts, or any other factor) and cancel them by exact division only; there
+is no general multivariate gcd.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ class RingElem:
 
     A value owns its terms: the constructor copies the dict it is given, and
     ``terms`` is a read-only view of the copy, so a value shared through a
-    cache cannot be changed by one caller.  The hash and, for a raw
-    denominator atom, the sorted-term key are computed on first use and kept.
+    cache cannot be changed by one caller.  The hash and, for a denominator
+    atom, the sorted-term key are computed on first use and kept.
     """
 
     __slots__ = ("terms", "_hash", "_key")
@@ -336,6 +336,7 @@ def qbinom(n: int, m: int) -> RingElem:
     return exact_div(num, den)
 
 
+@lru_cache(maxsize=None)
 def angle(k: int) -> RingElem:
     """<k> = q^k + q^{-k}; <0> = 2."""
     if k == 0:
@@ -343,6 +344,7 @@ def angle(k: int) -> RingElem:
     return RingElem({(k, 0, 0): 1, (-k, 0, 0): 1})
 
 
+@lru_cache(maxsize=None)
 def qshift(i: int) -> RingElem:
     """Q q^i + Q^{-1} q^{-i}."""
     return RingElem({(i, 1, 0): 1, (-i, -1, 0): 1})
@@ -353,6 +355,7 @@ def dangle(k: int) -> RingElem:
     return qshift(-k)
 
 
+@lru_cache(maxsize=None)
 def qdiff() -> RingElem:
     """q - q^{-1}."""
     return RingElem({(1, 0, 0): 1, (-1, 0, 0): -1})
@@ -429,60 +432,29 @@ class SpecPoint:
 
 
 # -- denominator atoms -------------------------------------------------------
-# An atom is a hashable tag: ("qint", n), ("angle", k), ("qshift", i),
-# ("qdiff",) or ("raw", RingElem).  Each expands to a nonzero RingElem.  A
-# raw atom's sort key, its sorted terms, is computed once per RingElem.
+# An atom is a nonzero RingElem.  Equal atoms are one atom, however they were
+# built; the cached constructors (qint, angle, qshift, qdiff) share one object
+# per factor, so a point's atom table and the multiset counts mostly match by
+# identity.  An atom's sort key, its sorted terms, is computed once.
 
 
-def atom_expand(atom) -> RingElem:
-    kind = atom[0]
-    if kind == "qint":
-        return qint(atom[1])
-    if kind == "angle":
-        return angle(atom[1])
-    if kind == "qshift":
-        return qshift(atom[1])
-    if kind == "qdiff":
-        return qdiff()
-    if kind == "raw":
-        return atom[1]
-    raise ValueError(atom)
-
-
-def atom_eval(atom, p: SpecPoint) -> Fraction:
+def atom_eval(atom: RingElem, p: SpecPoint) -> Fraction:
     """Value of an atom at p, from p's atom table; raises ZeroDenominator on
     every lookup of an atom that vanishes there."""
-    key = _atom_key(atom)
-    v = p._atoms.get(key)
+    v = p._atoms.get(atom)
     if v is None:
-        v = p._atoms[key] = atom_expand(atom).evaluate(p)
+        v = p._atoms[atom] = atom.evaluate(p)
     if not v:
-        raise ZeroDenominator(f"atom {atom} vanishes at {p}")
+        raise ZeroDenominator(f"atom {atom.to_text()} vanishes at {p}")
     return v
 
 
-def _atom_key(atom):
-    if atom[0] != "raw":
-        return atom
-    r = atom[1]
+def _atom_key(atom: RingElem):
     try:
-        return r._key
+        return atom._key
     except AttributeError:
-        r._key = key = ("raw", tuple(sorted(r.terms.items())))
+        atom._key = key = tuple(sorted(atom.terms.items()))
         return key
-
-
-def _atom_text(atom) -> str:
-    kind = atom[0]
-    if kind == "qint":
-        return f"[{atom[1]}]"
-    if kind == "angle":
-        return f"<{atom[1]}>"
-    if kind == "qshift":
-        return f"(Q*q^{atom[1]}+Q^-1*q^-{atom[1]})"
-    if kind == "qdiff":
-        return "(q-q^-1)"
-    return atom[1].to_text()
 
 
 def _merge_dens(a: tuple, b: tuple):
@@ -505,9 +477,9 @@ def _merge_dens(a: tuple, b: tuple):
 
 
 def _lift(num: RingElem, atoms) -> RingElem:
-    """num times the expansion of each atom, multiplied in one at a time."""
+    """num times each atom, multiplied in one at a time."""
     for atom in atoms:
-        num = num * atom_expand(atom)
+        num = num * atom
     return num
 
 
@@ -526,7 +498,7 @@ class RatioElem:
         num, keep = self.num, []
         for atom in self.den:
             try:
-                num = exact_div(num, atom_expand(atom))
+                num = exact_div(num, atom)
             except NotDivisible:
                 keep.append(atom)
         return RatioElem(num, keep)
@@ -544,9 +516,9 @@ class RatioElem:
     @staticmethod
     def rational(c) -> "RatioElem":
         """The rational constant c (an int or a Fraction), its denominator
-        kept as one raw atom."""
+        kept as one atom."""
         c = Fraction(c)
-        den = (("raw", RingElem.const(c.denominator)),) if c.denominator != 1 else ()
+        den = (RingElem.const(c.denominator),) if c.denominator != 1 else ()
         return RatioElem(RingElem.const(c.numerator), den)
 
     def is_zero(self) -> bool:
@@ -597,8 +569,8 @@ class RatioElem:
             return NotImplemented
         if self.den == other.den:
             return self.num == other.num
-        # a / (C Da) == b / (C Db) iff a Db == b Da: every atom expands to a
-        # nonzero polynomial, so the shared atoms C cancel exactly and only
+        # a / (C Da) == b / (C Db) iff a Db == b Da: every atom is a nonzero
+        # polynomial, so the shared atoms C cancel exactly and only
         # the atoms missing on each side are multiplied in.
         _, a_missing, b_missing = _merge_dens(self.den, other.den)
         return _lift(self.num, a_missing) == _lift(other.num, b_missing)
@@ -610,14 +582,14 @@ class RatioElem:
     # -- maps -----------------------------------------------------------
 
     def remap(self, fn) -> "RatioElem":
-        """RingElem.remap on the numerator and on every atom, each image kept
-        as a raw atom; raises ZeroDenominator if an atom maps to 0."""
+        """RingElem.remap on the numerator and on every atom; raises
+        ZeroDenominator if an atom maps to 0."""
         den = []
         for atom in self.den:
-            image = atom_expand(atom).remap(fn)
+            image = atom.remap(fn)
             if not image.terms:
-                raise ZeroDenominator(f"atom {atom} maps to 0")
-            den.append(("raw", image))
+                raise ZeroDenominator(f"atom {atom.to_text()} maps to 0")
+            den.append(image)
         return RatioElem(self.num.remap(fn), den)
 
     def subst_Q(self, M: int) -> "RatioElem":
@@ -637,7 +609,7 @@ class RatioElem:
     def to_text(self) -> str:
         if not self.den:
             return self.num.to_text()
-        dens = ", ".join(_atom_text(a) for a in self.den)
+        dens = ", ".join(a.to_text() for a in self.den)
         return f"({self.num.to_text()}) / ({dens})"
 
     def __repr__(self):
@@ -651,4 +623,4 @@ R_ONE = RatioElem.from_int(1)
 def qQ_bracket(n: int) -> RatioElem:
     """[Q; n] = (Q q^n - Q^{-1} q^{-n}) / (q - q^{-1})."""
     num = RingElem({(n, 1, 0): 1, (-n, -1, 0): -1})
-    return RatioElem(num, (("qdiff",),))
+    return RatioElem(num, (qdiff(),))

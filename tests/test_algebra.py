@@ -22,7 +22,7 @@ from tbtl.algebra import (
 )
 from tbtl import algebra
 from tbtl.basis import enumerate_strings, flip
-from tbtl.ring import RatioElem, RingElem, R_ONE, qQ_bracket, qint
+from tbtl.ring import RatioElem, RingElem, R_ONE, angle, qdiff, qQ_bracket, qint
 
 mono = RingElem.mono
 
@@ -202,8 +202,9 @@ def reference_apply(A, v):
 
 
 _STRINGS = ("++", "+-", "-+", "--")
-# A few atoms, so that entries share atoms, differ in them or have none.
-_ATOMS = (("qint", 2), ("qint", 3), ("angle", 1), ("qdiff",), ("raw", qint(3)))
+# A few atoms, so that entries share atoms, differ in them or have none;
+# [2] = <1> and the two objects for [3] are equal atoms built apart.
+_ATOMS = (qint(2), qint(3), angle(1), qdiff(), RingElem(qint(3).terms))
 _terms = st.dictionaries(
     st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(0, 1)),
     st.integers(-2, 2).filter(bool),

@@ -281,6 +281,85 @@ class TestCommands:
             "FAIL  closed form == change of basis BI N=4\n"
         )
 
+    def test_verify_fails_on_disagreeing_x_constructions(self, capsys, monkeypatch):
+        # a check that raises prints FAIL with the exception, exits 1 and
+        # leaves the later rows to run
+        from tbtl import algebra
+
+        build = algebra.x_matrix_coproduct
+
+        def doubled(N):
+            X = {col: dict(column) for col, column in build(N).items()}
+            col = next(iter(X))
+            row = next(iter(X[col]))
+            X[col][row] = X[col][row] + X[col][row]
+            return X
+
+        monkeypatch.setattr(algebra, "x_matrix_coproduct", doubled)
+        algebra.generator_matrix.cache_clear()  # X is built afresh, with the mutant
+        error = "AssertionError: the two constructions of X disagree"
+        for fmt in ("text", "json"):
+            code = main(["verify", "--check", "all", "--type", "A", "--n", "3", "--format", fmt])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.err == ""
+            lines = captured.out.splitlines()
+            assert len(lines) == 16
+            if fmt == "text":
+                assert lines[3] == f"FAIL  [e_g, X] = 0 N=3  ({error})"
+                assert lines[9] == f"FAIL  X action == conjugated matrix: A N=3  ({error})"
+                assert lines[-1] == "PASS  numeric ground-state check N=3"
+            else:
+                records = [json.loads(line) for line in lines]
+                assert records[3] == {"check": "[e_g, X] = 0 N=3", "ok": False, "error": error}
+                assert records[-1] == {"check": "numeric ground-state check N=3", "ok": True}
+                assert [r["ok"] for r in records].count(False) == 2
+
+    def test_verify_value_error_in_a_check_is_a_fail(self, capsys, monkeypatch):
+        # not a usage error: the arguments were fine and the check ran
+        from tbtl import ground_state
+
+        def broken(gs):
+            raise ValueError("parity failure: 3 is odd")
+
+        monkeypatch.setattr(ground_state, "verify_x_eigen", broken)
+        code = main(["verify", "--check", "groundstate", "--type", "A", "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert captured.out == (
+            "FAIL  X Psi = lambda Psi A N=3  (ValueError: parity failure: 3 is odd)\n"
+            "PASS  structural component claims A N=3\n"
+            "PASS  closed form == change of basis A N=3\n"
+        )
+
+    def test_verify_non_polynomial_component_is_a_fail(self, capsys, monkeypatch):
+        from tbtl import ground_state
+
+        closed_form = ground_state.psi_component
+
+        def over_five(tag, D):
+            f = closed_form(tag, D)
+            if D.string == "++--":
+                f.times_qint(5, inverse=True)
+            return f
+
+        monkeypatch.setattr(ground_state, "psi_component", over_five)
+        code = main(["verify", "--check", "groundstate", "--type", "A", "--n", "4"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        first, structural, oracle = captured.out.splitlines()
+        assert first == "FAIL  X Psi = lambda Psi A N=4"
+        assert structural.startswith(
+            "FAIL  structural component claims A N=4  (NonPolynomialComponent: "
+        ) and structural.endswith(" is not a Laurent polynomial)")
+        assert oracle == "FAIL  closed form == change of basis A N=4"
+
+    @pytest.mark.parametrize("check", ["relations", "all"])
+    def test_verify_relations_need_two_sites(self, capsys, check):
+        code = main(["verify", "--check", check, "--n", "1"])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert captured.err == "error: need N >= 2\n"
+
     def test_identities_appA_checks_the_given_n(self, capsys, monkeypatch):
         from tbtl import identities
 

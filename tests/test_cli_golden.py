@@ -33,6 +33,7 @@ COMMANDS = [
     "identities --draws 20",
     "spectrum --type A --n 5",
     "correlate --n 5 --alpha 2 --plus 4 --at q=2,Q=3",
+    "correlate --n 5 --alpha 2 --plus 4",
 ]
 
 GOLDEN = {
@@ -65,6 +66,7 @@ GOLDEN = {
     "identities --draws 20": (0, "3b66067d8dfd0c7027961d6d7999dc773bd2c91525d3a73d7767661ea5b6886c"),
     "spectrum --type A --n 5": (0, "6f92eeab5d62a1f5f0ae56c511b94a73f45adf2aa7c6530c22e77a4d2b4bb2c9"),
     "correlate --n 5 --alpha 2 --plus 4 --at q=2,Q=3": (0, "6b38a3363d2c04f11e1dd1f8be9b2c2bf102c565281c7061c2e15c4993975a12"),
+    "correlate --n 5 --alpha 2 --plus 4": (0, "0ae138691615f10e4fd3f276e5f3397ab5912273b0631a6774f27c9573b63c40"),
 }
 
 

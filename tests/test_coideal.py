@@ -17,7 +17,9 @@ from tbtl.coideal import (
     x_matrix_kl,
 )
 from tbtl.kl_action import apply_X_kl, crosscheck_vs_standard
-from tbtl.ring import RatioElem, RingElem, ZeroDenominator, qQ_bracket, qfact, qint, R_ONE
+from tbtl.ring import (
+    RatioElem, RingElem, ZeroDenominator, angle, qdiff, qQ_bracket, qfact, qint, qshift, R_ONE,
+)
 
 mono = RingElem.mono
 
@@ -288,8 +290,14 @@ def test_cached_matrix_is_read_only(cached):
         lambda: transition_matrix("A", 3)["+-+"]["+-+"],
         lambda: qint(3),
         lambda: qfact(3),
+        lambda: angle(2),
+        lambda: qshift(1),
+        lambda: qdiff(),
     ],
-    ids=["x_matrix_kl", "generator_matrix", "transition_matrix", "qint", "qfact"],
+    ids=[
+        "x_matrix_kl", "generator_matrix", "transition_matrix",
+        "qint", "qfact", "angle", "qshift", "qdiff",
+    ],
 )
 def test_cached_value_is_read_only(cached):
     # the ring values inside a cached result are shared as well

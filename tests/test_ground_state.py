@@ -23,7 +23,6 @@ from tbtl.ring import (
     RingElem,
     SpecPoint,
     angle,
-    atom_expand,
     qint,
     qshift,
     R_ONE,
@@ -42,7 +41,7 @@ class TestWorkedExamples:
         num = mono(1, 15, 6)
         for n in (3, 4, 6, 7, 8):
             num = num * qint(n)
-        assert f.to_ratio() == RatioElem(num, (("raw", qint(2)), ("raw", qint(3))))
+        assert f.to_ratio() == RatioElem(num, (qint(2), qint(3)))
 
     def test_standard(self):
         assert psi_component("standard", build_diagram("A", "++-+")).to_ratio() == \
@@ -59,7 +58,7 @@ class TestWorkedExamples:
             num = num * qint(n)
         for i in range(2, 7):
             num = num * qshift(i - 1)
-        assert f.to_ratio() == RatioElem(num, (("raw", qint(2)), ("raw", qint(3))))
+        assert f.to_ratio() == RatioElem(num, (qint(2), qint(3)))
 
     def test_BIII(self):
         f = psi_component("BIII", build_diagram("BIII", "++---++--+-"))
@@ -68,9 +67,7 @@ class TestWorkedExamples:
             num = num * qint(n)
         for i in range(1, 6):
             num = num * qshift(i - 1)
-        assert f.to_ratio() == RatioElem(
-            num, (("raw", qint(2)), ("raw", qint(3)), ("raw", qint(6)))
-        )
+        assert f.to_ratio() == RatioElem(num, (qint(2), qint(3), qint(6)))
 
     def test_BI_twelve_factors(self):
         f = psi_component("BI", build_diagram("BI", "++--+--+--+---++-+", 2))
@@ -79,7 +76,7 @@ class TestWorkedExamples:
             num = num * qint(n)
         for i in (1, 2, 3, 4, 6, 7, 9):
             num = num * angle(i + 1)
-        dens = tuple(("raw", qint(n)) for n in (2, 3, 4, 6, 9, 14))
+        dens = tuple(qint(n) for n in (2, 3, 4, 6, 9, 14))
         assert f.to_ratio() == RatioElem(num, dens)
 
 
@@ -145,11 +142,12 @@ class TestChangeOfBasis:
 class TestToRatio:
     @staticmethod
     def expand_then_reduce(f):
-        """Every atom expanded first, then reduced by exact division."""
+        """Every numerator atom multiplied in first, then reduced by exact
+        division."""
         num = mono(1, f.q_exp, f.Q_exp)
         for atom in f.num:
-            num = num * atom_expand(atom)
-        return RatioElem(num, tuple(("raw", atom_expand(a)) for a in f.den)).reduced()
+            num = num * atom
+        return RatioElem(num, f.den).reduced()
 
     @pytest.mark.parametrize("tag,M", ALL)
     def test_matches_expand_then_reduce(self, tag, M):

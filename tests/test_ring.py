@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -16,13 +17,13 @@ from tbtl.ring import (
     ZeroDenominator,
     angle,
     atom_eval,
-    atom_expand,
     dangle,
     exact_div,
     is_positivity_class,
     qQ_bracket,
     qbinom,
     qfact,
+    qdiff,
     qint,
     qshift,
     ONE,
@@ -89,17 +90,17 @@ class TestBrackets:
                 assert qQ_bracket(n).subst_Q(M).as_ring() == qint(M + n)
 
     def test_vanishing_atom_under_substitution(self):
-        Q_minus_q2 = ("raw", mono(1, 0, 1) - mono(1, 2))
+        Q_minus_q2 = mono(1, 0, 1) - mono(1, 2)
         with pytest.raises(ZeroDenominator):
             RatioElem(ONE, (Q_minus_q2,)).subst_Q(2)
-        assert RatioElem(ONE, (Q_minus_q2,)).subst_Q(3).den == (("raw", mono(1, 3) - mono(1, 2)),)
-        integrable = ("raw", mono(1, 3, 1, 1) - ONE)
+        assert RatioElem(ONE, (Q_minus_q2,)).subst_Q(3).den == (mono(1, 3) - mono(1, 2),)
+        integrable = mono(1, 3, 1, 1) - ONE
         with pytest.raises(ZeroDenominator):
             RatioElem(ONE, (integrable,)).subst_Q0(4)
 
     def test_as_ring_needs_every_atom_to_divide(self):
-        two_three = (("qint", 2), ("qint", 3))
-        for r in (RatioElem(ONE, (("qint", 2),)), qQ_bracket(1), RatioElem(qint(4), two_three)):
+        two_three = (qint(2), qint(3))
+        for r in (RatioElem(ONE, (qint(2),)), qQ_bracket(1), RatioElem(qint(4), two_three)):
             with pytest.raises(NotDivisible):
                 r.as_ring()
         assert RatioElem(qint(4) * qint(3), two_three).as_ring() == exact_div(qint(4), qint(2))
@@ -184,7 +185,7 @@ class TestBarAndEval:
         p = SpecPoint(1, 2, 1)
         for _ in range(2):  # the second lookup reads the point's atom table
             with pytest.raises(ZeroDenominator):
-                atom_eval(("qdiff",), p)
+                atom_eval(qdiff(), p)
             with pytest.raises(ZeroDenominator):
                 qQ_bracket(3).evaluate(p)
 
@@ -200,8 +201,8 @@ class TestBarAndEval:
 class TestRatioHash:
     def test_equal_values_unhashable(self):
         # [2][3]/[2] and [3][4]/[4] are both [3], over different denominators
-        a = RatioElem(qint(2) * qint(3), (("qint", 2),))
-        b = RatioElem(qint(3) * qint(4), (("qint", 4),))
+        a = RatioElem(qint(2) * qint(3), (qint(2),))
+        b = RatioElem(qint(3) * qint(4), (qint(4),))
         assert a.den != b.den and a == b
         for r in (a, b):
             with pytest.raises(TypeError):
@@ -264,11 +265,11 @@ _polys = st.dictionaries(_exponents, st.integers(-4, 4).filter(bool), max_size=5
     RingElem
 )
 _atoms = st.one_of(
-    st.tuples(st.just("qint"), st.integers(-4, 6).filter(bool)),
-    st.tuples(st.just("angle"), st.integers(0, 4)),
-    st.tuples(st.just("qshift"), st.integers(-3, 3)),
-    st.just(("qdiff",)),
-    st.tuples(st.just("raw"), _polys.filter(bool)),
+    st.integers(-4, 6).filter(bool).map(qint),
+    st.integers(0, 4).map(angle),
+    st.integers(-3, 3).map(qshift),
+    st.just(qdiff()),
+    _polys.filter(bool),
 )
 _coords = st.sampled_from(
     [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-3, 2)]
@@ -284,7 +285,7 @@ def _ref_poly(a: RingElem, q, Q, Q0) -> Fraction:
 def _ref_quotient(prefactor: Fraction, num_atoms, den_atoms, coords):
     """prefactor * prod(num atoms) / prod(den atoms), or None if an atom
     vanishes (atom_eval raises for numerator and denominator atoms alike)."""
-    values = [_ref_poly(atom_expand(a), *coords) for a in list(num_atoms) + list(den_atoms)]
+    values = [_ref_poly(a, *coords) for a in list(num_atoms) + list(den_atoms)]
     if not all(values):
         return None
     out = prefactor
@@ -450,9 +451,9 @@ def _cross_multiplied_eq(a: RatioElem, b: RatioElem) -> bool:
     """a == b by plain cross-multiplication over the full denominators."""
     lhs, rhs = a.num, b.num
     for atom in b.den:
-        lhs = lhs * atom_expand(atom)
+        lhs = lhs * atom
     for atom in a.den:
-        rhs = rhs * atom_expand(atom)
+        rhs = rhs * atom
     return lhs == rhs
 
 
@@ -473,7 +474,7 @@ def test_ratio_eq_matches_cross_multiplication(x, y, shared, only_a, only_b, ext
     # the same value written over a larger denominator multiset
     num = x
     for atom in extra:
-        num = num * atom_expand(atom)
+        num = num * atom
     widened = RatioElem(num, shared + only_a + extra)
     assert widened == a and a == widened
     assert _cross_multiplied_eq(widened, a)
@@ -554,11 +555,11 @@ def test_equal_values_hash_equal(a, b, rnd):
 
 # -- ratio addition ---------------------------------------------------------------
 
-# A few atoms drawn with repetition, including ("raw", [2]) beside ("qint", 2):
-# distinct atoms with the same expansion.
+# A few atoms drawn with repetition, including three objects for the one
+# value [2] = <1>: equal atoms built apart must count as one atom.
 _repeating_atoms = st.lists(
     st.sampled_from(
-        [("qint", 2), ("qint", 3), ("qdiff",), ("angle", 1), ("qshift", -1), ("raw", qint(2))]
+        [qint(2), qint(3), qdiff(), angle(1), qshift(-1), RingElem(qint(2).terms)]
     ),
     max_size=4,
 )
@@ -572,11 +573,34 @@ def test_ratio_add_matches_cross_multiplication(x, y, shared, only_a, only_b):
     # the reference sum over the full product of both denominators
     lhs, rhs = x, y
     for atom in b.den:
-        lhs = lhs * atom_expand(atom)
+        lhs = lhs * atom
     for atom in a.den:
-        rhs = rhs * atom_expand(atom)
+        rhs = rhs * atom
     reference = RatioElem(lhs + rhs, a.den + b.den)
     for total in (a + b, b + a):
         assert _cross_multiplied_eq(total, reference)
         # the sum is written over the least common multiset of atoms
         assert Counter(total.den) == Counter(a.den) | Counter(b.den)
+
+
+def test_one_atom_per_value():
+    # [2] from qint, from angle and built term by term is one atom
+    two = RingElem({(1, 0, 0): 1, (-1, 0, 0): 1})
+    for atom in (qint(2), angle(1), two):
+        total = RatioElem(ONE, (qint(2),)) + RatioElem(ONE, (atom,))
+        assert total.den == (qint(2),) and total.num == RingElem.const(2)
+    # the (q - q^-1) of [Q; 1] and of its image under the identity map
+    same = qQ_bracket(1).remap(lambda e, f, g: (e, f, g))
+    assert same.den[0] is not qdiff()
+    assert (qQ_bracket(1) + same).den == (qdiff(),)
+
+
+def test_named_atoms_are_shared():
+    # one object per factor; a point's atom table is keyed by the atom itself
+    for make, arg in ((qint, 3), (angle, 2), (qshift, -1), (dangle, 1)):
+        assert make(arg) is make(arg)
+    assert qdiff() is qdiff()
+    p = SpecPoint(2, 3)
+    assert atom_eval(angle(2), p) == Fraction(17, 4) and list(p._atoms) == [angle(2)]
+    with pytest.raises(ZeroDenominator, match=re.escape(f"atom {qdiff().to_text()} vanishes")):
+        atom_eval(qdiff(), SpecPoint(1, 2))

@@ -16,9 +16,11 @@ from tbtl.ring import (  # noqa: E402
     RatioElem,
     RingElem,
     ZeroDenominator,
-    atom_expand,
+    angle,
     exact_div,
+    qdiff,
     qint,
+    qshift,
 )
 
 q, Q, Q0 = sympy.symbols("q Q Q0")
@@ -28,10 +30,11 @@ _polys = st.dictionaries(_exponents, st.integers(-3, 3).filter(bool), max_size=4
     RingElem
 )
 _nonzero = _polys.filter(bool)
-# Atoms drawn from a small set, so that denominators repeat them.
+# Atoms drawn from a small set, so that denominators repeat them; [2] = <1>
+# comes as three objects built apart.
 _atoms = st.lists(
     st.sampled_from(
-        [("qint", 2), ("qint", 3), ("qdiff",), ("angle", 1), ("qshift", 1), ("raw", qint(2))]
+        [qint(2), qint(3), qdiff(), angle(1), qshift(1), RingElem(qint(2).terms)]
     ),
     max_size=3,
 )
@@ -42,7 +45,7 @@ def _sym(a: RingElem):
 
 
 def _sym_ratio(r: RatioElem):
-    den = sympy.Mul(*(_sym(atom_expand(atom)) for atom in r.den))
+    den = sympy.Mul(*(_sym(atom) for atom in r.den))
     return _sym(r.num) / den
 
 
@@ -106,7 +109,7 @@ def test_ratio_eq_and_add(x, y, shared, only_a, only_b, extra):
     # a value over a wider denominator, and a different one over it
     num = x
     for atom in extra:
-        num = num * atom_expand(atom)
+        num = num * atom
     widened = RatioElem(num, shared + only_a + extra)
     assert widened == a and _same_function(_sym_ratio(widened), sa)
     shifted = RatioElem(num + RingElem.mono(1, 5), widened.den)
@@ -126,7 +129,7 @@ def test_bar_and_substitutions(num, atoms, M, N):
     for on_ring, on_ratio, subs in cases:
         assert _same_poly(on_ring, _sym(num).subs(subs, simultaneous=True))
         image_den = [
-            sympy.expand(_sym(atom_expand(atom)).subs(subs, simultaneous=True)) for atom in r.den
+            sympy.expand(_sym(atom).subs(subs, simultaneous=True)) for atom in r.den
         ]
         try:
             got = on_ratio()
