@@ -26,16 +26,12 @@ Op = dict[str, Vec]
 _mono = RingElem.mono
 
 
-def _r(c: RingElem) -> RatioElem:
-    return RatioElem.from_ring(c)
-
-
 def _accumulate(out: Vec, s: str, c: RatioElem):
-    if c.is_zero():
+    if not c:
         return
     cur = out.get(s)
     nxt = c if cur is None else cur + c
-    if nxt.is_zero():
+    if not nxt:
         out.pop(s, None)
     else:
         out[s] = nxt
@@ -121,7 +117,7 @@ def op_mismatches(A: Op, B: Op):
         for row in {**va, **vb}:
             ca, cb = va.get(row), vb.get(row)
             if ca is None or cb is None:
-                if not (cb if ca is None else ca).is_zero():
+                if ca or cb:
                     yield col, row
             elif ca != cb:
                 yield col, row
@@ -147,22 +143,22 @@ def _local_op(N: int, i: int, local) -> Op:
 # e_i on the sites (i, i+1), e_N on site N and e_0 on site 1, as
 # {(rows, cols): coeff}; e_i is zero on ++ and --.
 _E_BULK = {
-    ("+-", "+-"): _r(_mono(-1, -1)),
+    ("+-", "+-"): RatioElem(_mono(-1, -1)),
     ("-+", "+-"): R_ONE,
     ("+-", "-+"): R_ONE,
-    ("-+", "-+"): _r(_mono(-1, 1)),
+    ("-+", "-+"): RatioElem(_mono(-1, 1)),
 }
 _E_N = {
     ("-", "+"): R_ONE,
-    ("+", "+"): _r(_mono(-1, 0, -1)),
+    ("+", "+"): RatioElem(_mono(-1, 0, -1)),
     ("+", "-"): R_ONE,
-    ("-", "-"): _r(_mono(-1, 0, 1)),
+    ("-", "-"): RatioElem(_mono(-1, 0, 1)),
 }
 _E_0 = {
     ("-", "+"): R_ONE,
-    ("+", "+"): _r(_mono(-1, 0, 0, 1)),
+    ("+", "+"): RatioElem(_mono(-1, 0, 0, 1)),
     ("+", "-"): R_ONE,
-    ("-", "-"): _r(_mono(-1, 0, 0, -1)),
+    ("-", "-"): RatioElem(_mono(-1, 0, 0, -1)),
 }
 
 
@@ -191,7 +187,7 @@ def check_defining_relations(N: int) -> dict[str, bool]:
         raise ValueError("need N >= 2")
     e = [None] + [generator_matrix(N, f"e{i}") for i in range(1, N)]
     eN, e0 = generator_matrix(N, "eN"), generator_matrix(N, "e0")
-    two = _r(-(_mono(1, 1) + _mono(1, -1)))
+    two = RatioElem(-(_mono(1, 1) + _mono(1, -1)))
     report: dict[str, bool] = {}
     for i in range(1, N):
         report[f"e{i}^2 = -(q+1/q) e{i}"] = op_eq(op_mul(e[i], e[i]), op_scale(e[i], two))
@@ -204,18 +200,18 @@ def check_defining_relations(N: int) -> dict[str, bool]:
         for j in range(i + 2, N):
             report[f"[e{i}, e{j}] = 0"] = op_eq(op_mul(e[i], e[j]), op_mul(e[j], e[i]))
     report["eN^2 = -(Q+1/Q) eN"] = op_eq(
-        op_mul(eN, eN), op_scale(eN, _r(-(_mono(1, 0, 1) + _mono(1, 0, -1))))
+        op_mul(eN, eN), op_scale(eN, RatioElem(-(_mono(1, 0, 1) + _mono(1, 0, -1))))
     )
-    bN = _r(_mono(1, 1, -1) + _mono(1, -1, 1))
+    bN = RatioElem(_mono(1, 1, -1) + _mono(1, -1, 1))
     report["e(N-1) eN e(N-1) = (q/Q + Q/q) e(N-1)"] = op_eq(
         op_mul(e[N - 1], op_mul(eN, e[N - 1])), op_scale(e[N - 1], bN)
     )
     for i in range(1, N - 1):
         report[f"[e{i}, eN] = 0"] = op_eq(op_mul(e[i], eN), op_mul(eN, e[i]))
     report["e0^2 = -(Q0+1/Q0) e0"] = op_eq(
-        op_mul(e0, e0), op_scale(e0, _r(-(_mono(1, 0, 0, 1) + _mono(1, 0, 0, -1))))
+        op_mul(e0, e0), op_scale(e0, RatioElem(-(_mono(1, 0, 0, 1) + _mono(1, 0, 0, -1))))
     )
-    b0 = _r(_mono(1, 1, 0, -1) + _mono(1, -1, 0, 1))
+    b0 = RatioElem(_mono(1, 1, 0, -1) + _mono(1, -1, 0, 1))
     report["e1 e0 e1 = (q/Q0 + Q0/q) e1"] = op_eq(
         op_mul(e[1], op_mul(e0, e[1])), op_scale(e[1], b0)
     )
@@ -255,7 +251,7 @@ def check_quotient_alpha(N: int) -> bool:
         return m
 
     I, J = (word(names) for names in quotient_words(N))
-    alpha = _r(alpha_closed_form(N))
+    alpha = RatioElem(alpha_closed_form(N))
     return (
         not op_eq(I, {})
         and op_eq(op_mul(I, op_mul(J, I)), op_scale(I, alpha))
@@ -290,7 +286,7 @@ def pauli_hamiltonian(N: int, aN: RatioElem, a0: RatioElem) -> Op:
     sigma^x sigma^x + sigma^y sigma^y is assembled as
     2(sigma^+ sigma^- + sigma^- sigma^+) so no sqrt(-1) enters.
     """
-    one, two = R_ONE, RatioElem.from_int(2)
+    one, two = R_ONE, RatioElem.rational(2)
     half, quarter = RatioElem.rational(Fraction(1, 2)), RatioElem.rational(Fraction(1, 4))
     mhalf = -half
 
@@ -298,18 +294,18 @@ def pauli_hamiltonian(N: int, aN: RatioElem, a0: RatioElem) -> Op:
     fliplocal = {("-+", "+-"): one, ("+-", "-+"): one}
     # sigma^z sigma^z is diagonal with sign product.
     zz = {("++", "++"): one, ("--", "--"): one, ("+-", "+-"): -one, ("-+", "-+"): -one}
-    qq = _r(_mono(1, 1) + _mono(1, -1))  # q + 1/q
+    qq = RatioElem(_mono(1, 1) + _mono(1, -1))  # q + 1/q
 
     H: Op = {}
     for i in range(1, N):
         _add_scaled(H, _local_op(N, i, fliplocal), mhalf * two)
         _add_scaled(H, _local_op(N, i, zz), mhalf * quarter * two * qq)
 
-    qdiff = _r(_mono(1, 1) - _mono(1, -1))  # q - 1/q
+    qdiff = RatioElem(_mono(1, 1) - _mono(1, -1))  # q - 1/q
     z1 = {("+", "+"): one, ("-", "-"): -one}
-    coeff_z1 = mhalf * (qdiff * half - a0 * _r(_mono(1, 0, 0, 1) - _mono(1, 0, 0, -1)))
+    coeff_z1 = mhalf * (qdiff * half - a0 * RatioElem(_mono(1, 0, 0, 1) - _mono(1, 0, 0, -1)))
     _add_scaled(H, _local_op(N, 1, z1), coeff_z1)
-    coeff_zN = mhalf * -(qdiff * half - aN * _r(_mono(1, 0, 1) - _mono(1, 0, -1)))
+    coeff_zN = mhalf * -(qdiff * half - aN * RatioElem(_mono(1, 0, 1) - _mono(1, 0, -1)))
     _add_scaled(H, _local_op(N, N, z1), coeff_zN)
 
     pm = {("+", "-"): one, ("-", "+"): one}  # sigma+ + sigma-
@@ -317,9 +313,9 @@ def pauli_hamiltonian(N: int, aN: RatioElem, a0: RatioElem) -> Op:
     _add_scaled(H, _local_op(N, N, pm), mhalf * two * aN)
 
     const = (
-        quarter * qq * RatioElem.from_int(N - 1)
-        + a0 * _r(_mono(1, 0, 0, 1) + _mono(1, 0, 0, -1)) * half
-        + aN * _r(_mono(1, 0, 1) + _mono(1, 0, -1)) * half
+        quarter * qq * RatioElem.rational(N - 1)
+        + a0 * RatioElem(_mono(1, 0, 0, 1) + _mono(1, 0, 0, -1)) * half
+        + aN * RatioElem(_mono(1, 0, 1) + _mono(1, 0, -1)) * half
     )
     _add_scaled(H, {s: {s: one} for s in enumerate_strings(N)}, const)
     return H
@@ -332,23 +328,19 @@ def pauli_equivalence_check(N: int, a0: RatioElem, aN: RatioElem) -> bool:
 # -- coideal generator X ----------------------------------------------------
 
 
-def _s_elem() -> RatioElem:
-    return qQ_bracket(0)  # (Q - 1/Q)/(q - 1/q)
-
-
 def x_matrix_direct(N: int) -> Op:
     """X from its closed action on a standard string: flip site i with
     weight q^{d_{i-1}}, plus the diagonal q^{d_N} [Q;0]."""
-    s = _s_elem()
+    s = qQ_bracket(0)  # (Q - 1/Q)/(q - 1/q)
     out: Op = {}
     for eps in enumerate_strings(N):
         col: Vec = {}
         d = 0
         for i, c in enumerate(eps, start=1):
-            col[flip(eps, {i: "-" if c == "+" else "+"})] = _r(_mono(1, d))
+            col[flip(eps, {i: "-" if c == "+" else "+"})] = RatioElem(_mono(1, d))
             d += 1 if c == "+" else -1
         cur = col.get(eps)
-        diag = s.mul_ring(_mono(1, d))
+        diag = s * RatioElem(_mono(1, d))
         col[eps] = diag if cur is None else cur + diag
         out[eps] = col
     return out
@@ -356,20 +348,20 @@ def x_matrix_direct(N: int) -> Op:
 
 def x_matrix_coproduct(N: int) -> Op:
     """X built recursively from Delta(X) = K (x) X + (1/q) KE (x) 1 + F (x) 1."""
-    s = _s_elem()
+    s = qQ_bracket(0)
     if N == 1:
         return {
-            "+": {"-": R_ONE, "+": s.mul_ring(_mono(1, 1))},
-            "-": {"+": R_ONE, "-": s.mul_ring(_mono(1, -1))},
+            "+": {"-": R_ONE, "+": s * RatioElem(_mono(1, 1))},
+            "-": {"+": R_ONE, "-": s * RatioElem(_mono(1, -1))},
         }
     inner = x_matrix_coproduct(N - 1)
     out: Op = {}
     for eps in enumerate_strings(N):
         head, tail = eps[0], eps[1:]
-        k = _mono(1, 1 if head == "+" else -1)
+        k = RatioElem(_mono(1, 1 if head == "+" else -1))
         col: Vec = {}
         for row_tail, c in inner[tail].items():
-            col[head + row_tail] = c.mul_ring(k)
+            col[head + row_tail] = c * k
         flipped = ("-" if head == "+" else "+") + tail
         cur = col.get(flipped)
         col[flipped] = R_ONE if cur is None else cur + R_ONE

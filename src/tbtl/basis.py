@@ -14,15 +14,9 @@ from itertools import product
 from operator import itemgetter
 from types import MappingProxyType
 
-from .ring import (
-    ONE,
-    RatioElem,
-    RingElem,
-    R_ZERO,
-)
+from .ring import ONE, R_ZERO, ZERO, RatioElem, RingElem
 
 TAGS = ("A", "BI", "BII", "BIII")
-STANDARD = "standard"
 
 
 def check_tag(tag: str, M=None):
@@ -253,7 +247,7 @@ def down_block_alpha(kind) -> RingElem:
     """alpha in (v_{-1} - alpha v_1) for a decorated single down arrow."""
     name = kind[0]
     if name == "down":
-        return RingElem.zero()
+        return ZERO
     if name == "star":
         return _Q(1, -1)
     if name == "label":
@@ -339,15 +333,15 @@ def standard_to_kl(vec: dict[str, RatioElem], tag: str, N: int, M: int | None = 
     # over the full string list settles everything.
     for s in enumerate_strings(N):
         c = work.pop(s, None)
-        if c is None or c.is_zero():
+        if not c:
             continue
         out[s] = c
         for s2, poly in T[s].items():
             if s2 == s:
                 continue
             cur = work.get(s2, R_ZERO)
-            nxt = cur - c.mul_ring(poly)
-            if nxt.is_zero():
+            nxt = cur - c * RatioElem(poly)
+            if not nxt:
                 work.pop(s2, None)
             else:
                 work[s2] = nxt

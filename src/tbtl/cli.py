@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
-Exit codes: 0 all checks passed, 1 a theorem-level check failed,
-2 a conjecture-level check disagreed (escalated to 1 under
---strict-conjectures), 64 usage error.
+Exit codes: 0 all checks passed, 1 a theorem-level check failed or a
+conjecture checker raised, 2 a conjecture-level check disagreed (escalated
+to 1 under --strict-conjectures), 64 usage error.
 """
 
 from __future__ import annotations
@@ -90,7 +90,8 @@ def cmd_psi(args) -> int:
 
 def _run_checks(args, checks, words=("PASS", "FAIL")):
     """Run the rows of a check table that ``args.check`` selects and that
-    apply to this family; return the labels of the rows that failed.
+    apply to this family; return, for each row that failed, the text of the
+    exception it raised or None.
 
     A row is (--check group, applies, label, thunk).  Each row prints one
     line: ``<word>  <label>`` in text, or ``{"check": label, "ok": bool}``
@@ -116,7 +117,7 @@ def _run_checks(args, checks, words=("PASS", "FAIL")):
         else:
             print(f"{words[0] if ok else words[1]}  {label}" + (f"  ({error})" if error else ""))
         if not ok:
-            failed.append(label)
+            failed.append(error)
     return failed
 
 
@@ -132,7 +133,7 @@ def verify_checks(args):
     psi = functools.cache(lambda: ground_state.psi_vector(tag, N, M))
 
     def pauli():
-        r = RatioElem.from_int
+        r = RatioElem.rational
         return all(
             algebra.pauli_equivalence_check(min(N, 3), r(a), r(b))
             for a, b in [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -303,9 +304,12 @@ def conjecture_checks(args):
 
 
 def cmd_conjecture(args) -> int:
-    if not _run_checks(args, conjecture_checks(args), ("AGREE", "DISAGREE")):
+    """A checker reports disagreement without raising, so a row that raised
+    is a fault of the program and exits 1 like a failed theorem."""
+    failed = _run_checks(args, conjecture_checks(args), ("AGREE", "DISAGREE"))
+    if not failed:
         return EXIT_OK
-    return EXIT_THEOREM if args.strict_conjectures else EXIT_CONJECTURE
+    return EXIT_THEOREM if args.strict_conjectures or any(failed) else EXIT_CONJECTURE
 
 
 def cmd_identities(args) -> int:

@@ -9,14 +9,8 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 import random
 
-from .basis import build_diagram, enumerate_strings, read_only
-from .ring import (
-    RatioElem,
-    SpecPoint,
-    ZeroDenominator,
-    qQ_bracket,
-    qint,
-)
+from .basis import build_diagram, enumerate_strings, read_only, specialize
+from .ring import R_ZERO, SpecPoint, ZeroDenominator, qQ_bracket
 from .algebra import Op
 from .kl_action import kl_operator
 
@@ -123,33 +117,27 @@ def random_generic_point(rng: random.Random) -> SpecPoint:
 
 
 def candidate_eigenvalues(tag: str, N: int, M: int | None):
-    """(index, symbolic eigenvalue) pairs claimed by the spectrum theorems."""
-    out = []
-    for i in range(N + 1):
-        if tag == "BI":
-            out.append((i, RatioElem.from_ring(qint(N + M - 2 * i))))
-        else:
-            out.append((i, qQ_bracket(N - 2 * i)))
-    return out
+    """(index, symbolic eigenvalue) pairs claimed by the spectrum theorems:
+    [Q; N - 2i] at the family's parameters, which for BI is [N + M - 2i]."""
+    return list(specialize({i: qQ_bracket(N - 2 * i) for i in range(N + 1)}, tag, M).items())
 
 
-def eigen_multiplicities(
-    tag: str, N: int, M: int | None = None, seed: int = 7, max_resample: int = 8
-):
+def eigen_multiplicities(tag: str, N: int, M: int | None = None, seed: int = 7):
     """Multiplicity of each claimed eigenvalue at a generic rational point.
 
     Computed as the kernel dimension of X - lambda at the point, from its
     rank over Q (exact integer elimination, sparsest rows first; see
     _integer_rank); degenerate sample points (colliding candidate
-    eigenvalues) are resampled.  The multiplicities are returned as found:
-    if they do not add up to 2^N, check_multiplicity_theorem fails.
+    eigenvalues) are resampled, up to 8 times.  The multiplicities are
+    returned as found: if they do not add up to 2^N,
+    check_multiplicity_theorem fails.
     """
     rng = random.Random(seed)
     X = x_matrix_kl(tag, N, M)
     order = enumerate_strings(N)
     dim = len(order)
     cands = candidate_eigenvalues(tag, N, M)
-    for _ in range(max_resample):
+    for _ in range(8):
         p = random_generic_point(rng)
         try:
             values = [(i, lam.evaluate(p)) for i, lam in cands]
@@ -214,7 +202,7 @@ def check_triangular_spectrum(tag: str, N: int) -> bool:
         else:
             n = -len(D.ups) - 1 if D.leftmost_mark() == "o" else len(D.ups)
         expected = qQ_bracket(n)
-        if col.get(s, RatioElem.from_int(0)) != expected:
+        if col.get(s, R_ZERO) != expected:
             return False
         counts[n] = counts.get(n, 0) + 1
     for i in range(N + 1):

@@ -13,7 +13,7 @@ from types import MappingProxyType
 
 from .basis import build_diagram
 from .ground_state import psi_vector, psi_component
-from .ring import RatioElem, RingElem, SpecPoint, R_ONE
+from .ring import ONE, R_ONE, R_ZERO, ZERO, RatioElem, RingElem, SpecPoint
 
 _mono = RingElem.mono
 
@@ -26,11 +26,11 @@ def correlation_closed(N: int, alphas, plus, minus) -> RatioElem:
     out = R_ONE
     for i in alphas:
         num = _mono(1, 2 * (N - i), 2)
-        den = RingElem.const(1) + _mono(1, 2 * (N - i), 2)
+        den = ONE + _mono(1, 2 * (N - i), 2)
         out = out * RatioElem(num, (den,))
     for j in list(plus) + list(minus):
         num = _mono(1, N - j, 1)
-        den = RingElem.const(1) + _mono(1, 2 * (N - j), 2)
+        den = ONE + _mono(1, 2 * (N - j), 2)
         out = out * RatioElem(num, (den,))
     return out
 
@@ -39,8 +39,7 @@ def correlation_brute(N: int, alphas, plus, minus) -> tuple[RatioElem, RatioElem
     """(<Psi0|O|Psi0>, <Psi0|Psi0>) from the explicit component sum; the
     correlation is their ratio."""
     comps = psi_vector("standard", N).components()
-    num = RatioElem.from_int(0)
-    den = RatioElem.from_int(0)
+    num = den = R_ZERO
     alphas, plus, minus = set(alphas), set(plus), set(minus)
     for s, c in comps.items():
         den = den + c * c
@@ -319,7 +318,7 @@ def F_of_links(links, N: int) -> RingElem:
 
 def check_typeA_component_conjecture(N: int, b: str):
     """Compare Psi_{D(b)} with the admissible-matrix sum for one string."""
-    total = RingElem.zero()
+    total = ZERO
     for links in admissible_links(N):
         if is_admissible(links) and links_string(links, N) == b:
             total = total + F_of_links(links, N)

@@ -400,7 +400,7 @@ def verify_annihilation(gs: GroundState) -> dict[str, bool]:
         if gen == "e0":
             report[E0_GENERIC] = bool(image)
             image = specialize({s: v.subst_Q0(N) for s, v in image.items()}, tag, M)
-        report[gen] = all(v.is_zero() for v in image.values())
+        report[gen] = not any(image.values())
     return report
 
 
@@ -415,7 +415,7 @@ def oracle_change_of_basis(gs: GroundState):
     for s in enumerate_strings(N):
         a = image.get(s)
         b = comps[s]
-        if a is None or a.is_zero():
+        if not a:
             return False, None
         if scalar is None:
             # all closed-form components are nonzero

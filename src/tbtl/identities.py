@@ -10,25 +10,21 @@ from __future__ import annotations
 
 import random
 
-from .ring import (
-    RatioElem,
-    RingElem,
-    qint,
-    qQ_bracket,
-    qbinom,
-    R_ONE,
-    R_ZERO,
-)
+from .ring import ONE, R_ONE, R_ZERO, ZERO, RatioElem, RingElem, qint, qQ_bracket, qbinom
 
 _mono = RingElem.mono
 
 
-def _r(a: RingElem) -> RatioElem:
-    return RatioElem.from_ring(a)
-
-
-def _frac(num: RingElem, *dens: RingElem) -> RatioElem:
-    return RatioElem(num, dens)
+def _ratio(e: int, nums=(), dens=()) -> RatioElem:
+    """q^e [n_1] [n_2] ... / ([d_1] [d_2] ...), the shape of every appendix
+    term; nums and dens are the bracket arguments."""
+    factors = [qint(n) for n in nums]
+    if e:
+        factors.insert(0, _mono(1, e))
+    num = factors[0] if factors else ONE
+    for f in factors[1:]:
+        num = num * f
+    return RatioElem(num, [qint(d) for d in dens])
 
 
 # -- the summation lemmas ----------------------------------------------------
@@ -38,45 +34,45 @@ def lemma_app0(ms, ns):
     """sum over outer arcs of the bulk contribution telescopes to [M]."""
     I = len(ms)
     assert len(ns) == I + 1
-    lhs = R_ZERO
-    for i in range(1, I + 1):
-        term = _r(qint(ms[i - 1]) * qint(1 + sum(ns[:i])))
-        for j in range(i + 1, I + 1):
-            term = term.mul_ring(qint(1 + sum(ns[:j]) + sum(ms[:j])))
-        for j in range(i, I + 1):
-            term = term.div_atom(qint(1 + ns[j - 1] + sum(ns[: j - 1]) + sum(ms[: j - 1])))
-        lhs = lhs + term
-    rhs = _r(qint(sum(ms)))
-    return lhs, rhs
+
+    def v(j):
+        return sum(ns[:j]) + sum(ms[:j])
+
+    lhs = sum((
+        _ratio(
+            0,
+            [ms[i - 1], 1 + sum(ns[:i]), *(1 + v(j) for j in range(i + 1, I + 1))],
+            [1 + ns[j - 1] + v(j - 1) for j in range(i, I + 1)],
+        )
+        for i in range(1, I + 1)
+    ), R_ZERO)
+    return lhs, _ratio(0, [sum(ms)])
 
 
 def lemma_app1(ms, ns):
     I = len(ms)
     assert len(ns) == I + 1
     M, Nn = sum(ms), sum(ns)
-    lhs = R_ZERO
-    for i in range(1, I + 1):
-        term = _r(qint(1 + sum(ns[:i])) * qint(ms[i - 1]))
-        for j in range(i + 2, I + 2):
-            term = term.mul_ring(
-                qint(1 + sum(ns[: j - 1]) + sum(ms[: j - 1]))
-            )
-        for j in range(i, I + 2):
-            term = term.div_atom(qint(1 + ns[j - 1] + sum(ns[: j - 1]) + sum(ms[: j - 1])))
-        lhs = lhs + term
-    rhs = _frac(qint(M), qint(M + Nn + 1))
-    return lhs, rhs
+
+    def v(j):
+        return sum(ns[:j]) + sum(ms[:j])
+
+    lhs = sum((
+        _ratio(
+            0,
+            [1 + sum(ns[:i]), ms[i - 1], *(1 + v(j - 1) for j in range(i + 2, I + 2))],
+            [1 + ns[j - 1] + v(j - 1) for j in range(i, I + 2)],
+        )
+        for i in range(1, I + 1)
+    ), R_ZERO)
+    return lhs, _ratio(0, [M], [M + Nn + 1])
 
 
 def lemma_app2(ms, x):
-    I = len(ms)
-    lhs = R_ZERO
-    for i in range(1, I + 1):
-        Mi1 = sum(ms[: i - 1])
-        Mi = sum(ms[:i])
-        lhs = lhs + _frac(qint(ms[i - 1]), qint(x + Mi1), qint(x + Mi))
-    rhs = _frac(qint(sum(ms)), qint(x), qint(x + sum(ms)))
-    return lhs, rhs
+    lhs = sum((
+        _ratio(0, [m], [x + sum(ms[: i - 1]), x + sum(ms[:i])]) for i, m in enumerate(ms, 1)
+    ), R_ZERO)
+    return lhs, _ratio(0, [sum(ms)], [x, x + sum(ms)])
 
 
 def lemma_app8(ms, ns):
@@ -86,25 +82,15 @@ def lemma_app8(ms, ns):
     def v(i):
         return sum(ns[: i - 1]) + sum(ms[: i - 1])
 
-    first = _r(_mono(1, sum(ms)))
-    first = first.div_atom(qint(v(I + 1)))
-    for j in range(1, I + 1):
-        first = first.mul_ring(qint(ns[j - 1] + v(j)))
-        if j >= 2:
-            first = first.div_atom(qint(v(j)))
+    lows = [ns[j - 1] + v(j) for j in range(1, I + 1)]  # n_j + v_j
+    vs = [v(j) for j in range(1, I + 2)]
     # j = 1 has v(1) = 0 and [0] = 0; the lemma's products implicitly start
     # the telescoping at v(1) = n_1 ... guard against that by requiring the
     # caller to pass parameters with v(j) > 0 for j >= 2.
-    lhs = first
-    for i in range(1, I + 1):
-        term = _r(_mono(1, -sum(ns[:i])) * qint(ms[i - 1]))
-        term = term.div_atom(qint(v(i))) if v(i) else term
-        term = term.div_atom(qint(v(i + 1)))
-        for j in range(1, i):
-            term = term.mul_ring(qint(ns[j - 1] + v(j)))
-            if v(j):
-                term = term.div_atom(qint(v(j)))
-        lhs = lhs + term
+    lhs = _ratio(sum(ms), lows, vs[1:]) + sum((
+        _ratio(-sum(ns[:i]), [ms[i - 1], *lows[: i - 1]], [d for d in vs[: i + 1] if d])
+        for i in range(1, I + 1)
+    ), R_ZERO)
     return lhs, R_ONE
 
 
@@ -115,21 +101,12 @@ def lemma_app9(ms, ns):
     def v(i):
         return sum(ms[: i - 1]) + sum(ns[: i - 1])
 
-    lhs = R_ZERO
-    for i in range(1, I + 1):
-        term = _r(_mono(1, -sum(ns[: i - 1]) - 1) * qint(ms[i - 1]))
-        term = term.div_atom(qint(1 + v(i)))
-        term = term.div_atom(qint(1 + v(i + 1)))
-        for j in range(i + 1, I + 1):
-            term = term.mul_ring(qint(1 + ms[j - 1] + v(j)))
-            term = term.div_atom(qint(1 + v(j + 1)))
-        lhs = lhs + term
-    rhs = R_ONE
-    for j in range(1, I + 1):
-        rhs = rhs.mul_ring(qint(1 + ms[j - 1] + v(j)))
-        rhs = rhs.div_atom(qint(1 + v(j + 1)))
-    rhs = rhs - _frac(_mono(1, sum(ms)), qint(1 + v(I + 1)))
-    return lhs, rhs
+    ups = [1 + ms[j - 1] + v(j) for j in range(1, I + 1)]  # 1 + m_j + v_j
+    vs = [1 + v(j) for j in range(1, I + 2)]
+    lhs = sum((
+        _ratio(-sum(ns[: i - 1]) - 1, [ms[i - 1], *ups[i:]], vs[i - 1 :]) for i in range(1, I + 1)
+    ), R_ZERO)
+    return lhs, _ratio(0, ups, vs[1:]) - _ratio(sum(ms), [], vs[-1:])
 
 
 def lemma_app10(ms, ns):
@@ -144,33 +121,21 @@ def lemma_app10(ms, ns):
 
     # w_{I+1} = 1 + n_{I+1} + v_{I+1}; the lemma uses lists of equal length
     # so w at I+1 is read as 1 + v_{I+1}.
+    ups = [1 + v(k) for k in range(1, I + 2)]
+    ws = [w(k) for k in range(1, I + 2)]
+    lows = [ns[k - 1] + v(k) for k in range(1, I + 1)]  # n_k + v_k
+    vs = [v(k) for k in range(2, I + 2)]
+    # The i-th summand is q^{1-M} q^{-N_i} [m_i] times nums over dens times the brace
+    # q^{M_{i-1}} (1 + q^{-2}) - q^{-N_i-1} [m_i - 1] / [v_{i+1}]; with 1 + q^{-2} = q^{-1} [2]
+    # it is written as two ratios.
+    M = sum(ms)
     lhs = R_ZERO
     for i in range(1, I + 1):
-        term = _r(_mono(1, -sum(ns[:i])) * qint(ms[i - 1]))
-        term = term.div_atom(qint(w(i)))
-        term = term.div_atom(qint(w(i + 1)))
-        for k in range(i + 2, I + 2):
-            term = term.mul_ring(qint(1 + v(k)))
-            term = term.div_atom(qint(w(k)))
-        for k in range(1, i):
-            term = term.mul_ring(qint(ns[k - 1] + v(k)))
-            term = term.div_atom(qint(v(k + 1)))
-        brace = _r(_mono(1, sum(ms[: i - 1])) * (RingElem.const(1) + _mono(1, -2)))
-        brace = brace - _frac(
-            _mono(1, -sum(ns[:i]) - 1) * qint(ms[i - 1] - 1), qint(v(i + 1))
-        )
-        lhs = lhs + term * brace
-    lhs = lhs.mul_ring(_mono(1, -sum(ms) + 1))
-    rhs = _r(_mono(1, -sum(ms)))
-    for j in range(1, I + 2):
-        rhs = rhs.mul_ring(qint(1 + v(j)))
-        rhs = rhs.div_atom(qint(w(j)))
-    second = _frac(_mono(1, sum(ms)), qint(w(I + 1)))
-    for j in range(1, I + 1):
-        second = second.mul_ring(qint(ns[j - 1] + v(j)))
-        second = second.div_atom(qint(v(j + 1)))
-    rhs = rhs - second
-    return lhs, rhs
+        e, m = 1 - M - sum(ns[:i]), ms[i - 1]
+        nums, dens = ups[i + 1 :] + lows[: i - 1], ws[i - 1 :] + vs[: i - 1]
+        lhs = lhs + _ratio(e + sum(ms[: i - 1]) - 1, [m, 2, *nums], dens)
+        lhs = lhs - _ratio(e - sum(ns[:i]) - 1, [m, m - 1, *nums], [*dens, vs[i - 1]])
+    return lhs, _ratio(-M, ups, ws) - _ratio(M, lows, [ws[-1], *vs])
 
 
 def lemma_app11(ms, ns):
@@ -187,128 +152,81 @@ def lemma_app11(ms, ns):
             return 1 + ns[i - 1] + v(i)
         return 1 + v(i)
 
-    lhs = R_ZERO
-    for i in range(1, I + 1):
-        term = _r(_mono(1, -1 - sum(ns[:i])) * qint(ms[i - 1]))
-        term = term.div_atom(qint(w2(i)))
-        term = term.div_atom(qint(w2(i + 1)))
-        for j in range(i + 2, I + 2):
-            term = term.mul_ring(qint(1 + v(j)))
-            term = term.div_atom(qint(w2(j)))
-        lhs = lhs + term
-    rhs = R_ONE
-    for i in range(1, I + 2):
-        rhs = rhs.mul_ring(qint(1 + v(i)))
-        rhs = rhs.div_atom(qint(w2(i)))
-    rhs = rhs - _frac(_mono(1, sum(ms)), qint(w2(I + 1)))
-    return lhs, rhs
+    ups = [1 + v(j) for j in range(1, I + 2)]
+    ws = [w2(j) for j in range(1, I + 2)]
+    lhs = sum((
+        _ratio(-1 - sum(ns[:i]), [ms[i - 1], *ups[i + 1 :]], ws[i - 1 :]) for i in range(1, I + 1)
+    ), R_ZERO)
+    return lhs, _ratio(0, ups, ws) - _ratio(sum(ms), [], ws[-1:])
 
 
 def lemma_app13(ms, x, z):
     K = len(ms)
 
-    def Ifac(i):
-        out = R_ONE
-        for j in range(1, i + 1):
-            out = out.mul_ring(qint(2 + 2 * z + 2 * sum(ms[j - 1 :])))
-            out = out.div_atom(qint(2 + 2 * z + ms[j - 1] + 2 * sum(ms[j:])))
-        return out
+    # the brackets of I_i: the numerators [2 + 2z + 2(m_j + ... + m_K)] and
+    # the denominators [2 + 2z + m_j + 2(m_{j+1} + ... + m_K)], j = 1..i
+    def i_nums(i):
+        return [2 + 2 * z + 2 * sum(ms[j - 1 :]) for j in range(1, i + 1)]
 
-    def Jfac(i):
-        num = qint(ms[i - 1]) * qint(
-            x + 3 + 2 * z + sum(ms[:i]) + 2 * sum(ms[i:])
+    def i_dens(i):
+        return [2 + 2 * z + ms[j - 1] + 2 * sum(ms[j:]) for j in range(1, i + 1)]
+
+    lhs = sum((
+        _ratio(
+            0,
+            [*i_nums(i), ms[i - 1], x + 3 + 2 * z + sum(ms[:i]) + 2 * sum(ms[i:])],
+            [*i_dens(i), 1 + x + sum(ms[: i - 1]), 1 + x + sum(ms[:i])],
         )
-        return _frac(num, qint(1 + x + sum(ms[: i - 1])), qint(1 + x + sum(ms[:i])))
+        for i in range(1, K + 1)
+    ), R_ZERO)
+    lhs = lhs + _ratio(0, [*i_nums(K), 2 * z + 2], [*i_dens(K), 1 + x + sum(ms)])
+    return lhs, _ratio(0, [2 + 2 * z + 2 * sum(ms)], [1 + x])
 
-    lhs = R_ZERO
-    for i in range(1, K + 1):
-        lhs = lhs + Ifac(i) * Jfac(i)
-    lhs = lhs + Ifac(K).mul_ring(qint(2 * z + 2)).div_atom(qint(1 + x + sum(ms)))
-    rhs = _frac(qint(2 + 2 * z + 2 * sum(ms)), qint(1 + x))
-    return lhs, rhs
+
+def _app15_to_17_brackets(ms, ns):
+    """The bracket arguments of lemmas app15-app17, each a list over j = 1..I
+    with v_j = n_1 + ... + n_j + m_1 + ... + m_j: n_j + v_{j-1}, 1 + v_j,
+    1 + n_j + v_{j-1} and v_j."""
+
+    def v(i):
+        return sum(ns[:i]) + sum(ms[:i])
+
+    I = len(ms)
+    assert len(ns) == I
+    lows = [ns[j - 1] + v(j - 1) for j in range(1, I + 1)]
+    ups = [1 + v(j) for j in range(1, I + 1)]
+    arrows = [1 + ns[j - 1] + v(j - 1) for j in range(1, I + 1)]
+    return lows, ups, arrows, [v(j) for j in range(1, I + 1)]
 
 
 def lemma_app15(ms, ns):
-    I = len(ms)
-    assert len(ns) == I
-
-    def v(i):
-        return sum(ns[:i]) + sum(ms[:i])
-
-    lhs = R_ZERO
-    for i in range(1, I + 1):
-        term = _r(_mono(1, -sum(ns[:i])) * qint(ms[i - 1]))
-        term = term.div_atom(qint(v(i)))
-        for l in range(1, i):
-            term = term.mul_ring(qint(ns[l - 1] + v(l - 1)))
-            term = term.div_atom(qint(v(l)))
-        lhs = lhs + term
-    rhs = R_ONE
-    prod = _r(_mono(1, sum(ms)))
-    for l in range(1, I + 1):
-        prod = prod.mul_ring(qint(ns[l - 1] + v(l - 1)))
-        prod = prod.div_atom(qint(v(l)))
-    rhs = rhs - prod
-    return lhs, rhs
+    lows, _, _, vs = _app15_to_17_brackets(ms, ns)
+    lhs = sum((
+        _ratio(-sum(ns[:i]), [ms[i - 1], *lows[: i - 1]], vs[:i]) for i in range(1, len(ms) + 1)
+    ), R_ZERO)
+    return lhs, R_ONE - _ratio(sum(ms), lows, vs)
 
 
 def lemma_app16(ms, ns):
-    I = len(ms)
-    assert len(ns) == I
-
-    def v(i):
-        return sum(ns[:i]) + sum(ms[:i])
-
-    lhs = R_ZERO
-    for i in range(1, I + 1):
-        term = _r(_mono(1, -sum(ns[:i])) * qint(ms[i - 1]))
-        term = term.div_atom(qint(1 + ns[i - 1] + v(i - 1)))
-        for j in range(i + 1, I + 1):
-            term = term.mul_ring(qint(1 + v(j)))
-            term = term.div_atom(qint(1 + ns[j - 1] + v(j - 1)))
-        lhs = lhs + term
-    rhs = _r(_mono(1, 1))
-    for j in range(1, I + 1):
-        rhs = rhs.mul_ring(qint(1 + v(j)))
-        rhs = rhs.div_atom(qint(1 + ns[j - 1] + v(j - 1)))
-    rhs = rhs - _r(_mono(1, 1 + sum(ms)))
-    return lhs, rhs
+    _, ups, arrows, _ = _app15_to_17_brackets(ms, ns)
+    lhs = sum((
+        _ratio(-sum(ns[:i]), [ms[i - 1], *ups[i:]], arrows[i - 1 :]) for i in range(1, len(ms) + 1)
+    ), R_ZERO)
+    return lhs, _ratio(1, ups, arrows) - _ratio(1 + sum(ms))
 
 
 def lemma_app17(ms, ns):
-    I = len(ms)
-    assert len(ns) == I
-
-    def v(i):
-        return sum(ns[:i]) + sum(ms[:i])
-
+    lows, ups, arrows, vs = _app15_to_17_brackets(ms, ns)
+    # The i-th summand is q^{-N_i} [m_i] times nums over dens times the brace
+    # q^{M_{i-1}} (1 + q^{-2}) - q^{-1-N_i} [m_i - 1] / [v_i]; with 1 + q^{-2} = q^{-1} [2]
+    # it is written as two ratios.
     lhs = R_ZERO
-    for i in range(1, I + 1):
-        term = _r(_mono(1, -sum(ns[:i])) * qint(ms[i - 1]))
-        term = term.div_atom(qint(1 + ns[i - 1] + v(i - 1)))
-        for j in range(1, i):
-            term = term.mul_ring(qint(ns[j - 1] + v(j - 1)))
-            term = term.div_atom(qint(v(j)))
-        for j in range(i + 1, I + 1):
-            term = term.mul_ring(qint(1 + v(j)))
-            term = term.div_atom(qint(1 + ns[j - 1] + v(j - 1)))
-        brace = _r(
-            _mono(1, sum(ms[: i - 1])) * (RingElem.const(1) + _mono(1, -2))
-        )
-        brace = brace - _frac(
-            _mono(1, -1 - sum(ns[:i])) * qint(ms[i - 1] - 1), qint(v(i))
-        )
-        lhs = lhs + term * brace
-    rhs = _r(_mono(1, -1))
-    for j in range(1, I + 1):
-        rhs = rhs.mul_ring(qint(1 + v(j)))
-        rhs = rhs.div_atom(qint(1 + ns[j - 1] + v(j - 1)))
-    second = _r(_mono(1, 2 * sum(ms) - 1))
-    for j in range(1, I + 1):
-        second = second.mul_ring(qint(ns[j - 1] + v(j - 1)))
-        second = second.div_atom(qint(v(j)))
-    rhs = rhs - second
-    return lhs, rhs
+    for i in range(1, len(ms) + 1):
+        e, m = -sum(ns[:i]), ms[i - 1]
+        nums, dens = lows[: i - 1] + ups[i:], vs[: i - 1] + arrows[i - 1 :]
+        lhs = lhs + _ratio(e + sum(ms[: i - 1]) - 1, [m, 2, *nums], dens)
+        lhs = lhs - _ratio(e - 1 - sum(ns[:i]), [m, m - 1, *nums], [*dens, vs[i - 1]])
+    return lhs, _ratio(-1, ups, arrows) - _ratio(2 * sum(ms) - 1, lows, vs)
 
 
 LEMMAS = {
@@ -345,7 +263,7 @@ def tridiag_v_sequence(N: int, lam: int) -> list[RingElem]:
     on the arc-free sector produces.
     """
     a_diag = {i: tridiagonal_entry(N, lam, i) for i in range(1, N + 2)}
-    v = {N + 2: RingElem.const(1), N + 1: a_diag[N + 1]}
+    v = {N + 2: ONE, N + 1: a_diag[N + 1]}
     for i in range(N, 0, -1):
         offprod = _mono(1, N - 2 * i + 1) * qint(i) * qint(N + 1 - i)
         v[i] = a_diag[i] * v[i + 1] - offprod * v[i + 2]
@@ -354,7 +272,7 @@ def tridiag_v_sequence(N: int, lam: int) -> list[RingElem]:
 
 def tridiag_v_closed(N: int, lam: int, n: int) -> RingElem:
     m = N + 2 - n
-    out = RingElem.zero()
+    out = ZERO
     for j in range(0, m + 1):
         d = m * (m - 1) // 2 - lam * m + j * (-N + 2 * lam)
         alpha = _mono(1, d) * qbinom(m, j)
@@ -374,11 +292,11 @@ def verify_tridiagonal_lemma(N: int) -> bool:
         # the shifted diagonal really is a_{i,i} - x_lambda
         x = qQ_bracket(N - 2 * lam)
         for i in range(1, N + 2):
-            direct = qQ_bracket(0).mul_ring(_mono(1, N + 2 - 2 * i)) - x
-            if direct != _r(tridiagonal_entry(N, lam, i)):
+            direct = qQ_bracket(0) * RatioElem(_mono(1, N + 2 - 2 * i)) - x
+            if direct != RatioElem(tridiagonal_entry(N, lam, i)):
                 return False
         v = tridiag_v_sequence(N, lam)
-        if not v[1].is_zero():
+        if v[1]:
             ok = False
         for n in range(1, N + 2):
             if v[n] != tridiag_v_closed(N, lam, n):
@@ -389,10 +307,11 @@ def verify_tridiagonal_lemma(N: int) -> bool:
 # -- harness -------------------------------------------------------------------
 
 
-def _random_lists(rng: random.Random, max_len=3, max_entry=3, n_zero_ok=True):
-    I = rng.randint(1, max_len)
-    ms = [rng.randint(1, max_entry) for _ in range(I)]
-    ns = [rng.randint(0 if n_zero_ok else 1, max_entry) for _ in range(I)]
+def _random_lists(rng: random.Random, n_zero_ok=True):
+    """Lists ms, ns of one length in 1..3, entries at most 3 (ms from 1)."""
+    I = rng.randint(1, 3)
+    ms = [rng.randint(1, 3) for _ in range(I)]
+    ns = [rng.randint(0 if n_zero_ok else 1, 3) for _ in range(I)]
     return ms, ns
 
 

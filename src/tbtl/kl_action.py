@@ -21,16 +21,7 @@ from .basis import (
     standard_to_kl,
     transition_matrix,
 )
-from .ring import (
-    RatioElem,
-    RingElem,
-    angle,
-    dangle,
-    qint,
-    qQ_bracket,
-    ONE,
-    R_ONE,
-)
+from .ring import ONE, R_ONE, ZERO, RatioElem, RingElem, angle, dangle, qint, qQ_bracket
 from .algebra import (
     Op,
     Vec,
@@ -46,10 +37,6 @@ _DQ0 = _mono(1, 0, 0, 1) - _mono(1, 0, 0, -1)  # Q0 - 1/Q0
 _ONE_Q2 = ONE + _mono(1, 2)  # 1 + q^2
 
 
-def _r(c) -> RatioElem:
-    return RatioElem.from_ring(c) if isinstance(c, RingElem) else c
-
-
 # -- e_i, 1 <= i <= N-1 ----------------------------------------------------
 
 # The coefficient of e_i on two adjacent single-arrow blocks, from the block
@@ -59,20 +46,20 @@ def _r(c) -> RatioElem:
 def _pair_coefficient(left, right) -> RingElem:
     lk, rk = left[0], right[0]
     if lk == "up" and rk == "up":
-        return RingElem.zero()
+        return ZERO
     if lk == "up":
         # up followed by any decorated or bare down arrow closes an arc.
-        return RingElem.const(1)
+        return ONE
     if lk == "down" and rk == "down":
-        return RingElem.zero()
+        return ZERO
     if lk == "down" and rk == "star":
-        return RingElem.const(1)
+        return ONE
     if lk == "label" and rk == "label" and right[1] == left[1] + 1:
-        return RingElem.zero()
+        return ZERO
     if lk == "star" and rk == "label" and right[1] == 2:
-        return RingElem.zero()
+        return ZERO
     if lk == "circle" and rk == "circle" and left[1] == right[1] + 1:
-        return RingElem.zero()
+        return ZERO
     if lk == "mark" and rk == "mark":
         if (left[1], right[1]) == ("o", "e"):
             return -(_mono(1, 0, 1) + _mono(1, 0, -1))  # -(Q + 1/Q)
@@ -93,7 +80,7 @@ def apply_ei_kl(tag: str, D: Diagram, i: int) -> Vec:
 
     # Same block.
     if left == ("arc_l", i + 1):
-        _accumulate(out, s, _r(-(qint(2))))
+        _accumulate(out, s, RatioElem(-(qint(2))))
         return out
     if left == ("dash_l", i + 1):
         return out
@@ -104,7 +91,7 @@ def apply_ei_kl(tag: str, D: Diagram, i: int) -> Vec:
 
     if l_single and r_single:
         c = _pair_coefficient(left, right)
-        _accumulate(out, flip(s, {i: "-", i + 1: "+"}), _r(c))
+        _accumulate(out, flip(s, {i: "-", i + 1: "+"}), RatioElem(c))
         return out
 
     if l_single and not r_single:
@@ -201,7 +188,7 @@ def _cascade(out: Vec, base: str, sites: list[int], ch: str):
     for i in range(1, len(sites)):
         for j in range(i + 1, len(sites) + 1):
             c = -(_mono(1, -1) * coeff_c(j, i))
-            _accumulate(out, flip(base, {sites[i - 1]: ch, sites[j - 1]: ch}), _r(c))
+            _accumulate(out, flip(base, {sites[i - 1]: ch, sites[j - 1]: ch}), RatioElem(c))
 
 
 # -- e_N --------------------------------------------------------------------
@@ -217,21 +204,21 @@ def apply_eN_kl(tag: str, D: Diagram) -> Vec:
     if tag == "A":
         if kind == ("up",):
             _accumulate(out, flip(s, {N: "-"}), R_ONE)
-            _accumulate(out, s, _r(_mono(-1, 0, -1)))
+            _accumulate(out, s, RatioElem(_mono(-1, 0, -1)))
             return out
         if kind == ("down",):
             for idx, site in enumerate(reversed(D.downs), start=1):
-                _accumulate(out, flip(s, {site: "+"}), _r(_mono(1, -(idx - 1))))
-            _accumulate(out, s, _r(_mono(-1, 0, 1)))
+                _accumulate(out, flip(s, {site: "+"}), RatioElem(_mono(1, -(idx - 1))))
+            _accumulate(out, s, RatioElem(_mono(-1, 0, 1)))
             return out
         if kind[0] == "arc_r":
             base = flip(s, {N: "-"})
             downs = [N, kind[1], *reversed(D.downs)]  # right to left in D~
             _accumulate(out, base, R_ONE)
-            _accumulate(out, s, _r(_mono(-1, 0, -1)))
+            _accumulate(out, s, RatioElem(_mono(-1, 0, -1)))
             qfac = _mono(1, -1, 1) - _mono(1, -1, -1)  # (Q - 1/Q)/q
             for idx, site in enumerate(downs[1:]):
-                _accumulate(out, flip(base, {site: "+"}), _r(qfac * _mono(1, -idx)))
+                _accumulate(out, flip(base, {site: "+"}), RatioElem(qfac * _mono(1, -idx)))
             _cascade(out, base, downs, "+")
             return out
         raise AssertionError(f"site N of type A diagram is {kind}")
@@ -241,7 +228,7 @@ def apply_eN_kl(tag: str, D: Diagram) -> Vec:
             _accumulate(out, flip(s, {N: "-"}), R_ONE)
             return out
         if kind == ("mark", "o"):
-            _accumulate(out, s, _r(-(_mono(1, 0, 1) + _mono(1, 0, -1))))
+            _accumulate(out, s, RatioElem(-(_mono(1, 0, 1) + _mono(1, 0, -1))))
             return out
         raise AssertionError(f"site N of type BII diagram is {kind}")
 
@@ -250,7 +237,7 @@ def apply_eN_kl(tag: str, D: Diagram) -> Vec:
             _accumulate(out, flip(s, {N: "-"}), R_ONE)
             return out
         if kind == ("circle", 1):
-            _accumulate(out, s, _r(-(_mono(1, 0, 1) + _mono(1, 0, -1))))
+            _accumulate(out, s, RatioElem(-(_mono(1, 0, 1) + _mono(1, 0, -1))))
             return out
         if kind[0] == "arc_r":
             base = flip(s, {N: "-"})
@@ -258,7 +245,7 @@ def apply_eN_kl(tag: str, D: Diagram) -> Vec:
             sites = [kind[1]] + [site for site, _ in reversed(D.circles)]
             _accumulate(out, base, R_ONE)
             for k, site in enumerate(sites, start=1):
-                _accumulate(out, flip(base, {site: "+"}), _r(dangle(k)))
+                _accumulate(out, flip(base, {site: "+"}), RatioElem(dangle(k)))
             return out
         raise AssertionError(f"site N of type BIII diagram is {kind}")
 
@@ -268,7 +255,7 @@ def apply_eN_kl(tag: str, D: Diagram) -> Vec:
             return out
         label_sites = D.label_sites()
         if label_sites.get(M) == N:
-            _accumulate(out, s, _r(-angle(M)))
+            _accumulate(out, s, RatioElem(-angle(M)))
             return out
         if kind[0] == "arc_r":
             base = flip(s, {N: "-"})
@@ -276,11 +263,11 @@ def apply_eN_kl(tag: str, D: Diagram) -> Vec:
             label_sites[M + 1] = kind[1]
             start = max(r, 2)
             _accumulate(out, base, R_ONE)
-            c = RingElem.const(1) if r <= 2 else angle(r - 2)
-            _accumulate(out, flip(base, {label_sites[start]: "+"}), _r(c))
+            c = ONE if r <= 2 else angle(r - 2)
+            _accumulate(out, flip(base, {label_sites[start]: "+"}), RatioElem(c))
             for k in range(start, M + 1):
                 _accumulate(
-                    out, flip(base, {label_sites[k + 1]: "+"}), _r(angle(k - 1))
+                    out, flip(base, {label_sites[k + 1]: "+"}), RatioElem(angle(k - 1))
                 )
             return out
         raise AssertionError(f"site N of type BI diagram is {kind}")
@@ -295,9 +282,9 @@ def _prepend_down_bii(tail: str) -> list[tuple[RingElem, str]]:
     v_- (x) KL(E) = KL(-E) + sum_l q^{-l} KL(+ E with l-th up flipped)
     + beta KL(+E), beta = q^{-k}/Q (leftmost mark e or none) or -q^{-k-1} Q."""
     if not tail:
-        return [(RingElem.const(1), "-"), (_mono(1, 0, -1), "+")]
+        return [(ONE, "-"), (_mono(1, 0, -1), "+")]
     E = build_diagram("BII", tail)
-    terms = [(RingElem.const(1), "-" + tail)]
+    terms = [(ONE, "-" + tail)]
     for idx, u in enumerate(E.ups, start=1):
         terms.append((_mono(1, -idx), "+" + flip(tail, {u: "-"})))
     k = len(E.ups)
@@ -313,9 +300,9 @@ def _local_down_action(alpha: RingElem, s: str, out: Vec):
     """e_0 on a decorated down arrow at site 1 with block v_- - alpha v_+:
     -(1/Q0 + alpha) D + (1 + alpha (Q0 - 1/Q0) - alpha^2) (site 1 -> +)."""
     c_diag = -(_mono(1, 0, 0, -1) + alpha)
-    c_up = RingElem.const(1) + alpha * _DQ0 - alpha * alpha
-    _accumulate(out, s, _r(c_diag))
-    _accumulate(out, flip(s, {1: "+"}), _r(c_up))
+    c_up = ONE + alpha * _DQ0 - alpha * alpha
+    _accumulate(out, s, RatioElem(c_diag))
+    _accumulate(out, flip(s, {1: "+"}), RatioElem(c_up))
 
 
 def apply_e0_kl(tag: str, D: Diagram) -> Vec:
@@ -338,7 +325,7 @@ def apply_e0_kl(tag: str, D: Diagram) -> Vec:
 
     if kind == ("up",):
         for idx, site in enumerate(D.ups, start=1):
-            _accumulate(out, flip(s, {site: "-"}), _r(_mono(1, -(idx - 1))))
+            _accumulate(out, flip(s, {site: "-"}), RatioElem(_mono(1, -(idx - 1))))
         # the diagonal is -Q0 plus a term of the family
         if tag == "BII" and D.leftmost_mark() == "o":
             c = -_mono(1, -n_up, 1)  # -Q q^{-n}
@@ -347,12 +334,12 @@ def apply_e0_kl(tag: str, D: Diagram) -> Vec:
         elif tag == "BIII":
             c = _mono(1, -n_up + len(D.circles) + 1, -1)  # q^{1-n+r}/Q
         elif D.unpaired_down is not None:
-            _accumulate(out, flip(s, {D.unpaired_down: "+"}), _r(_mono(1, -n_up)))
-            c = RingElem.zero()
+            _accumulate(out, flip(s, {D.unpaired_down: "+"}), RatioElem(_mono(1, -n_up)))
+            c = ZERO
         else:
             r = D.first_label()
-            c = RingElem.zero() if r == 1 else _mono(1, -(r + n_up - 2))
-        _accumulate(out, s, _r(c - _mono(1, 0, 0, 1)))
+            c = ZERO if r == 1 else _mono(1, -(r + n_up - 2))
+        _accumulate(out, s, RatioElem(c - _mono(1, 0, 0, 1)))
         return out
 
     if tag == "BII" and kind[0] == "arc_l":
@@ -361,15 +348,15 @@ def apply_e0_kl(tag: str, D: Diagram) -> Vec:
         # and the mixed tensors are re-expanded via the prepend-down
         # identities, which is what the boundary cascades amount to.
         j = kind[1]
-        _accumulate(out, s, _r(_mono(-1, 0, 0, -1)))
+        _accumulate(out, s, RatioElem(_mono(-1, 0, 0, -1)))
         _accumulate(out, flip(s, {1: "+"}), R_ONE)
         middle = s[1 : j - 1]
         tail = s[j:]
         for c_a, t_a in _prepend_down_bii(tail):
             full = "+" + middle + t_a
-            _accumulate(out, full, _r(_mono(1, -1) * _DQ0 * c_a))
+            _accumulate(out, full, RatioElem(_mono(1, -1) * _DQ0 * c_a))
             for c_b, t_b in _prepend_down_bii(middle + t_a):
-                _accumulate(out, t_b, _r(_mono(-1, -1) * c_a * c_b))
+                _accumulate(out, t_b, RatioElem(_mono(-1, -1) * c_a * c_b))
         return out
 
     if tag == "BIII" and kind[0] == "arc_l":
@@ -379,16 +366,16 @@ def apply_e0_kl(tag: str, D: Diagram) -> Vec:
         _local_down_action(_mono(1, -n_up + r - 1, -1), s, out)  # q^{-n+r-1}/Q
         for idx in range(2, n_up + 3):
             ctilde = _mono(1, -(idx - 1)) * _DQ0 - _mono(1, -n_up + r - idx, -1) * _ONE_Q2
-            _accumulate(out, flip(base, {ups[idx - 1]: "-"}), _r(ctilde))
+            _accumulate(out, flip(base, {ups[idx - 1]: "-"}), RatioElem(ctilde))
         _cascade(out, base, ups, "-")
         return out
 
     if tag == "BI" and kind[0] == "dash_l":
         j = kind[1]
-        _accumulate(out, s, _r(_mono(-1, 0, 0, -1)))
-        _accumulate(out, flip(s, {1: "+"}), _r(RingElem.const(1) - _mono(1, -2)))
-        _accumulate(out, flip(s, {1: "+", j: "+"}), _r(_mono(1, -1) * _DQ0))
-        _accumulate(out, flip(s, {j: "+"}), _r(_mono(-1, -1)))
+        _accumulate(out, s, RatioElem(_mono(-1, 0, 0, -1)))
+        _accumulate(out, flip(s, {1: "+"}), RatioElem(ONE - _mono(1, -2)))
+        _accumulate(out, flip(s, {1: "+", j: "+"}), RatioElem(_mono(1, -1) * _DQ0))
+        _accumulate(out, flip(s, {j: "+"}), RatioElem(_mono(-1, -1)))
         return out
 
     if tag == "BI" and kind[0] == "arc_l":
@@ -397,33 +384,33 @@ def apply_e0_kl(tag: str, D: Diagram) -> Vec:
         r = D.first_label()
         d = D.unpaired_down
         if d is not None:
-            _accumulate(out, base, _r(RingElem.const(1) - _mono(1, -2 * n_up - 4)))
-            _accumulate(out, s, _r(_mono(-1, 0, 0, -1)))
+            _accumulate(out, base, RatioElem(ONE - _mono(1, -2 * n_up - 4)))
+            _accumulate(out, s, RatioElem(_mono(-1, 0, 0, -1)))
             for idx in range(2, n_up + 3):
                 c = _mono(1, -(idx - 1)) * _DQ0
-                _accumulate(out, flip(base, {ups[idx - 1]: "-"}), _r(c))
-            _accumulate(out, flip(base, {d: "+"}), _r(_mono(1, -(n_up + 2)) * _DQ0))
+                _accumulate(out, flip(base, {ups[idx - 1]: "-"}), RatioElem(c))
+            _accumulate(out, flip(base, {d: "+"}), RatioElem(_mono(1, -(n_up + 2)) * _DQ0))
             _accumulate(
                 out,
                 flip(base, {ups[n_up + 1]: "-", d: "+"}),
-                _r(_mono(-1, -2 * n_up - 3)),
+                RatioElem(_mono(-1, -2 * n_up - 3)),
             )
             for i2 in range(1, n_up + 2):
                 extra = _ONE_Q2 if i2 != 1 else ONE
                 c = -(_mono(1, -1) * _mono(1, -n_up - i2) * extra)
-                _accumulate(out, flip(base, {ups[i2 - 1]: "-", d: "+"}), _r(c))
+                _accumulate(out, flip(base, {ups[i2 - 1]: "-", d: "+"}), RatioElem(c))
         elif r == 1:
-            _accumulate(out, base, _r(RingElem.const(1) - _mono(1, -2 * n_up - 2)))
-            _accumulate(out, s, _r(_mono(-1, 0, 0, -1)))
+            _accumulate(out, base, RatioElem(ONE - _mono(1, -2 * n_up - 2)))
+            _accumulate(out, s, RatioElem(_mono(-1, 0, 0, -1)))
             for idx in range(2, n_up + 3):
                 c = _mono(1, -1) * _DQ0 * _mono(1, -(idx - 2))
-                _accumulate(out, flip(base, {ups[idx - 1]: "-"}), _r(c))
+                _accumulate(out, flip(base, {ups[idx - 1]: "-"}), RatioElem(c))
         else:
             _local_down_action(_mono(1, -n_up - r), s, out)
             for idx in range(2, n_up + 3):
                 extra = ONE if r == 2 and idx == n_up + 2 else _ONE_Q2
                 ctilde = _mono(1, -(idx - 1)) * _DQ0 - _mono(1, -n_up - r - idx + 1) * extra
-                _accumulate(out, flip(base, {ups[idx - 1]: "-"}), _r(ctilde))
+                _accumulate(out, flip(base, {ups[idx - 1]: "-"}), RatioElem(ctilde))
         _cascade(out, base, ups, "-")
         return out
     raise AssertionError(f"site 1 of type {tag} diagram is {kind}")
@@ -443,13 +430,13 @@ def apply_X_kl(tag: str, D: Diagram) -> Vec:
     out: Vec = {}
     n_up = len(D.ups)
     for i, u in enumerate(D.ups, start=1):
-        _accumulate(out, flip(s, {u: "-"}), _r(qint(i)))
+        _accumulate(out, flip(s, {u: "-"}), RatioElem(qint(i)))
 
     if tag == "A":
         wt = n_up - len(D.downs)
         for i, d in enumerate(reversed(D.downs), start=1):
-            _accumulate(out, flip(s, {d: "+"}), _r(_mono(1, wt + 1) * qint(i)))
-        _accumulate(out, s, qQ_bracket(0).mul_ring(_mono(1, wt)))
+            _accumulate(out, flip(s, {d: "+"}), RatioElem(_mono(1, wt + 1) * qint(i)))
+        _accumulate(out, s, qQ_bracket(0) * RatioElem(_mono(1, wt)))
         return out
 
     if tag == "BI":
@@ -458,10 +445,10 @@ def apply_X_kl(tag: str, D: Diagram) -> Vec:
             # into a dashed arc, which is the same string flip; the extra
             # move turns the unpaired down into an up.
             _accumulate(
-                out, flip(s, {D.unpaired_down: "+"}), _r(qint(n_up + 1))
+                out, flip(s, {D.unpaired_down: "+"}), RatioElem(qint(n_up + 1))
             )
         elif (r := D.first_label()) != 1:
-            _accumulate(out, s, _r(qint(n_up + r - 1)))
+            _accumulate(out, s, RatioElem(qint(n_up + r - 1)))
         return out
 
     if tag == "BII":
@@ -516,7 +503,7 @@ def crosscheck_vs_standard(tag: str, N: int, gen: str, M: int | None = None):
     """
     E = {s: specialize(col, tag, M) for s, col in generator_matrix(N, gen).items()}
     T = {
-        s: {s2: RatioElem.from_ring(c) for s2, c in col.items()}
+        s: {s2: RatioElem(c) for s2, c in col.items()}
         for s, col in transition_matrix(tag, N, M).items()
     }
     K = kl_operator(tag, N, gen, M)

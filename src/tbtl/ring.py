@@ -43,22 +43,10 @@ class RingElem:
     def __init__(self, terms=None):
         self.terms: MappingProxyType[Monomial, int] = MappingProxyType(dict(terms) if terms else {})
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "RingElem":
-        return RingElem({})
-
-    @staticmethod
-    def const(c: int) -> "RingElem":
-        return RingElem({(0, 0, 0): c} if c else {})
-
     @staticmethod
     def mono(c: int, eq: int = 0, eQ: int = 0, eQ0: int = 0) -> "RingElem":
+        """The monomial c q^eq Q^eQ Q0^eQ0; mono(c) is the constant c."""
         return RingElem({(eq, eQ, eQ0): c} if c else {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -192,8 +180,8 @@ class RingElem:
         return f"RingElem({self.to_text()})"
 
 
-ZERO = RingElem.zero()
-ONE = RingElem.const(1)
+ZERO = RingElem()
+ONE = RingElem.mono(1)
 
 
 # -- products by Kronecker substitution ---------------------------------------
@@ -340,7 +328,7 @@ def qbinom(n: int, m: int) -> RingElem:
 def angle(k: int) -> RingElem:
     """<k> = q^k + q^{-k}; <0> = 2."""
     if k == 0:
-        return RingElem.const(2)
+        return RingElem.mono(2)
     return RingElem({(k, 0, 0): 1, (-k, 0, 0): 1})
 
 
@@ -506,23 +494,12 @@ class RatioElem:
     # -- conversions ----------------------------------------------------
 
     @staticmethod
-    def from_ring(a: RingElem) -> "RatioElem":
-        return RatioElem(a)
-
-    @staticmethod
-    def from_int(c: int) -> "RatioElem":
-        return RatioElem(RingElem.const(c))
-
-    @staticmethod
     def rational(c) -> "RatioElem":
         """The rational constant c (an int or a Fraction), its denominator
         kept as one atom."""
         c = Fraction(c)
-        den = (RingElem.const(c.denominator),) if c.denominator != 1 else ()
-        return RatioElem(RingElem.const(c.numerator), den)
-
-    def is_zero(self) -> bool:
-        return not self.num.terms
+        den = (RingElem.mono(c.denominator),) if c.denominator != 1 else ()
+        return RatioElem(RingElem.mono(c.numerator), den)
 
     def __bool__(self):
         return bool(self.num.terms)
@@ -555,14 +532,6 @@ class RatioElem:
         if not self.num.terms or not other.num.terms:
             return RatioElem(ZERO)
         return RatioElem(self.num * other.num, self.den + other.den)
-
-    def mul_ring(self, a: RingElem) -> "RatioElem":
-        if not a.terms or not self.num.terms:
-            return RatioElem(ZERO)
-        return RatioElem(self.num * a, self.den)
-
-    def div_atom(self, atom) -> "RatioElem":
-        return RatioElem(self.num, self.den + (atom,))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatioElem):
@@ -616,8 +585,8 @@ class RatioElem:
         return f"RatioElem({self.to_text()})"
 
 
-R_ZERO = RatioElem.from_int(0)
-R_ONE = RatioElem.from_int(1)
+R_ZERO = RatioElem(ZERO)
+R_ONE = RatioElem(ONE)
 
 
 def qQ_bracket(n: int) -> RatioElem:

@@ -212,26 +212,26 @@ class TestTransition:
             N = 4
             T = transition_matrix(tag, N, M)
             # random KL combination -> standard -> back
-            combo = {s: RatioElem.from_ring(mono(rng.randint(-3, 3), rng.randint(-1, 1)))
+            combo = {s: RatioElem(mono(rng.randint(-3, 3), rng.randint(-1, 1)))
                      for s in enumerate_strings(N) if rng.random() < 0.5}
             vec: dict = {}
             for s, c in combo.items():
                 for s2, poly in T[s].items():
                     cur = vec.get(s2)
-                    add = c.mul_ring(poly)
+                    add = c * RatioElem(poly)
                     vec[s2] = add if cur is None else cur + add
             back = standard_to_kl(vec, tag, N, M)
             for s in enumerate_strings(N):
                 want = combo.get(s)
                 got = back.get(s)
-                if want is None or want.is_zero():
-                    assert got is None or got.is_zero()
+                if not want:
+                    assert not got
                 else:
                     assert got == want
 
     def test_kl_column_to_unit(self):
         T = transition_matrix("BIII", 3)
-        col = {s: RatioElem.from_ring(c) for s, c in T["-+-"].items()}
+        col = {s: RatioElem(c) for s, c in T["-+-"].items()}
         back = standard_to_kl(col, "BIII", 3)
         assert back == {"-+-": R_ONE}
 

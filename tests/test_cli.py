@@ -106,6 +106,30 @@ class TestCommands:
         assert code == 0
         assert out == f"AGREE  BII subleading coefficient closed form, N <= {top}\n"
 
+    @pytest.mark.parametrize("strict, want", [([], 2), (["--strict-conjectures"], 1)])
+    def test_conjecture_disagreement_exit(self, capsys, monkeypatch, strict, want):
+        from tbtl import combinatorics
+
+        monkeypatch.setattr(combinatorics, "check_table1", lambda n: {("A", 1): (False, 1, 2)})
+        code = main(["conjecture", "--check", "table1", "--nmax", "3", *strict])
+        captured = capsys.readouterr()
+        assert code == want and captured.err == ""
+        assert captured.out == "DISAGREE  Table of component sums, N <= 3\n"
+
+    @pytest.mark.parametrize("strict", [[], ["--strict-conjectures"]])
+    def test_conjecture_checker_that_raises_exits_1(self, capsys, monkeypatch, strict):
+        # a checker reports disagreement by its result, so a raise is a fault
+        from tbtl import combinatorics
+
+        def broken(n):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(combinatorics, "check_table1", broken)
+        code = main(["conjecture", "--check", "table1", "--nmax", "3", *strict])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert captured.out == "DISAGREE  Table of component sums, N <= 3  (KeyError: 'boom')\n"
+
     def test_identities(self, capsys):
         code, out = run(capsys, "identities", "--lemma", "app0", "--draws", "10")
         assert code == 0 and "PASS  app0" in out
@@ -136,7 +160,7 @@ class TestCommands:
         def perturbed(tag, D):
             out = rule(tag, D)
             if D.string == "+-":
-                out["--"] = out["--"] * RatioElem.from_int(2)
+                out["--"] = out["--"] * RatioElem.rational(2)
             return out
 
         monkeypatch.setattr(kl_action, "apply_X_kl", perturbed)
@@ -234,7 +258,7 @@ class TestCommands:
 
         def shifted(tag, N, M):
             (i, lam), *rest = claimed(tag, N, M)
-            return [(i, lam + RatioElem.from_int(1)), *rest]
+            return [(i, lam + RatioElem.rational(1)), *rest]
 
         monkeypatch.setattr(coideal, "candidate_eigenvalues", shifted)
         code, out = run(capsys, "verify", "--check", "eigen", "--type", "A", "--n", "3")
@@ -249,7 +273,7 @@ class TestCommands:
 
         def perturbed(tag, N, M=None):
             X = {col: dict(column) for col, column in cached(tag, N, M).items()}
-            X["+++"]["+++"] = X["+++"]["+++"] + RatioElem.from_int(1)
+            X["+++"]["+++"] = X["+++"]["+++"] + RatioElem.rational(1)
             return X
 
         monkeypatch.setattr(coideal, "x_matrix_kl", perturbed)

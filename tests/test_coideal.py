@@ -25,7 +25,7 @@ mono = RingElem.mono
 
 
 def r(c):
-    return RatioElem.from_ring(c)
+    return RatioElem(c)
 
 
 class TestWorkedExamples:

@@ -45,15 +45,15 @@ class TestWorkedExamples:
 
     def test_standard(self):
         assert psi_component("standard", build_diagram("A", "++-+")).to_ratio() == \
-            RatioElem.from_ring(mono(1, 5, 3))
+            RatioElem(mono(1, 5, 3))
         assert psi_component("standard", build_diagram("A", "--++")).to_ratio() == \
-            RatioElem.from_ring(mono(1, 1, 2))
+            RatioElem(mono(1, 1, 2))
         assert psi_component("standard", build_diagram("A", "--+-")).to_ratio() == \
-            RatioElem.from_ring(mono(1, 1, 1))
+            RatioElem(mono(1, 1, 1))
 
     def test_BII(self):
         f = psi_component("BII", build_diagram("BII", "++-+---++-"))
-        num = RingElem.const(1)
+        num = RingElem.mono(1)
         for n in (3, 4, 5, 6):
             num = num * qint(n)
         for i in range(2, 7):
@@ -62,7 +62,7 @@ class TestWorkedExamples:
 
     def test_BIII(self):
         f = psi_component("BIII", build_diagram("BIII", "++---++--+-"))
-        num = RingElem.const(1)
+        num = RingElem.mono(1)
         for n in (3, 4, 5, 6, 7, 8):
             num = num * qint(n)
         for i in range(1, 6):
@@ -88,7 +88,7 @@ class TestVectorShape:
     def test_all_plus_standard(self):
         for N in (3, 5):
             f = psi_component("standard", build_diagram("A", "+" * N))
-            assert f.to_ratio() == RatioElem.from_ring(mono(1, N * (N - 1) // 2, N))
+            assert f.to_ratio() == RatioElem(mono(1, N * (N - 1) // 2, N))
 
     def test_components_nonzero(self):
         for tag, M in ALL:
@@ -111,7 +111,7 @@ class TestEigen:
             assert verify_x_eigen(psi_vector(tag, N, M)), (tag, N)
 
     def test_eigenvalue_values(self):
-        assert candidate_eigenvalues("BI", 4, 2)[0][1] == RatioElem.from_ring(qint(6))
+        assert candidate_eigenvalues("BI", 4, 2)[0][1] == RatioElem(qint(6))
         lam = candidate_eigenvalues("A", 3, None)[0][1]
         assert lam.subst_Q(2).as_ring() == qint(5)
 

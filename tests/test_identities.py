@@ -1,9 +1,12 @@
+import hashlib
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from tbtl.identities import (
     LEMMA_IDS,
+    LEMMAS,
     lemma_app0,
     lemma_app2,
     lemma_app13,
@@ -14,13 +17,13 @@ from tbtl.identities import (
     verify_tridiagonal_lemma,
 )
 from tbtl.basis import specialize
-from tbtl.ring import RatioElem, qint, qQ_bracket
+from tbtl.ring import RatioElem, SpecPoint, qint, qQ_bracket
 
 
 def bi_eigenvalue_consistency(N: int, M: int) -> bool:
     """x_lambda at Q = q^M equals the one-parameter eigenvalue [M+N-2lam]."""
     xs = specialize({lam: qQ_bracket(N - 2 * lam) for lam in range(N + 1)}, "BI", M)
-    return all(x == RatioElem.from_ring(qint(M + N - 2 * lam)) for lam, x in xs.items())
+    return all(x == RatioElem(qint(M + N - 2 * lam)) for lam, x in xs.items())
 
 
 class TestSpotInstances:
@@ -34,7 +37,7 @@ class TestSpotInstances:
         assert lhs == rhs
         from tbtl.ring import qint, RatioElem
 
-        assert rhs == RatioElem.from_ring(qint(5))
+        assert rhs == RatioElem(qint(5))
 
     def test_app13_small(self):
         lhs, rhs = lemma_app13([1], 1, 0)
@@ -91,3 +94,72 @@ class TestTridiagonal:
         for N in (2, 3, 4):
             for M in (1, 2, 3):
                 assert bi_eigenvalue_consistency(N, M)
+
+
+def _small_grid(lemma):
+    """The parameter grid of TestSmallGrids for one lemma."""
+    if lemma == "app2":
+        for I in (1, 2, 3):
+            for ms in product((1, 2), repeat=I):
+                for x in (1, 2, 3):
+                    yield {"ms": list(ms), "x": x}
+    elif lemma == "app13":
+        for K in (1, 2):
+            for ms in product((1, 2), repeat=K):
+                for x in (1, 2):
+                    for z in (0, 1):
+                        yield {"ms": list(ms), "x": x, "z": z}
+    else:
+        lo = 1 if lemma in ("app8", "app15", "app17") else 0
+        for I in (1, 2):
+            for ms in product((1, 2), repeat=I):
+                ns_len = I + 1 if lemma in ("app0", "app1") else I
+                for ns in product(range(lo, 3), repeat=ns_len):
+                    yield {"ms": list(ms), "ns": list(ns)}
+
+
+# sha256 of "<params> <lhs> <rhs>" lines, both sides evaluated at _PIN_POINT over
+# _small_grid(lemma).  An edit that changes both sides of a lemma alike still
+# passes the equality checks above; it changes these digests.
+_PIN_POINT = SpecPoint(Fraction(7, 5), Fraction(3, 2), Fraction(5, 7))
+_PINNED = {
+    "app0": (126, "3967d3b04d7785caee28ebad776f2ff8e7abbf34a636ada8cdbcfe6c1a9baedf"),
+    "app1": (126, "5c39309b6fbfeaa58f3498aa797a059e44cfcc631a7b3ee45de8fb4b20d18f8b"),
+    "app2": (42, "ab8369b9d2a3d5c98315b5711e609ce1ae2c0e07f74d7514ddd6f596519a9d9f"),
+    "app8": (20, "20e6e0b540a34e89df3e9e1c78f87edb26f9f07ea4daabeca990c9bcfc688039"),
+    "app9": (42, "98a45dc7570af39e43a4ca695ac2f68bc304ff26da14de905f52e4be3fdecb4b"),
+    "app10": (42, "d9c4d14781eec45ed08c0709dac281826132d2519fb8c2811a62ea7de887e830"),
+    "app11": (42, "294770cb4904ac3677c44a760abb430a4b49576bf0671b18c456b4e0fe5ae74d"),
+    "app13": (24, "009522cef2e9d356552cd8e537e5b708a8f8dc1427754b46b383cc6a93759b60"),
+    "app15": (20, "ac0fa30a2ada266b60d0959d2c5084ebcefdac54e4809bb68d78eb7c38453d69"),
+    "app16": (42, "a123051215c8400186e56597342aaa0217e8a1476aa79b7c983f1e37541acd4f"),
+    "app17": (20, "489546f49535095c797330cbef02068d7ef39dfb95003709946c4625e22bfef1"),
+}
+_PINNED_TRIDIAGONAL = "cd1a9567665b90073b7a33b51e9d7835a0027b14ef7917f068d24fa99880c596"
+
+
+class TestPinnedValues:
+    def test_every_lemma_is_pinned(self):
+        assert sorted(_PINNED) == sorted(LEMMAS)
+
+    @pytest.mark.parametrize("lemma", sorted(_PINNED))
+    def test_both_sides_keep_their_values(self, lemma):
+        h, n = hashlib.sha256(), 0
+        for params in _small_grid(lemma):
+            lhs, rhs = LEMMAS[lemma](**params)
+            h.update(f"{params} {lhs.evaluate(_PIN_POINT)} {rhs.evaluate(_PIN_POINT)}\n".encode())
+            n += 1
+        assert (n, h.hexdigest()) == _PINNED[lemma]
+
+    def test_tridiagonal_values(self):
+        h = hashlib.sha256()
+        for N in (1, 2, 3):
+            for lam in range(N + 1):
+                v = tridiag_v_sequence(N, lam)
+                for n in range(1, N + 2):
+                    closed = tridiag_v_closed(N, lam, n)
+                    h.update(
+                        f"{N} {lam} {n} {v[n].evaluate(_PIN_POINT)} "
+                        f"{closed.evaluate(_PIN_POINT)}\n".encode()
+                    )
+        assert h.hexdigest() == _PINNED_TRIDIAGONAL

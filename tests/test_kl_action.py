@@ -23,7 +23,7 @@ mono = RingElem.mono
 
 
 def r(c):
-    return RatioElem.from_ring(c)
+    return RatioElem(c)
 
 
 class TestBulkRows:
@@ -88,7 +88,7 @@ class TestBulkRows:
 
 class TestCascadeCoefficient:
     def test_clauses(self):
-        assert coeff_c(2, 1) == RingElem.const(1)
+        assert coeff_c(2, 1) == RingElem.mono(1)
         assert coeff_c(3, 1) == mono(1, -1)
         assert coeff_c(3, 2) == mono(1, -2)
         assert coeff_c(4, 2) == mono(1, -3) + mono(1, -1)
@@ -196,7 +196,7 @@ class TestOracle:
         def perturbed(tag, D, i):
             out = rule(tag, D, i)
             if D.string == "+--" and i == 1:
-                out["-+-"] = out["-+-"] * RatioElem.from_int(2)
+                out["-+-"] = out["-+-"] * RatioElem.rational(2)
             return out
 
         monkeypatch.setattr(kl_action, "apply_ei_kl", perturbed)
@@ -231,11 +231,11 @@ class TestOracle:
                 if gen_ == gen and D.string == column:
                     if kind == "scale":
                         row = next(iter(out))
-                        out[row] = out[row] * RatioElem.from_int(2)
+                        out[row] = out[row] * RatioElem.rational(2)
                     else:
                         for row in enumerate_strings(N):
-                            out[row] = out.get(row, RatioElem.from_int(0)) + R_ONE
-                            if out[row].is_zero():
+                            out[row] = out.get(row, RatioElem.rational(0)) + R_ONE
+                            if not out[row]:
                                 del out[row]
                 return out
 
@@ -261,7 +261,7 @@ class TestOracle:
                             add = c * c2
                             twice[s3] = add if cur is None else cur + add
                     for s3, c in twice.items():
-                        want = loop * once.get(s3, RatioElem.from_int(0))
+                        want = loop * once.get(s3, RatioElem.rational(0))
                         assert c == want, (tag, s, i)
 
     def test_typeA_reflection(self):

@@ -71,7 +71,7 @@ class TestQuantumIntegers:
 class TestBrackets:
     def test_angle(self):
         assert angle(1) == mono(1, 1) + mono(1, -1)
-        assert angle(0) == RingElem.const(2)
+        assert angle(0) == RingElem.mono(2)
 
     def test_dangle(self):
         assert dangle(0) == mono(1, 0, 1) + mono(1, 0, -1)
@@ -79,8 +79,8 @@ class TestBrackets:
 
     def test_dangle_at_Q_power(self):
         # <<k>> at Q = q^M becomes <M - k>
-        assert RatioElem.from_ring(dangle(1)).subst_Q(3).num == angle(2)
-        assert dangle(1).subst_Q(1) == RingElem.const(2)
+        assert RatioElem(dangle(1)).subst_Q(3).num == angle(2)
+        assert dangle(1).subst_Q(1) == RingElem.mono(2)
 
     def test_qQ_bracket_reduces(self):
         for n in range(-6, 7):
@@ -162,7 +162,7 @@ class TestBarAndEval:
             a = mono(rng.randint(-3, 3), rng.randint(-2, 2)) + mono(
                 rng.randint(-3, 3), 0, rng.randint(-2, 2)
             )
-            b = mono(rng.randint(-3, 3), 0, 0, rng.randint(-2, 2)) + RingElem.const(
+            b = mono(rng.randint(-3, 3), 0, 0, rng.randint(-2, 2)) + RingElem.mono(
                 rng.randint(-2, 2)
             )
             assert (a * b).evaluate(p) == a.evaluate(p) * b.evaluate(p)
@@ -588,7 +588,7 @@ def test_one_atom_per_value():
     two = RingElem({(1, 0, 0): 1, (-1, 0, 0): 1})
     for atom in (qint(2), angle(1), two):
         total = RatioElem(ONE, (qint(2),)) + RatioElem(ONE, (atom,))
-        assert total.den == (qint(2),) and total.num == RingElem.const(2)
+        assert total.den == (qint(2),) and total.num == RingElem.mono(2)
     # the (q - q^-1) of [Q; 1] and of its image under the identity map
     same = qQ_bracket(1).remap(lambda e, f, g: (e, f, g))
     assert same.den[0] is not qdiff()
