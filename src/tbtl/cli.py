@@ -173,7 +173,7 @@ def verify_checks(args):
         ("groundstate", True, f"structural component claims {tag} N={N}",
          lambda: all(ground_state.structural_checks(psi()).values())),
         ("groundstate", decorated, f"closed form == change of basis {tag} N={N}",
-         lambda: ground_state.oracle_change_of_basis(psi())[0]),
+         lambda: ground_state.oracle_change_of_basis(psi())),
         ("annihilation", True, f"e_g Psi = 0 (e_0 at the integrable point) {tag} N={N}",
          lambda: all(ground_state.verify_annihilation(psi()).values())),
         ("pf", True, f"numeric ground-state check N={N}", pf),

@@ -1,14 +1,14 @@
 """Closed-form ground-state components for all five bases.
 
-Each component is built as a factored product (monomial prefactor times
-quantum-integer and bracket atoms over an atom denominator), which can be
-expanded exactly or evaluated at a rational point.
+Each component is one frozen FactorizedScalar, q^a Q^b times quantum-integer
+and bracket atoms over atoms, built once by _component from its bracket
+arguments; it can be expanded exactly or evaluated at a rational point.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -22,7 +22,6 @@ from .ring import (
     atom_eval,
     qint,
     qshift,
-    R_ONE,
     is_positivity_class,
 )
 from .kl_action import kl_operator
@@ -36,24 +35,14 @@ class NonPolynomialComponent(Exception):
     """A ground-state component failed to reduce to a Laurent polynomial."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorizedScalar:
     """q^a Q^b times quantum-type atoms over quantum-type atoms."""
 
     q_exp: int = 0
     Q_exp: int = 0
-    num: list = field(default_factory=list)
-    den: list = field(default_factory=list)
-
-    def times_atom(self, atom, inverse: bool = False):
-        (self.den if inverse else self.num).append(atom)
-
-    def times_qint(self, n: int, inverse: bool = False):
-        if n == 1:
-            return
-        if n <= 0:
-            raise ValueError(f"nonpositive quantum integer [{n}] in a component")
-        self.times_atom(qint(n), inverse)
+    num: tuple = ()
+    den: tuple = ()
 
     def to_ratio(self) -> RatioElem:
         # Atoms on both sides cancel as a multiset before anything is
@@ -82,6 +71,21 @@ class FactorizedScalar:
             n *= v.denominator
             d *= v.numerator
         return Fraction(n, d)
+
+
+def _component(nums=(), dens=(), num_atoms=(), den_atoms=(), q_exp=0, Q_exp=0) -> FactorizedScalar:
+    """q^q_exp Q^Q_exp [n_1][n_2]... num_atoms / ([d_1][d_2]... den_atoms),
+    with the n_i in nums and the d_i in dens.  [1] is left out, and a
+    bracket [n] with n <= 0 raises ValueError."""
+    for n in (*nums, *dens):
+        if n <= 0:
+            raise ValueError(f"nonpositive quantum integer [{n}] in a component")
+    return FactorizedScalar(
+        q_exp,
+        Q_exp,
+        tuple(qint(n) for n in nums if n != 1) + tuple(num_atoms),
+        tuple(qint(n) for n in dens if n != 1) + tuple(den_atoms),
+    )
 
 
 def _as_polynomial(r: RatioElem) -> RingElem:
@@ -127,63 +131,45 @@ def _arc_size(pair) -> int:
 
 
 def _psi_standard(s: str) -> FactorizedScalar:
-    N = len(s)
-    f = FactorizedScalar()
-    for site, c in enumerate(s, start=1):
-        if c == "+":
-            f.q_exp += N - site  # position from the right, minus one
-            f.Q_exp += 1
-    return f
+    # each + contributes q^(its position from the right, minus one) Q
+    ups = [site for site, c in enumerate(s, start=1) if c == "+"]
+    return _component(q_exp=sum(len(s) - site for site in ups), Q_exp=len(ups))
+
+
+def _skeleton(D: Diagram, down: str):
+    """The bracket arguments that A, BII and BIII share; down is the
+    family's kind of down block ('down', 'e' or 'circle').  nums are the
+    left places of the downs and arcs, numbered over ups, downs and arcs;
+    dens are the arc sizes, then the right places of the downs, numbered
+    over downs and arcs.  Returns (kinds, nums, dens)."""
+    kinds = _block_kinds(D)
+    nums = _places(kinds, ("up", down, "arc"), (down, "arc"))
+    dens = [_arc_size(a) for a in D.arcs]
+    dens += _places(kinds, (down, "arc"), (down,), from_right=True)
+    return kinds, nums, dens
 
 
 def _psi_A(D: Diagram) -> FactorizedScalar:
-    f = FactorizedScalar()
+    _, nums, dens = _skeleton(D, "down")
     d = len(D.ups) + len(D.arcs)
-    f.q_exp += d * (d - 1) // 2
-    f.Q_exp += d
-    kinds = _block_kinds(D)
-    for n in _places(kinds, ("up", "down", "arc"), ("down", "arc")):
-        f.times_qint(n)
-    for a in D.arcs:
-        f.times_qint(_arc_size(a), inverse=True)
-    for n in _places(kinds, ("down", "arc"), ("down",), from_right=True):
-        f.times_qint(n, inverse=True)
-    return f
+    return _component(nums, dens, q_exp=d * (d - 1) // 2, Q_exp=d)
 
 
 def _psi_BII(D: Diagram) -> FactorizedScalar:
-    f = FactorizedScalar()
-    kinds = _block_kinds(D)
-    for n in _places(kinds, ("up", "e", "arc"), ("e", "arc")):
-        f.times_qint(n)
-    for a in D.arcs:
-        f.times_qint(_arc_size(a), inverse=True)
-    for n in _places(kinds, ("e", "arc"), ("e",), from_right=True):
-        f.times_qint(n, inverse=True)
-    for n in _places(kinds, ("up", "o", "arc"), ("up", "arc"), from_right=True):
-        f.times_atom(qshift(n - 1))
-    return f
+    kinds, nums, dens = _skeleton(D, "e")
+    shifts = _places(kinds, ("up", "o", "arc"), ("up", "arc"), from_right=True)
+    return _component(nums, dens, [qshift(n - 1) for n in shifts])
 
 
 def _psi_BIII(D: Diagram) -> FactorizedScalar:
-    f = FactorizedScalar()
-    kinds = _block_kinds(D)
-    for n in _places(kinds, ("up", "circle", "arc"), ("circle", "arc")):
-        f.times_qint(n)
-    for a in D.arcs:
-        f.times_qint(_arc_size(a), inverse=True)
-    for n in _places(kinds, ("circle", "arc"), ("circle",), from_right=True):
-        f.times_qint(n, inverse=True)
+    _, nums, dens = _skeleton(D, "circle")
     d = len(D.ups) + len(D.arcs)
-    for i in range(1, d + 1):
-        f.times_atom(qshift(i - 1))
-    return f
+    return _component(nums, dens, [qshift(i) for i in range(d)])
 
 
 def _psi_BI(D: Diagram) -> FactorizedScalar:
     M = D.M
     N = D.N
-    f = FactorizedScalar()
     S = list(D.arcs)
     T = list(D.dashed)
     label_site = D.label_sites()  # the star is label 1
@@ -231,20 +217,19 @@ def _psi_BI(D: Diagram) -> FactorizedScalar:
     n5 = N - len(S) + len(sL) + len(sW) + len(sWp) + len(sR) + M
 
     # arcs contribute 1/[size]
-    for a in S:
-        f.times_qint(_arc_size(a), inverse=True)
+    nums, dens = [], [_arc_size(a) for a in S]
 
     # N6
     if V_size == M and n1 == 0:
-        f.times_qint(n5)
-        f.times_qint(n4, inverse=True)
+        nums.append(n5)
+        dens.append(n4)
 
     # N7
     for p, sp in U.items():
         for a in sRp:
             d1 = _half(a[0] - sp + M - p + 1)
-            f.times_qint(d1)
-            f.times_qint(d1 + _arc_size(a), inverse=True)
+            nums.append(d1)
+            dens.append(d1 + _arc_size(a))
 
     # N8
     if V_size == M:
@@ -252,8 +237,8 @@ def _psi_BI(D: Diagram) -> FactorizedScalar:
             d2 = _half(a[0] - D.star + M)
             m_a = _arc_size(a)
             for t in range(0, n3 + 1):
-                f.times_qint(d2 + t)
-                f.times_qint(d2 + m_a + t, inverse=True)
+                nums.append(d2 + t)
+                dens.append(d2 + m_a + t)
             for ap in sW:
                 h = sum(
                     1
@@ -262,71 +247,46 @@ def _psi_BI(D: Diagram) -> FactorizedScalar:
                     or b[0] > ap[1]
                     or (b[0] <= ap[0] and ap[1] <= b[1])
                 ) + sum(1 for t2 in T if t2[0] > ap[1])
-                f.times_qint(d2 + m_a + h)
-                f.times_qint(d2 + h, inverse=True)
+                nums.append(d2 + m_a + h)
+                dens.append(d2 + h)
 
     # N9
     base = sWp_out if n1 == 1 else sWp_out + sLp
     for a in base:
         d3 = N - a[1]
         m_a = _arc_size(a)
-        f.times_qint(d3 + m_a + M)
-        f.times_qint(d3 + 2 * m_a + M, inverse=True)
+        nums.append(d3 + m_a + M)
+        dens.append(d3 + 2 * m_a + M)
 
-    # N10
+    # N10: the labels below M, the star only once a down or a dashed arc
+    # lies left of it, then the dashed arcs, the leftmost one only with a down
     if s_M is not None:
-        Vprime = {p: i for p, i in label_site.items() if p <= M - 1}
-        Uprime = {p: i for p, i in Vprime.items() if p >= 2}
-
-        def d4(p, sp):
-            return _half(s_M - sp + M - p) + 1
-
-        def d5(E):
-            return _half(s_M - E[0] + M + 1)
-
-        if n1 == 0 and not T:
-            for p, sp in Uprime.items():
-                f.times_qint(d4(p, sp), inverse=True)
-        elif n1 == 0:
-            for p, sp in Vprime.items():
-                f.times_qint(d4(p, sp), inverse=True)
-            for E in T[1:]:  # all but the leftmost dashed arc
-                f.times_qint(d5(E), inverse=True)
-        else:
-            for p, sp in Vprime.items():
-                f.times_qint(d4(p, sp), inverse=True)
-            for E in T:
-                f.times_qint(d5(E), inverse=True)
+        first = 1 if n1 or T else 2
+        dens += [_half(s_M - sp + M - p) + 1
+                 for p, sp in label_site.items() if first <= p <= M - 1]
+        dens += [_half(s_M - E[0] + M + 1) for E in (T if n1 else T[1:])]
 
     # N11: left enumeration of ups, the unpaired down, arcs, dashed arcs and
     # integer-labelled downs (the star is excluded)
     kinds = _block_kinds(D)
-    for n in _places(kinds, ("up", "down", "arc", "dash", "label"),
-                     ("down", "arc", "dash", "label")):
-        f.times_qint(n)
+    nums += _places(kinds, ("up", "down", "arc", "dash", "label"),
+                    ("down", "arc", "dash", "label"))
 
     # N12: right enumeration of arcs, dashed arcs, labelled downs and the
     # star, nested arcs counted inside first
-    for i in range(1, n2 + 1):
-        f.times_atom(angle(i + M - 1))
-    for n in _places(kinds, ("arc", "dash", "label", "star"), ("dash", "star"),
-                     from_right=True):
-        f.times_atom(angle(n), inverse=True)
-    return f
+    right = _places(kinds, ("arc", "dash", "label", "star"), ("dash", "star"), from_right=True)
+    return _component(nums, dens, [angle(i + M - 1) for i in range(1, n2 + 1)],
+                      [angle(n) for n in right])
+
+
+_RULES = {"A": _psi_A, "BI": _psi_BI, "BII": _psi_BII, "BIII": _psi_BIII}
 
 
 def psi_component(tag: str, D: Diagram) -> FactorizedScalar:
-    if tag == "A":
-        return _psi_A(D)
-    if tag == "BI":
-        return _psi_BI(D)
-    if tag == "BII":
-        return _psi_BII(D)
-    if tag == "BIII":
-        return _psi_BIII(D)
-    if tag == "standard":
-        return _psi_standard(D.string)
-    raise ValueError(tag)
+    """The closed-form component of the decorated diagram D."""
+    if tag not in _RULES:
+        raise ValueError(tag)
+    return _RULES[tag](D)
 
 
 @dataclass
@@ -363,12 +323,10 @@ class GroundState:
 
 
 def psi_vector(tag: str, N: int, M: int | None = None) -> GroundState:
-    factors = {}
-    for s in enumerate_strings(N):
-        if tag == "standard":
-            factors[s] = _psi_standard(s)
-        else:
-            factors[s] = psi_component(tag, build_diagram(tag, s, M))
+    if tag == "standard":
+        factors = {s: _psi_standard(s) for s in enumerate_strings(N)}
+    else:
+        factors = {s: psi_component(tag, build_diagram(tag, s, M)) for s in enumerate_strings(N)}
     return GroundState(tag, N, M, factors)
 
 
@@ -404,29 +362,13 @@ def verify_annihilation(gs: GroundState) -> dict[str, bool]:
     return report
 
 
-def oracle_change_of_basis(gs: GroundState):
-    """standard_to_kl(Psi0) against the closed-form Psi of gs; returns
-    (pass, scalar of proportionality)."""
-    tag, N, M = gs.tag, gs.N, gs.M
-    psi0 = psi_vector("standard", N).components()
-    image = standard_to_kl(specialize(psi0, tag, M), tag, N, M)
-    comps = gs.components()
-    scalar = None
-    for s in enumerate_strings(N):
-        a = image.get(s)
-        b = comps[s]
-        if not a:
-            return False, None
-        if scalar is None:
-            # all closed-form components are nonzero
-            scalar = (a, b)
-        # cross-check proportionality: a * scalar_den == b * scalar_num
-        if a * scalar[1] != b * scalar[0]:
-            return False, None
-    num, den = scalar
-    if num == den:
-        return True, R_ONE
-    return True, (num, den)
+def oracle_change_of_basis(gs: GroundState) -> bool:
+    """The closed-form Psi of gs equals, component by component, the image
+    under standard_to_kl of the standard-basis Psi specialized to the
+    family: equality, so the scalar between the two is 1."""
+    psi0 = specialize(psi_vector("standard", gs.N).components(), gs.tag, gs.M)
+    image = standard_to_kl(psi0, gs.tag, gs.N, gs.M)
+    return op_eq({"Psi": image}, {"Psi": gs.components()})
 
 
 def structural_checks(gs: GroundState) -> dict[str, bool]:

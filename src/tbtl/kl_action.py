@@ -21,7 +21,7 @@ from .basis import (
     standard_to_kl,
     transition_matrix,
 )
-from .ring import ONE, R_ONE, ZERO, RatioElem, RingElem, angle, dangle, qint, qQ_bracket
+from .ring import ONE, R_ONE, ZERO, RatioElem, RingElem, angle, qint, qQ_bracket, qshift
 from .algebra import (
     Op,
     Vec,
@@ -241,11 +241,12 @@ def apply_eN_kl(tag: str, D: Diagram) -> Vec:
             return out
         if kind[0] == "arc_r":
             base = flip(s, {N: "-"})
-            # the arc's left end, then the circles 1, 2, ... (right to left)
+            # the arc's left end, then the circles 1, 2, ... (right to left); the
+            # k-th raised site has coefficient Q q^{-k} + Q^{-1} q^k = qshift(-k)
             sites = [kind[1]] + [site for site, _ in reversed(D.circles)]
             _accumulate(out, base, R_ONE)
             for k, site in enumerate(sites, start=1):
-                _accumulate(out, flip(base, {site: "+"}), RatioElem(dangle(k)))
+                _accumulate(out, flip(base, {site: "+"}), RatioElem(qshift(-k)))
             return out
         raise AssertionError(f"site N of type BIII diagram is {kind}")
 

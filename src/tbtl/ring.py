@@ -142,14 +142,6 @@ class RingElem:
         """Involution q -> 1/q, Q -> 1/Q, Q0 -> 1/Q0."""
         return self.remap(lambda e, f, g: (-e, -f, -g))
 
-    def subst_Q(self, M: int) -> "RingElem":
-        """Substitute Q -> q^M."""
-        return self.remap(_Q_to_q_power(M))
-
-    def subst_Q0(self, N: int) -> "RingElem":
-        """Substitute Q0 -> q^{1-N} Q^{-1} (the integrable condition)."""
-        return self.remap(_integrable(N))
-
     def evaluate(self, p: "SpecPoint") -> Fraction:
         monomial = p.monomial
         total = Fraction(0)
@@ -336,11 +328,6 @@ def angle(k: int) -> RingElem:
 def qshift(i: int) -> RingElem:
     """Q q^i + Q^{-1} q^{-i}."""
     return RingElem({(i, 1, 0): 1, (-i, -1, 0): 1})
-
-
-def dangle(k: int) -> RingElem:
-    """<<k>> = Q q^{-k} + Q^{-1} q^k."""
-    return qshift(-k)
 
 
 @lru_cache(maxsize=None)

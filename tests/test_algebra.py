@@ -27,10 +27,6 @@ from tbtl.ring import RatioElem, RingElem, R_ONE, angle, qdiff, qQ_bracket, qint
 mono = RingElem.mono
 
 
-def r(c):
-    return RatioElem(c)
-
-
 def reference_generator(N, gen):
     """The standard-basis matrix of e_i, e_N or e_0 built string by string."""
     out = {}
@@ -40,17 +36,17 @@ def reference_generator(N, gen):
             a, b = s[i - 1], s[i]
             col = {}
             if (a, b) == ("+", "-"):
-                col[s] = r(mono(-1, -1))
+                col[s] = RatioElem(mono(-1, -1))
                 col[flip(s, {i: "-", i + 1: "+"})] = R_ONE
             elif (a, b) == ("-", "+"):
                 col[flip(s, {i: "+", i + 1: "-"})] = R_ONE
-                col[s] = r(mono(-1, 1))
+                col[s] = RatioElem(mono(-1, 1))
             out[s] = col
         return out
     if gen == "eN":
-        site, dplus, dminus = N, r(mono(-1, 0, -1)), r(mono(-1, 0, 1))
+        site, dplus, dminus = N, RatioElem(mono(-1, 0, -1)), RatioElem(mono(-1, 0, 1))
     else:
-        site, dplus, dminus = 1, r(mono(-1, 0, 0, 1)), r(mono(-1, 0, 0, -1))
+        site, dplus, dminus = 1, RatioElem(mono(-1, 0, 0, 1)), RatioElem(mono(-1, 0, 0, -1))
     for s in enumerate_strings(N):
         col = {flip(s, {site: "-" if s[site - 1] == "+" else "+"}): R_ONE}
         col[s] = dplus if s[site - 1] == "+" else dminus
@@ -61,14 +57,14 @@ def reference_generator(N, gen):
 class TestGenerators:
     def test_eN_at_n1(self):
         E = generator_matrix(1, "eN")
-        assert E["+"] == {"+": r(mono(-1, 0, -1)), "-": R_ONE}
-        assert E["-"] == {"-": r(mono(-1, 0, 1)), "+": R_ONE}
+        assert E["+"] == {"+": RatioElem(mono(-1, 0, -1)), "-": R_ONE}
+        assert E["-"] == {"-": RatioElem(mono(-1, 0, 1)), "+": R_ONE}
 
     def test_ei_squared(self):
         for N in (2, 3, 4):
             for i in range(1, N):
                 E = generator_matrix(N, f"e{i}")
-                loop = r(-(mono(1, 1) + mono(1, -1)))
+                loop = RatioElem(-(mono(1, 1) + mono(1, -1)))
                 assert op_eq(op_mul(E, E), op_scale(E, loop))
 
     def test_boundary_commute(self):

@@ -1,5 +1,6 @@
 import argparse
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -290,9 +291,7 @@ class TestCommands:
 
         def shifted(tag, D):
             f = closed_form(tag, D)
-            if D.string == "+-+-":
-                f.q_exp += 1
-            return f
+            return replace(f, q_exp=f.q_exp + 1) if D.string == "+-+-" else f
 
         monkeypatch.setattr(ground_state, "psi_component", shifted)
         code, out = run(
@@ -303,6 +302,27 @@ class TestCommands:
             "FAIL  X Psi = lambda Psi BI N=4\n"
             "FAIL  structural component claims BI N=4\n"
             "FAIL  closed form == change of basis BI N=4\n"
+        )
+
+    @pytest.mark.parametrize("tag", ["A", "BII", "BIII"])
+    def test_verify_groundstate_fails_on_rescaled_psi(self, capsys, monkeypatch, tag):
+        # q Psi is still an eigenvector with positive components; only the
+        # change-of-basis row, which compares for equality, sees the factor
+        from tbtl import ground_state
+
+        closed_form = ground_state.psi_component
+
+        def rescaled(tag, D):
+            f = closed_form(tag, D)
+            return replace(f, q_exp=f.q_exp + 1)
+
+        monkeypatch.setattr(ground_state, "psi_component", rescaled)
+        code, out = run(capsys, "verify", "--check", "groundstate", "--type", tag, "--n", "4")
+        assert code == 1
+        assert out == (
+            f"PASS  X Psi = lambda Psi {tag} N=4\n"
+            f"PASS  structural component claims {tag} N=4\n"
+            f"FAIL  closed form == change of basis {tag} N=4\n"
         )
 
     def test_verify_fails_on_disagreeing_x_constructions(self, capsys, monkeypatch):
@@ -357,14 +377,13 @@ class TestCommands:
 
     def test_verify_non_polynomial_component_is_a_fail(self, capsys, monkeypatch):
         from tbtl import ground_state
+        from tbtl.ring import qint
 
         closed_form = ground_state.psi_component
 
         def over_five(tag, D):
             f = closed_form(tag, D)
-            if D.string == "++--":
-                f.times_qint(5, inverse=True)
-            return f
+            return replace(f, den=f.den + (qint(5),)) if D.string == "++--" else f
 
         monkeypatch.setattr(ground_state, "psi_component", over_five)
         code = main(["verify", "--check", "groundstate", "--type", "A", "--n", "4"])

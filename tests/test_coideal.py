@@ -24,22 +24,18 @@ from tbtl.ring import (
 mono = RingElem.mono
 
 
-def r(c):
-    return RatioElem(c)
-
-
 class TestWorkedExamples:
     def test_type_A(self):
         # three ups, three downs, weight zero: coefficients [i] and q[i]
         b = "+++---"
         D = build_diagram("A", b)
         out = apply_X_kl("A", D)
-        assert out["++----"] == r(qint(3))       # last up flipped: E_(3)
-        assert out["-++---"] == r(qint(1))        # E_(1)
-        assert out["+-+---"] == r(qint(2))
-        assert out["+++--+"] == r(mono(1, 1) * qint(1))  # F_(1): rightmost down
-        assert out["+++-+-"] == r(mono(1, 1) * qint(2))
-        assert out["++++--"] == r(mono(1, 1) * qint(3))
+        assert out["++----"] == RatioElem(qint(3))       # last up flipped: E_(3)
+        assert out["-++---"] == RatioElem(qint(1))        # E_(1)
+        assert out["+-+---"] == RatioElem(qint(2))
+        assert out["+++--+"] == RatioElem(mono(1, 1) * qint(1))  # F_(1): rightmost down
+        assert out["+++-+-"] == RatioElem(mono(1, 1) * qint(2))
+        assert out["++++--"] == RatioElem(mono(1, 1) * qint(3))
         assert out[b] == qQ_bracket(0)
 
     def test_BI_with_unpaired(self):
@@ -50,8 +46,8 @@ class TestWorkedExamples:
         assert dict(D.labels) == {2: 2}
         out = apply_X_kl("BI", D)
         # no unpaired down: r = 2: diagonal [n_up + r - 1] = [2]
-        assert out["--"] == r(qint(1))
-        assert out["+-"] == r(qint(2))
+        assert out["--"] == RatioElem(qint(1))
+        assert out["+-"] == RatioElem(qint(2))
 
     def test_BI_second_example(self):
         # M = 3, labels 2 and 3 present, two ups: X = X1 + [2]X2 + [3]D
@@ -59,9 +55,9 @@ class TestWorkedExamples:
         D = build_diagram("BI", "++--", 3)
         assert dict(D.labels) == {3: 2, 4: 3}
         out = apply_X_kl("BI", D)
-        assert out["-+--"] == r(qint(1))
-        assert out["+---"] == r(qint(2))
-        assert out["++--"] == r(qint(3))  # [n_up + r - 1] = [2 + 2 - 1]
+        assert out["-+--"] == RatioElem(qint(1))
+        assert out["+---"] == RatioElem(qint(2))
+        assert out["++--"] == RatioElem(qint(3))  # [n_up + r - 1] = [2 + 2 - 1]
 
     def test_BI_unpaired_down(self):
         D = build_diagram("BI", "+-", 1)
@@ -70,8 +66,8 @@ class TestWorkedExamples:
         D = build_diagram("BI", "+--", 1)
         assert D.unpaired_down == 2 and D.star == 3
         out = apply_X_kl("BI", D)
-        assert out["---"] == r(qint(1))   # dashed-arc move
-        assert out["++-"] == r(qint(2))   # unpaired down flipped
+        assert out["---"] == RatioElem(qint(1))   # dashed-arc move
+        assert out["++-"] == RatioElem(qint(2))   # unpaired down flipped
         assert "+--" not in out
 
     def test_BII(self):
@@ -81,8 +77,8 @@ class TestWorkedExamples:
         assert D.arcs == ((4, 7), (5, 6))
         assert dict(D.marks) == {3: "e", 8: "o"}
         out = apply_X_kl("BII", D)
-        assert out["-+---++-"] == r(qint(1))
-        assert out["+----++-"] == r(qint(2))
+        assert out["-+---++-"] == RatioElem(qint(1))
+        assert out["+----++-"] == RatioElem(qint(2))
         assert out[b] == qQ_bracket(2)
 
     def test_BII_o_leftmost(self):

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,10 @@ import pytest
 from tbtl.basis import build_diagram
 from tbtl.ground_state import (
     E0_GENERIC,
+    FactorizedScalar,
     GroundState,
     NonPolynomialComponent,
+    _component,
     _psd_blocks,
     numeric_ground_state_check,
     oracle_change_of_basis,
@@ -44,12 +47,10 @@ class TestWorkedExamples:
         assert f.to_ratio() == RatioElem(num, (qint(2), qint(3)))
 
     def test_standard(self):
-        assert psi_component("standard", build_diagram("A", "++-+")).to_ratio() == \
-            RatioElem(mono(1, 5, 3))
-        assert psi_component("standard", build_diagram("A", "--++")).to_ratio() == \
-            RatioElem(mono(1, 1, 2))
-        assert psi_component("standard", build_diagram("A", "--+-")).to_ratio() == \
-            RatioElem(mono(1, 1, 1))
+        comps = psi_vector("standard", 4).components()
+        assert comps["++-+"] == RatioElem(mono(1, 5, 3))
+        assert comps["--++"] == RatioElem(mono(1, 1, 2))
+        assert comps["--+-"] == RatioElem(mono(1, 1, 1))
 
     def test_BII(self):
         f = psi_component("BII", build_diagram("BII", "++-+---++-"))
@@ -87,7 +88,7 @@ class TestVectorShape:
 
     def test_all_plus_standard(self):
         for N in (3, 5):
-            f = psi_component("standard", build_diagram("A", "+" * N))
+            f = psi_vector("standard", N).factors["+" * N]
             assert f.to_ratio() == RatioElem(mono(1, N * (N - 1) // 2, N))
 
     def test_components_nonzero(self):
@@ -134,9 +135,27 @@ class TestChangeOfBasis:
     @pytest.mark.parametrize("tag,M", FAMILIES)
     def test_proportionality(self, tag, M):
         for N in (2, 3, 4):
-            ok, scalar = oracle_change_of_basis(psi_vector(tag, N, M))
-            assert ok
-            assert scalar == R_ONE
+            assert oracle_change_of_basis(psi_vector(tag, N, M)), (tag, N)
+
+
+class TestComponentValue:
+    def test_frozen(self):
+        f = psi_component("A", build_diagram("A", "+-+-"))
+        with pytest.raises(FrozenInstanceError):
+            f.q_exp = 1
+
+    def test_bracket_guard(self):
+        # [1] is left out; a bracket [n] with n <= 0 is refused on either side
+        assert _component([1, 2], [1], q_exp=3) == FactorizedScalar(3, 0, (qint(2),), ())
+        for n in (0, -2):
+            with pytest.raises(ValueError, match="nonpositive"):
+                _component([n])
+            with pytest.raises(ValueError, match="nonpositive"):
+                _component((), [n])
+
+    def test_standard_basis_only_through_psi_vector(self):
+        with pytest.raises(ValueError):
+            psi_component("standard", build_diagram("A", "+-"))
 
 
 class TestToRatio:
@@ -281,8 +300,6 @@ class TestSerialization:
 
 class TestComponentsMemo:
     def test_expanded_once_per_ground_state(self, monkeypatch):
-        from tbtl.ground_state import FactorizedScalar
-
         calls = []
         to_ratio = FactorizedScalar.to_ratio
         monkeypatch.setattr(
