@@ -192,7 +192,9 @@ def _match_arcs(string: str):
     return tuple(sorted(arcs)), tuple(ups), tuple(downs)
 
 
-@lru_cache(maxsize=200000)
+# 2^12: one family's every string at N=12, the top of the frontier sweep.  A
+# larger cache only keeps a table's diagrams alive; a table rarely hits it.
+@lru_cache(maxsize=4096)
 def build_diagram(tag: str, string: str, M: int | None = None) -> Diagram:
     check_tag(tag, M)
     arcs, ups, downs = _match_arcs(string)

@@ -39,135 +39,52 @@ _ONE_Q2 = ONE + _mono(1, 2)  # 1 + q^2
 
 # -- e_i, 1 <= i <= N-1 ----------------------------------------------------
 
-# The coefficient of e_i on two adjacent single-arrow blocks, from the block
-# kinds at sites (i, i+1).
 
-
-def _pair_coefficient(left, right) -> RingElem:
-    lk, rk = left[0], right[0]
-    if lk == "up" and rk == "up":
-        return ZERO
-    if lk == "up":
-        # up followed by any decorated or bare down arrow closes an arc.
-        return ONE
-    if lk == "down" and rk == "down":
-        return ZERO
-    if lk == "down" and rk == "star":
-        return ONE
-    if lk == "label" and rk == "label" and right[1] == left[1] + 1:
-        return ZERO
-    if lk == "star" and rk == "label" and right[1] == 2:
-        return ZERO
-    if lk == "circle" and rk == "circle" and left[1] == right[1] + 1:
-        return ZERO
-    if lk == "mark" and rk == "mark":
-        if (left[1], right[1]) == ("o", "e"):
-            return -(_mono(1, 0, 1) + _mono(1, 0, -1))  # -(Q + 1/Q)
-        if (left[1], right[1]) == ("e", "o"):
-            return _mono(1, -1, 1) + _mono(1, 1, -1)  # Q/q + q/Q
-    raise AssertionError(f"unreachable adjacent pair {left} {right}")
+def _single_vector(kind):
+    """(a, b) for a single arrow a v_- + b v_+: an up is (0, 1), a decorated
+    down (1, -alpha); None for the end of an arc or a dashed arc."""
+    if kind[0] == "up":
+        return ZERO, ONE
+    if kind[0] in DOWN_KINDS:
+        return ONE, -down_block_alpha(kind)
+    return None
 
 
 def apply_ei_kl(tag: str, D: Diagram, i: int) -> Vec:
-    """e_i on a basis diagram, returned over basis strings of the same family."""
-    N = D.N
-    if not 1 <= i <= N - 1:
+    """e_i on a basis diagram, returned over basis strings of the same family.
+
+    e_i caps (i, i+1), with <v_- v_+> = -q and <v_+ v_-> = 1 (algebra._E_BULK),
+    and cups a new arc there.  A solid arc on (i, i+1) is a loop, -[2]; a
+    dashed one gives 0.  Otherwise i -> '-', i+1 -> '+', and the two blocks
+    that met are joined.  Two single arrows a v_- + b v_+ and a' v_- + b' v_+
+    give the cap value b a' - q a b'.  A single arrow beside a block moves to
+    the block's far end, which is '-' iff a != 0 for an arc and iff b != 0 for
+    a dashed arc (it swaps v_- and v_+).  Two block ends join their far ends
+    h < j: h -> '-', and j -> '+' if the blocks are of one type, '-'
+    otherwise.  Every coefficient but the cap value is 1.
+    """
+    if not 1 <= i <= D.N - 1:
         raise ValueError("bulk generator index out of range")
-    left = D.site_kind(i)
-    right = D.site_kind(i + 1)
-    s = D.string
-    out: Vec = {}
-
-    # Same block.
+    left, right = D.site_kind(i), D.site_kind(i + 1)
     if left == ("arc_l", i + 1):
-        _accumulate(out, s, RatioElem(-(qint(2))))
-        return out
+        return {D.string: RatioElem(-qint(2))}
     if left == ("dash_l", i + 1):
-        return out
-
-    single_kinds = ("up", *DOWN_KINDS)
-    l_single = left[0] in single_kinds
-    r_single = right[0] in single_kinds
-
-    if l_single and r_single:
-        c = _pair_coefficient(left, right)
-        _accumulate(out, flip(s, {i: "-", i + 1: "+"}), RatioElem(c))
-        return out
-
-    if l_single and not r_single:
-        # single at i, block opening at i+1 toward j
-        j = right[1]
-        if right[0] == "arc_l":
-            if left[0] == "up":
-                # arc passes through; far end stays up
-                _accumulate(out, flip(s, {i: "-", i + 1: "+"}), R_ONE)
-            else:
-                # the decorated down moves to j
-                _accumulate(out, flip(s, {i + 1: "+", j: "-"}), R_ONE)
-            return out
-        if right[0] == "dash_l":
-            if left[0] == "up":
-                # far end becomes a bare down (stays '-')
-                _accumulate(out, flip(s, {i: "-", i + 1: "+"}), R_ONE)
-            elif left[0] == "down":
-                # far end becomes an up
-                _accumulate(out, flip(s, {i + 1: "+", j: "+"}), R_ONE)
-            else:
-                raise AssertionError(f"unreachable pair {left} before a dashed arc")
-            return out
-
-    if r_single and not l_single:
-        h = left[1]
-        if left[0] == "arc_r":
-            if right[0] == "up":
-                _accumulate(out, flip(s, {h: "+", i: "-"}), R_ONE)
-            else:
-                _accumulate(out, flip(s, {i: "-", i + 1: "+"}), R_ONE)
-            return out
-        if left[0] == "dash_r":
-            if right[0] == "star":
-                _accumulate(out, flip(s, {i + 1: "+"}), R_ONE)
-                return out
-            raise AssertionError(f"unreachable pair after a dashed arc: {right}")
-
-    # Two block ends.
-    lk, rk = left[0], right[0]
-    if lk in ("arc_r", "dash_r") and rk in ("arc_l", "dash_l"):
-        # side by side: reconnect the far ends h < i, j > i+1
-        h, j = left[1], right[1]
-        solid = (lk == "arc_r") == (rk == "arc_l")
-        changes = {}
-        if lk == "arc_r":
-            changes[i] = "-"
-        changes[i + 1] = "+"
-        want_j = "+" if solid else "-"
-        have_j = "+" if rk == "arc_l" else "-"
-        if want_j != have_j:
-            changes[j] = want_j
-        _accumulate(out, flip(s, changes), R_ONE)
-        return out
-    if lk in ("arc_l", "dash_l") and rk in ("arc_l", "dash_l"):
-        # nested left legs: outer (i, k), inner (i+1, j); the far ends
-        # reconnect with the combined type (two alike give a solid pair)
-        k, j = left[1], right[1]
-        if not (i + 1 < j < k):
-            raise AssertionError("left legs are not nested")
-        new_type_solid = (lk == "arc_l") == (rk == "arc_l")
-        changes = {i + 1: "+", j: "-", k: "+" if new_type_solid else "-"}
-        changes = {p: ch for p, ch in changes.items() if s[p - 1] != ch}
-        _accumulate(out, flip(s, changes), R_ONE)
-        return out
-    if lk in ("arc_r", "dash_r") and rk in ("arc_r", "dash_r"):
-        # nested right legs: inner (h', i), outer (h, i+1)
-        hp, h = left[1], right[1]
-        if not (h < hp < i):
-            raise AssertionError("right legs are not nested")
-        new_type_solid = (lk == "arc_r") == (rk == "arc_r")
-        changes = {i: "-", i + 1: "+", h: "-", hp: "+" if new_type_solid else "-"}
-        changes = {p: ch for p, ch in changes.items() if s[p - 1] != ch}
-        _accumulate(out, flip(s, changes), R_ONE)
-        return out
-    raise AssertionError(f"unhandled configuration {left} {right}")
+        return {}
+    changes = {i: "-", i + 1: "+"}
+    c = ONE
+    x, y = _single_vector(left), _single_vector(right)
+    if x and y:
+        (a, b), (a2, b2) = x, y
+        c = b * a2 - _mono(1, 1) * a * b2
+    elif x or y:
+        a, b = x or y
+        end = right if x else left
+        changes[end[1]] = "-" if (a if end[0].startswith("arc") else b) else "+"
+    else:
+        h, j = sorted((left[1], right[1]))
+        changes[h] = "-"
+        changes[j] = "+" if left[0].startswith("arc") == right[0].startswith("arc") else "-"
+    return {flip(D.string, changes): RatioElem(c)} if c else {}
 
 
 # -- coefficient c_{(j,i)} ---------------------------------------------------

@@ -12,6 +12,7 @@ from tbtl.basis import (
     transition_matrix,
     validate_kl_conditions,
 )
+from tbtl.cli import main
 from tbtl.ring import ONE, RatioElem, RingElem, R_ONE
 
 mono = RingElem.mono
@@ -271,3 +272,14 @@ def test_site_kind_exhaustive(tag, M):
             for outside in (0, N + 1):
                 with pytest.raises(ValueError):
                     D.site_kind(outside)
+
+
+def test_build_diagram_cache_is_bounded():
+    # a table sweeps more diagrams than the cache keeps; a verify run still
+    # reuses the diagrams it built
+    build_diagram.cache_clear()
+    assert main(["table", "--nmax", "9"]) == 0
+    assert build_diagram.cache_info().currsize <= 4096
+    build_diagram.cache_clear()
+    assert main(["verify", "--check", "klactions", "--type", "BI", "--m", "2", "--n", "4"]) == 0
+    assert build_diagram.cache_info().hits > 0

@@ -434,6 +434,80 @@ class TestCommands:
         ]
 
 
+class TestVerifyMutants:
+    """One seeded fault per verify row, in an input the row reads: each turns
+    its row to FAIL with exit 1 and nothing on stderr."""
+
+    @pytest.fixture(autouse=True)
+    def cold_caches(self):
+        # every cache a fault passes through starts and ends empty
+        from tbtl import algebra, basis
+
+        caches = (algebra.generator_matrix, basis.transition_matrix, basis.build_diagram)
+        for cache in caches:
+            cache.cache_clear()
+        yield
+        for cache in caches:
+            cache.cache_clear()
+
+    @staticmethod
+    def assert_fails(capsys, label, *argv):
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert f"FAIL  {label}" in captured.out.splitlines()
+
+    def test_relations_fail_on_flipped_eN_sign(self, capsys, monkeypatch):
+        from tbtl import algebra
+        from tbtl.ring import RatioElem, RingElem
+
+        monkeypatch.setitem(algebra._E_N, ("+", "+"), RatioElem(RingElem.mono(1, 0, -1)))
+        self.assert_fails(capsys, "defining relations N=3", "--check", "relations", "--n", "3")
+
+    def test_pauli_fails_on_flipped_bulk_sign(self, capsys, monkeypatch):
+        from tbtl import algebra
+        from tbtl.ring import RatioElem, RingElem
+
+        monkeypatch.setitem(algebra._E_BULK, ("+-", "+-"), RatioElem(RingElem.mono(1, -1)))
+        self.assert_fails(capsys, "spin-chain form of H(2B) N=3", "--check", "pauli", "--n", "3")
+
+    def test_commutant_fails_on_flipped_bulk_sign(self, capsys, monkeypatch):
+        from tbtl import algebra
+        from tbtl.ring import RatioElem
+
+        monkeypatch.setitem(algebra._E_BULK, ("-+", "+-"), RatioElem.rational(-1))
+        self.assert_fails(capsys, "[e_g, X] = 0 N=3", "--check", "commutant", "--n", "3")
+
+    def test_klbasis_fails_on_wrong_arc_vector(self, capsys, monkeypatch):
+        from tbtl import basis
+        from tbtl.ring import ONE, RingElem
+
+        block_vector = basis.block_vector
+
+        def wrong_arc(block):
+            if block[0] == "arc":
+                return [("-+", ONE), ("+-", RingElem.mono(-1, 1))]  # -q for -1/q
+            return block_vector(block)
+
+        monkeypatch.setattr(basis, "block_vector", wrong_arc)
+        self.assert_fails(
+            capsys, "KL triangularity/coefficient classes A N=3",
+            "--check", "klbasis", "--type", "A", "--n", "3",
+        )
+
+    def test_index_histogram_fails_on_dropped_unpaired_down(self, capsys, monkeypatch):
+        from tbtl import basis, coideal
+
+        def dropped(tag, s, M=None):
+            return replace(basis.build_diagram(tag, s, M), unpaired_down=None)
+
+        monkeypatch.setattr(coideal, "build_diagram", dropped)
+        self.assert_fails(
+            capsys, "index histogram BI N=3 M=1",
+            "--check", "eigen", "--type", "BI", "--m", "1", "--n", "3",
+        )
+
+
 def verify_choices():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     check = next(a for a in sub.choices["verify"]._actions if a.dest == "check")

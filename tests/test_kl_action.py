@@ -176,7 +176,8 @@ class TestBoundaryRows:
 
 class TestOracle:
     @pytest.mark.parametrize(
-        "tag,M", [("A", None), ("BI", 1), ("BI", 2), ("BI", 3), ("BII", None), ("BIII", None)]
+        "tag,M",
+        [("A", None), ("BI", 1), ("BI", 2), ("BI", 3), ("BI", 4), ("BII", None), ("BIII", None)],
     )
     def test_exhaustive(self, tag, M):
         for N in range(1, 6):
