@@ -1,5 +1,6 @@
 """Standard-basis matrices of the loop-model generators and the coideal
-generator, with relation, quotient, Hamiltonian and commutant checks.
+generator, with relation, quotient, Hamiltonian and commutant checks, each
+an identity between words of operators checked by identity_mismatches.
 
 Operators are stored column-sparse: {column string: {row string: coeff}}.
 Site 1 is the leftmost tensor factor and the per-site basis order is
@@ -11,44 +12,22 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .basis import enumerate_strings, flip, read_only
+from .basis import _accumulate, enumerate_strings, flip, read_only
 from .ring import (
     RatioElem,
     RingElem,
     R_ONE,
+    R_ZERO,
     _atom_key,
     qQ_bracket,
 )
 
 Vec = dict[str, RatioElem]
 Op = dict[str, Vec]
+Word = tuple[Op, ...]  # A_1 A_2 ... A_k, applied right to left
+Side = list[tuple[RatioElem, Word]]  # sum_k c_k w_k
 
 _mono = RingElem.mono
-
-
-def _accumulate(out: Vec, s: str, c: RatioElem):
-    if not c:
-        return
-    cur = out.get(s)
-    nxt = c if cur is None else cur + c
-    if not nxt:
-        out.pop(s, None)
-    else:
-        out[s] = nxt
-
-
-def _add_scaled(H: Op, A: Op, c: RatioElem):
-    """H += c A, in place; a column of A that H lacks is added to H."""
-    for col, column in A.items():
-        out = H.setdefault(col, {})
-        for row, v in column.items():
-            _accumulate(out, row, c * v)
-
-
-def op_scale(A: Op, c: RatioElem) -> Op:
-    out: Op = {}
-    _add_scaled(out, A, c)
-    return out
 
 
 def op_apply(A: Op, v: Vec) -> Vec:
@@ -105,26 +84,55 @@ def op_apply(A: Op, v: Vec) -> Vec:
     return out
 
 
-def op_mul(A: Op, B: Op) -> Op:
-    return {col: op_apply(A, column) for col, column in B.items()}
+def apply_word(word: Word, v: Vec) -> Vec:
+    """w v for a word w = (A_1, ..., A_k) of operators, applied right to
+    left: A_1 (... (A_k v)).  A on a unit vector {s: R_ONE} is column s of
+    A, read rather than computed, so the result may be a column of an
+    operator: callers only read it."""
+    for A in reversed(word):
+        unit = len(v) == 1 and next(iter(v.values())) is R_ONE
+        v = A[next(iter(v))] if unit else op_apply(A, v)
+    return v
 
 
-def op_mismatches(A: Op, B: Op):
-    """Yield the (column, row) entries where A and B differ, column by column
-    over A; a missing entry counts as zero."""
-    for col, va in A.items():
-        vb = B.get(col, {})
-        for row in {**va, **vb}:
-            ca, cb = va.get(row), vb.get(row)
-            if ca is None or cb is None:
-                if ca or cb:
-                    yield col, row
-            elif ca != cb:
-                yield col, row
+def _apply_side(side: Side, v: Vec) -> Vec:
+    if len(side) == 1 and side[0][0] is R_ONE:
+        return apply_word(side[0][1], v)
+    out: Vec = {}
+    for c, word in side:
+        for row, x in apply_word(word, v).items():
+            _accumulate(out, row, c * x)
+    return out
 
 
-def op_eq(A: Op, B: Op) -> bool:
-    return next(op_mismatches(A, B), None) is None
+def vector_mismatches(left: Vec, right: Vec):
+    """Yield (row, left entry, right entry) for each row where the two
+    vectors differ; a missing entry counts as zero."""
+    for row in {**left, **right}:
+        a, b = left.get(row, R_ZERO), right.get(row, R_ZERO)
+        if a != b:
+            yield row, a, b
+
+
+def identity_mismatches(columns: dict[str, Vec], lhs: Side, rhs: Side):
+    """Where lhs == rhs fails for two sides sum_k c_k w_k (see apply_word):
+    the one way to compare two operators or two vectors.
+
+    One column at a time, both sides are applied to its start vector (a
+    unit column of unit_columns, or a vector such as Psi), and each column
+    where they differ yields (column, row, left, right) at its first
+    differing row.  No product is built in full, and a caller that needs
+    only a verdict stops at the first differing column.
+    """
+    for label, v in columns.items():
+        first = next(vector_mismatches(_apply_side(lhs, v), _apply_side(rhs, v)), None)
+        if first is not None:
+            yield (label, *first)
+
+
+def unit_columns(N: int) -> dict[str, Vec]:
+    """{s: the unit vector at s} over the basis strings of size N."""
+    return {s: {s: R_ONE} for s in enumerate_strings(N)}
 
 
 # -- generators -----------------------------------------------------------
@@ -182,43 +190,38 @@ def generator_matrix(N: int, gen: str) -> Op:
 
 
 def check_defining_relations(N: int) -> dict[str, bool]:
-    """Every defining relation of the two-boundary algebra, as matrices."""
+    """Every defining relation of the two-boundary algebra, as a table of
+    (label, lhs, rhs) rows checked on the unit columns.  With e0 at site 0
+    and eN at site N, generators two or more sites apart commute."""
     if N < 2:
         raise ValueError("need N >= 2")
-    e = [None] + [generator_matrix(N, f"e{i}") for i in range(1, N)]
-    eN, e0 = generator_matrix(N, "eN"), generator_matrix(N, "e0")
-    two = RatioElem(-(_mono(1, 1) + _mono(1, -1)))
-    report: dict[str, bool] = {}
-    for i in range(1, N):
-        report[f"e{i}^2 = -(q+1/q) e{i}"] = op_eq(op_mul(e[i], e[i]), op_scale(e[i], two))
+    names = ["e0", *(f"e{i}" for i in range(1, N)), "eN"]  # by site
+    e = [generator_matrix(N, g) for g in names]
+
+    def w(*sites, c=R_ONE):
+        return [(c, tuple(e[k] for k in sites))]
+
+    def sym(*x):  # m + 1/m for the monomial m = q^x[0] Q^x[1] Q0^x[2]
+        return RatioElem(_mono(1, *x) + _mono(1, *(-k for k in x)))
+
+    loops = {0: ("Q0", sym(0, 0, 1)), N: ("Q", sym(0, 1))}
+    rows = []
+    for k, g in enumerate(names):
+        x, loop = loops.get(k, ("q", sym(1)))
+        rows.append((f"{g}^2 = -({x}+1/{x}) {g}", w(k, k), w(k, c=-loop)))
     for i in range(1, N - 1):
-        report[f"e{i} e{i+1} e{i} = e{i}"] = op_eq(op_mul(e[i], op_mul(e[i + 1], e[i])), e[i])
-        report[f"e{i+1} e{i} e{i+1} = e{i+1}"] = op_eq(
-            op_mul(e[i + 1], op_mul(e[i], e[i + 1])), e[i + 1]
-        )
-    for i in range(1, N):
-        for j in range(i + 2, N):
-            report[f"[e{i}, e{j}] = 0"] = op_eq(op_mul(e[i], e[j]), op_mul(e[j], e[i]))
-    report["eN^2 = -(Q+1/Q) eN"] = op_eq(
-        op_mul(eN, eN), op_scale(eN, RatioElem(-(_mono(1, 0, 1) + _mono(1, 0, -1))))
-    )
-    bN = RatioElem(_mono(1, 1, -1) + _mono(1, -1, 1))
-    report["e(N-1) eN e(N-1) = (q/Q + Q/q) e(N-1)"] = op_eq(
-        op_mul(e[N - 1], op_mul(eN, e[N - 1])), op_scale(e[N - 1], bN)
-    )
-    for i in range(1, N - 1):
-        report[f"[e{i}, eN] = 0"] = op_eq(op_mul(e[i], eN), op_mul(eN, e[i]))
-    report["e0^2 = -(Q0+1/Q0) e0"] = op_eq(
-        op_mul(e0, e0), op_scale(e0, RatioElem(-(_mono(1, 0, 0, 1) + _mono(1, 0, 0, -1))))
-    )
-    b0 = RatioElem(_mono(1, 1, 0, -1) + _mono(1, -1, 0, 1))
-    report["e1 e0 e1 = (q/Q0 + Q0/q) e1"] = op_eq(
-        op_mul(e[1], op_mul(e0, e[1])), op_scale(e[1], b0)
-    )
-    for i in range(2, N):
-        report[f"[e{i}, e0] = 0"] = op_eq(op_mul(e[i], e0), op_mul(e0, e[i]))
-    report["[eN, e0] = 0"] = op_eq(op_mul(eN, e0), op_mul(e0, eN))
-    return report
+        rows.append((f"e{i} e{i+1} e{i} = e{i}", w(i, i + 1, i), w(i)))
+        rows.append((f"e{i+1} e{i} e{i+1} = e{i+1}", w(i + 1, i, i + 1), w(i + 1)))
+    last = N - 1
+    rows.append(("e(N-1) eN e(N-1) = (q/Q + Q/q) e(N-1)", w(last, N, last), w(last, c=sym(1, -1))))
+    rows.append(("e1 e0 e1 = (q/Q0 + Q0/q) e1", w(1, 0, 1), w(1, c=sym(1, 0, -1))))
+    rows += [
+        (f"[{a}, {b}] = 0", w(j, k), w(k, j))
+        for j, a in enumerate(names)
+        for k, b in enumerate(names[j + 2:], start=j + 2)
+    ]
+    columns = unit_columns(N)
+    return {label: not any(identity_mismatches(columns, lhs, rhs)) for label, lhs, rhs in rows}
 
 
 def quotient_words(N: int):
@@ -242,20 +245,15 @@ def alpha_closed_form(N: int) -> RingElem:
 
 def check_quotient_alpha(N: int) -> bool:
     """I != 0, I J I = alpha_N I and J I J = alpha_N J, with alpha_N the
-    closed form."""
-
-    def word(names):
-        m = generator_matrix(N, names[0])
-        for name in names[1:]:
-            m = op_mul(m, generator_matrix(N, name))
-        return m
-
-    I, J = (word(names) for names in quotient_words(N))
-    alpha = RatioElem(alpha_closed_form(N))
+    closed form.  I and J are built once, column by column; each identity
+    is then checked on the columns of the word it ends in."""
+    words = [tuple(generator_matrix(N, g) for g in names) for names in quotient_words(N)]
+    I, J = ({s: apply_word(word, v) for s, v in unit_columns(N).items()} for word in words)
+    alpha = [(RatioElem(alpha_closed_form(N)), ())]
     return (
-        not op_eq(I, {})
-        and op_eq(op_mul(I, op_mul(J, I)), op_scale(I, alpha))
-        and op_eq(op_mul(J, op_mul(I, J)), op_scale(J, alpha))
+        any(I.values())
+        and not any(identity_mismatches(I, [(R_ONE, (I, J))], alpha))
+        and not any(identity_mismatches(J, [(R_ONE, (J, I))], alpha))
     )
 
 
@@ -270,59 +268,49 @@ def hamiltonian_terms(N: int, aN: RatioElem, a0: RatioElem) -> list[tuple[RatioE
     return [(coupling.get(gen, R_ONE), generator_matrix(N, gen)) for gen in generator_names(N)]
 
 
-def hamiltonian_matrix(N: int, aN: RatioElem, a0: RatioElem) -> Op:
-    """H = -sum e_i - aN eN - a0 e0, the sum of hamiltonian_terms:
-    pauli_equivalence_check verifies it, and numeric_ground_state_check
-    certifies its ground state term by term."""
-    H: Op = {}
-    for a, E in hamiltonian_terms(N, aN, a0):
-        _add_scaled(H, E, -a)
-    return H
-
-
-def pauli_hamiltonian(N: int, aN: RatioElem, a0: RatioElem) -> Op:
-    """The spin-chain form of the two-boundary Hamiltonian.
+def pauli_hamiltonian(N: int, aN: RatioElem, a0: RatioElem) -> Side:
+    """The spin-chain form of the two-boundary Hamiltonian, as a side of
+    scaled local operators and the identity (the empty word).
 
     sigma^x sigma^x + sigma^y sigma^y is assembled as
     2(sigma^+ sigma^- + sigma^- sigma^+) so no sqrt(-1) enters.
     """
-    one, two = R_ONE, RatioElem.rational(2)
+    one = R_ONE
     half, quarter = RatioElem.rational(Fraction(1, 2)), RatioElem.rational(Fraction(1, 4))
-    mhalf = -half
-
-    # Local two-site operator: sigma+sigma- + sigma-sigma+ flips +- <-> -+.
-    fliplocal = {("-+", "+-"): one, ("+-", "-+"): one}
-    # sigma^z sigma^z is diagonal with sign product.
-    zz = {("++", "++"): one, ("--", "--"): one, ("+-", "+-"): -one, ("-+", "-+"): -one}
     qq = RatioElem(_mono(1, 1) + _mono(1, -1))  # q + 1/q
-
-    H: Op = {}
-    for i in range(1, N):
-        _add_scaled(H, _local_op(N, i, fliplocal), mhalf * two)
-        _add_scaled(H, _local_op(N, i, zz), mhalf * quarter * two * qq)
-
     qdiff = RatioElem(_mono(1, 1) - _mono(1, -1))  # q - 1/q
-    z1 = {("+", "+"): one, ("-", "-"): -one}
-    coeff_z1 = mhalf * (qdiff * half - a0 * RatioElem(_mono(1, 0, 0, 1) - _mono(1, 0, 0, -1)))
-    _add_scaled(H, _local_op(N, 1, z1), coeff_z1)
-    coeff_zN = mhalf * -(qdiff * half - aN * RatioElem(_mono(1, 0, 1) - _mono(1, 0, -1)))
-    _add_scaled(H, _local_op(N, N, z1), coeff_zN)
+    dQ0 = RatioElem(_mono(1, 0, 0, 1) - _mono(1, 0, 0, -1))  # Q0 - 1/Q0
+    dQ = RatioElem(_mono(1, 0, 1) - _mono(1, 0, -1))  # Q - 1/Q
 
-    pm = {("+", "-"): one, ("-", "+"): one}  # sigma+ + sigma-
-    _add_scaled(H, _local_op(N, 1, pm), mhalf * two * a0)
-    _add_scaled(H, _local_op(N, N, pm), mhalf * two * aN)
+    # sigma+sigma- + sigma-sigma+ flips +- <-> -+; sigma^z sigma^z is diagonal
+    # with sign product; sigma+ + sigma- is sigma^x.
+    flip2 = {("-+", "+-"): one, ("+-", "-+"): one}
+    zz = {("++", "++"): one, ("--", "--"): one, ("+-", "+-"): -one, ("-+", "-+"): -one}
+    z = {("+", "+"): one, ("-", "-"): -one}
+    x = {("+", "-"): one, ("-", "+"): one}
 
+    H: Side = []
+    for i in range(1, N):
+        H += [(-one, (_local_op(N, i, flip2),)), (-quarter * qq, (_local_op(N, i, zz),))]
+    H += [
+        (-half * (half * qdiff - a0 * dQ0), (_local_op(N, 1, z),)),
+        (half * (half * qdiff - aN * dQ), (_local_op(N, N, z),)),
+        (-a0, (_local_op(N, 1, x),)),
+        (-aN, (_local_op(N, N, x),)),
+    ]
     const = (
         quarter * qq * RatioElem.rational(N - 1)
         + a0 * RatioElem(_mono(1, 0, 0, 1) + _mono(1, 0, 0, -1)) * half
         + aN * RatioElem(_mono(1, 0, 1) + _mono(1, 0, -1)) * half
     )
-    _add_scaled(H, {s: {s: one} for s in enumerate_strings(N)}, const)
+    H.append((const, ()))
     return H
 
 
 def pauli_equivalence_check(N: int, a0: RatioElem, aN: RatioElem) -> bool:
-    return op_eq(pauli_hamiltonian(N, aN, a0), hamiltonian_matrix(N, aN, a0))
+    """pauli_hamiltonian == -sum a_g e_g over hamiltonian_terms."""
+    H = [(-a, (E,)) for a, E in hamiltonian_terms(N, aN, a0)]
+    return not any(identity_mismatches(unit_columns(N), pauli_hamiltonian(N, aN, a0), H))
 
 
 # -- coideal generator X ----------------------------------------------------
@@ -339,9 +327,7 @@ def x_matrix_direct(N: int) -> Op:
         for i, c in enumerate(eps, start=1):
             col[flip(eps, {i: "-" if c == "+" else "+"})] = RatioElem(_mono(1, d))
             d += 1 if c == "+" else -1
-        cur = col.get(eps)
-        diag = s * RatioElem(_mono(1, d))
-        col[eps] = diag if cur is None else cur + diag
+        col[eps] = s * RatioElem(_mono(1, d))  # every flip above differs from eps
         out[eps] = col
     return out
 
@@ -362,28 +348,30 @@ def x_matrix_coproduct(N: int) -> Op:
         col: Vec = {}
         for row_tail, c in inner[tail].items():
             col[head + row_tail] = c * k
-        flipped = ("-" if head == "+" else "+") + tail
-        cur = col.get(flipped)
-        col[flipped] = R_ONE if cur is None else cur + R_ONE
+        col[("-" if head == "+" else "+") + tail] = R_ONE  # no row above has this head
         out[eps] = col
     return out
 
 
 def x_matrix_standard(N: int) -> Op:
-    """X, checked: raises if the direct and coproduct constructions differ."""
+    """X, checked: raises if the direct and coproduct constructions differ,
+    naming the first (column, row) where they do."""
     direct = x_matrix_direct(N)
-    if not op_eq(direct, x_matrix_coproduct(N)):
-        raise AssertionError("the two constructions of X disagree")
+    coproduct = [(R_ONE, (x_matrix_coproduct(N),))]
+    for col, row, _, _ in identity_mismatches(unit_columns(N), [(R_ONE, (direct,))], coproduct):
+        raise AssertionError(f"the two constructions of X disagree at column {col}, row {row}")
     return direct
 
 
 def commutation_check(N: int) -> dict[str, bool]:
-    """[e_g, X] = 0 for bulk and right-boundary generators; e0 fails."""
+    """[e_g, X] = 0 for bulk and right-boundary generators; e0 fails, at
+    its first differing column."""
     X = generator_matrix(N, "X")
     report = {}
+    columns = unit_columns(N)
     for gen in generator_names(N):
         E = generator_matrix(N, gen)
-        commutes = op_eq(op_mul(E, X), op_mul(X, E))
+        commutes = not any(identity_mismatches(columns, [(R_ONE, (E, X))], [(R_ONE, (X, E))]))
         if gen == "e0":
             report["[e0, X] != 0"] = not commutes
         else:

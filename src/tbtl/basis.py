@@ -14,7 +14,7 @@ from itertools import product
 from operator import itemgetter
 from types import MappingProxyType
 
-from .ring import ONE, R_ZERO, ZERO, RatioElem, RingElem
+from .ring import ONE, ZERO, RatioElem, RingElem
 
 TAGS = ("A", "BI", "BII", "BIII")
 
@@ -286,6 +286,18 @@ def _block_sites(block):
     return (block[1],)
 
 
+def _accumulate(out: dict, s: str, c):
+    """out[s] += c, in place; an entry that sums to zero is dropped."""
+    if not c:
+        return
+    cur = out.get(s)
+    nxt = c if cur is None else cur + c
+    if not nxt:
+        out.pop(s, None)
+    else:
+        out[s] = nxt
+
+
 def diagram_to_standard(D: Diagram) -> dict[str, RingElem]:
     """Tensor-product expansion of a diagram over standard strings."""
     placements = []
@@ -296,9 +308,7 @@ def diagram_to_standard(D: Diagram) -> dict[str, RingElem]:
 
     def rec(idx: int, coeff: RingElem, chars):
         if idx == len(placements):
-            s = "".join(chars)
-            prev = out.get(s)
-            out[s] = coeff if prev is None else prev + coeff
+            _accumulate(out, "".join(chars), coeff)
             return
         sites, options = placements[idx]
         for local, c in options:
@@ -307,7 +317,7 @@ def diagram_to_standard(D: Diagram) -> dict[str, RingElem]:
             rec(idx + 1, coeff * c, chars)
 
     rec(0, ONE, chars_template)
-    return {s: c for s, c in out.items() if c.terms}
+    return out
 
 
 def read_only(op: dict) -> MappingProxyType:
@@ -341,12 +351,7 @@ def standard_to_kl(vec: dict[str, RatioElem], tag: str, N: int, M: int | None = 
         for s2, poly in T[s].items():
             if s2 == s:
                 continue
-            cur = work.get(s2, R_ZERO)
-            nxt = cur - c * RatioElem(poly)
-            if not nxt:
-                work.pop(s2, None)
-            else:
-                work[s2] = nxt
+            _accumulate(work, s2, -(c * RatioElem(poly)))
     if work:
         raise AssertionError("back-substitution left residual entries")
     return out

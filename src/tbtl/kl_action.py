@@ -27,9 +27,10 @@ from .algebra import (
     Vec,
     _accumulate,
     generator_matrix,
+    identity_mismatches,
     op_apply,
-    op_eq,
-    op_mismatches,
+    unit_columns,
+    vector_mismatches,
 )
 
 _mono = RingElem.mono
@@ -409,12 +410,12 @@ def crosscheck_vs_standard(tag: str, N: int, gen: str, M: int | None = None):
 
     T is the transition matrix (KL columns in the standard basis), E the
     standard matrix of the generator and K its diagram action.  Each column
-    is checked as E T[s] == T K[s], with no inverse of T.  This is the
-    conjugation claim because T is unitriangular, which the klbasis check
-    (validate_kl_conditions) verifies: then T is invertible and
-    E T[s] == T K[s] holds exactly when T^{-1} E T[s] == K[s].  Only a
-    column that differs is back-substituted (standard_to_kl), to name the
-    rows where it differs from K.
+    is checked as E T[s] == T K[s] by identity_mismatches, with no inverse
+    of T.  This is the conjugation claim because T is unitriangular, which
+    the klbasis check (validate_kl_conditions) verifies: then T is
+    invertible and E T[s] == T K[s] holds exactly when T^{-1} E T[s] ==
+    K[s].  Only a column that differs is back-substituted (standard_to_kl),
+    to name the rows where it differs from K.
 
     Returns (ok, mismatches) where mismatches lists the differing
     (column, row) pairs of basis strings.
@@ -426,9 +427,7 @@ def crosscheck_vs_standard(tag: str, N: int, gen: str, M: int | None = None):
     }
     K = kl_operator(tag, N, gen, M)
     mismatches = []
-    for s in enumerate_strings(N):
-        image = op_apply(E, T[s])
-        if not op_eq({s: image}, {s: op_apply(T, K[s])}):
-            conjugated = {s: standard_to_kl(image, tag, N, M)}
-            mismatches.extend(op_mismatches(conjugated, K))
+    for s, *_ in identity_mismatches(unit_columns(N), [(R_ONE, (E, T))], [(R_ONE, (T, K))]):
+        conjugated = standard_to_kl(op_apply(E, T[s]), tag, N, M)
+        mismatches.extend((s, row) for row, _, _ in vector_mismatches(conjugated, K[s]))
     return (not mismatches), mismatches

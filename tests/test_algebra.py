@@ -10,12 +10,12 @@ from tbtl.algebra import (
     commutation_check,
     generator_matrix,
     generator_names,
-    hamiltonian_matrix,
+    hamiltonian_terms,
+    identity_mismatches,
     op_apply,
-    op_eq,
-    op_mul,
-    op_scale,
     pauli_equivalence_check,
+    unit_columns,
+    vector_mismatches,
     x_matrix_coproduct,
     x_matrix_direct,
     x_matrix_standard,
@@ -65,13 +65,16 @@ class TestGenerators:
             for i in range(1, N):
                 E = generator_matrix(N, f"e{i}")
                 loop = RatioElem(-(mono(1, 1) + mono(1, -1)))
-                assert op_eq(op_mul(E, E), op_scale(E, loop))
+                squared, scaled = [(R_ONE, (E, E))], [(loop, (E,))]
+                assert not any(identity_mismatches(unit_columns(N), squared, scaled))
 
     def test_boundary_commute(self):
         for N in (2, 3):
             EN = generator_matrix(N, "eN")
             E0 = generator_matrix(N, "e0")
-            assert op_eq(op_mul(EN, E0), op_mul(E0, EN))
+            assert not any(
+                identity_mismatches(unit_columns(N), [(R_ONE, (EN, E0))], [(R_ONE, (E0, EN))])
+            )
 
     def test_out_of_range(self):
         for N, gen in [(3, "e3"), (3, "e0x"), (3, "e"), (3, "f1"), (2, "e-1")]:
@@ -119,8 +122,8 @@ class TestHamiltonian:
     def test_assembly(self):
         N = 2
         gens = {gen: generator_matrix(N, gen) for gen in generator_names(N)}
-        H = hamiltonian_matrix(N, R_ONE, R_ONE)
-        manual = op_scale(gens["e1"], RatioElem.rational(-1))
+        H = [(-a, (E,)) for a, E in hamiltonian_terms(N, R_ONE, R_ONE)]
+        manual = {col: {row: -c for row, c in column.items()} for col, column in gens["e1"].items()}
         manual = {
             col: {
                 row: c - gens["eN"][col].get(row, RatioElem.rational(0))
@@ -130,7 +133,7 @@ class TestHamiltonian:
             }
             for col, col2 in manual.items()
         }
-        assert op_eq(H, manual)
+        assert not any(identity_mismatches(unit_columns(N), H, [(R_ONE, (manual,))]))
 
     def test_pauli_form(self):
         # affine in the couplings, so a few points pin the identity; a0 = 1/10
@@ -154,7 +157,8 @@ class TestX:
 
     def test_builds_agree(self):
         for N in range(1, 7):
-            assert op_eq(x_matrix_direct(N), x_matrix_coproduct(N))
+            direct, coproduct = [(R_ONE, (x_matrix_direct(N),))], [(R_ONE, (x_matrix_coproduct(N),))]
+            assert not any(identity_mismatches(unit_columns(N), direct, coproduct))
 
     def test_offdiagonal_count(self):
         for N in (2, 4):
@@ -168,10 +172,67 @@ class TestX:
             report = commutation_check(N)
             assert all(report.values()), (N, report)
 
+    def test_standard_names_first_difference(self, monkeypatch):
+        build = algebra.x_matrix_coproduct
+
+        def wrong(N):
+            X = {col: dict(column) for col, column in build(N).items()}
+            if N == 2:  # not in the recursive call for N = 1
+                X["+-"]["--"] = RatioElem.rational(2)  # the flip of site 1 has weight 1
+            return X
+
+        monkeypatch.setattr(algebra, "x_matrix_coproduct", wrong)
+        with pytest.raises(AssertionError) as err:
+            x_matrix_standard(2)
+        assert str(err.value) == "the two constructions of X disagree at column +-, row --"
+
     def test_e0_does_not_commute(self):
         X = x_matrix_standard(2)
         E0 = generator_matrix(2, "e0")
-        assert not op_eq(op_mul(E0, X), op_mul(X, E0))
+        assert any(identity_mismatches(unit_columns(2), [(R_ONE, (E0, X))], [(R_ONE, (X, E0))]))
+
+
+# -- the identity kernel ------------------------------------------------------
+
+
+def test_kernel_locates_perturbed_entry():
+    # e2 on N=3 with the entry at (row +-+, column ++-) doubled; e2^2 = -[2] e2
+    # then fails at one row in each of the two columns that read it
+    E = {col: dict(column) for col, column in generator_matrix(3, "e2").items()}
+    E["++-"]["+-+"] = RatioElem.rational(2)
+    loop = RatioElem(-(mono(1, 1) + mono(1, -1)))
+    got = list(identity_mismatches(unit_columns(3), [(R_ONE, (E, E))], [(loop, (E,))]))
+    assert got == [
+        ("+-+", "+-+", RatioElem(mono(2) + mono(1, 2)), RatioElem(mono(1) + mono(1, 2))),
+        ("++-", "++-", RatioElem(mono(2) + mono(1, -2)), RatioElem(mono(1) + mono(1, -2))),
+    ]
+    # and the unperturbed matrix satisfies it
+    E2 = generator_matrix(3, "e2")
+    assert not any(identity_mismatches(unit_columns(3), [(R_ONE, (E2, E2))], [(loop, (E2,))]))
+
+
+def test_vector_mismatches_reads_a_missing_entry_as_zero():
+    zero, one = RatioElem.rational(0), R_ONE
+    assert list(vector_mismatches({"+": one, "-": zero}, {"+": one})) == []
+    assert list(vector_mismatches({"+": one}, {"-": one})) == [("+", one, zero), ("-", zero, one)]
+
+
+def test_e0_commutant_stops_at_first_differing_column(monkeypatch):
+    # the [e0, X] != 0 entry applies fewer operators than one full product
+    # E X, which is one op_apply per column of X
+    N = 6
+    generator_matrix(N, "X")
+    calls = []
+    apply = algebra.op_apply
+
+    def counted(A, v):
+        calls.append(1)
+        return apply(A, v)
+
+    monkeypatch.setattr(algebra, "generator_names", lambda N: ["e0"])
+    monkeypatch.setattr(algebra, "op_apply", counted)
+    assert commutation_check(N) == {"[e0, X] != 0": True}
+    assert 0 < len(calls) < 2**N
 
 
 # -- op_apply against the product-by-product loop ---------------------------------

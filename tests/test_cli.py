@@ -341,7 +341,8 @@ class TestCommands:
 
         monkeypatch.setattr(algebra, "x_matrix_coproduct", doubled)
         algebra.generator_matrix.cache_clear()  # X is built afresh, with the mutant
-        error = "AssertionError: the two constructions of X disagree"
+        # the message names the first entry where the two constructions differ
+        error = "AssertionError: the two constructions of X disagree at column ---, row --+"
         for fmt in ("text", "json"):
             code = main(["verify", "--check", "all", "--type", "A", "--n", "3", "--format", fmt])
             captured = capsys.readouterr()
@@ -505,6 +506,30 @@ class TestVerifyMutants:
         self.assert_fails(
             capsys, "index histogram BI N=3 M=1",
             "--check", "eigen", "--type", "BI", "--m", "1", "--n", "3",
+        )
+
+    @pytest.mark.parametrize("tag", ["BII", "BIII"])
+    @pytest.mark.parametrize("fault", ["across the diagonal", "diagonal"])
+    def test_triangular_spectrum_fails_on_moved_or_changed_entry(
+        self, capsys, monkeypatch, tag, fault
+    ):
+        from tbtl import coideal
+        from tbtl.basis import enumerate_strings
+        from tbtl.ring import R_ONE
+
+        X = {col: dict(column) for col, column in coideal.x_matrix_kl(tag, 3).items()}
+        order = enumerate_strings(3)
+        if fault == "diagonal":
+            X[order[0]][order[0]] = X[order[0]].get(order[0], R_ONE) + R_ONE
+        else:
+            # the first off-diagonal entry, moved to the mirror place across
+            # the diagonal, which a triangular X leaves empty
+            col, row = next((c, r) for c in order for r in X[c] if r != c)
+            assert col not in X[row]
+            X[row][col] = X[col].pop(row)
+        monkeypatch.setattr(coideal, "x_matrix_kl", lambda tag_, N, M=None: X)
+        self.assert_fails(
+            capsys, f"triangular spectrum {tag} N=3", "--check", "eigen", "--type", tag, "--n", "3"
         )
 
 

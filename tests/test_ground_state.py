@@ -19,7 +19,7 @@ from tbtl.ground_state import (
     verify_annihilation,
     verify_x_eigen,
 )
-from tbtl.algebra import _add_scaled, op_eq, pauli_hamiltonian
+from tbtl.algebra import identity_mismatches, pauli_hamiltonian, unit_columns
 from tbtl.coideal import candidate_eigenvalues
 from tbtl.ring import (
     RatioElem,
@@ -280,10 +280,9 @@ class TestNumeric:
         monkeypatch.setattr(ground_state, "hamiltonian_terms", spy)
         certified, _ = numeric_ground_state_check(N, self.q, self.Q, Fraction(1), a0)
         assert certified and len(seen) == 1
-        H = {}
-        for a, E in seen[0]:
-            _add_scaled(H, E, -a)
-        assert op_eq(H, pauli_hamiltonian(N, R_ONE, RatioElem.rational(a0)))
+        H = [(-a, (E,)) for a, E in seen[0]]
+        pauli = pauli_hamiltonian(N, R_ONE, RatioElem.rational(a0))
+        assert not any(identity_mismatches(unit_columns(N), H, pauli))
 
     def test_biii_positive_any_point(self):
         gs = psi_vector("BIII", 6)

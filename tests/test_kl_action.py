@@ -1,7 +1,7 @@
 import pytest
 
 from tbtl import kl_action
-from tbtl.algebra import generator_matrix, generator_names, op_apply, op_mismatches
+from tbtl.algebra import generator_matrix, generator_names, op_apply, vector_mismatches
 from tbtl.basis import (
     build_diagram,
     enumerate_strings,
@@ -206,11 +206,15 @@ class TestOracle:
         back-substituted."""
         E = {s: specialize(col, tag, M) for s, col in generator_matrix(N, gen).items()}
         T = transition_matrix(tag, N, M)
-        conjugated = {
-            s: standard_to_kl(op_apply(E, {s2: RatioElem(c) for s2, c in T[s].items()}), tag, N, M)
+        K = kl_operator(tag, N, gen, M)
+        return [
+            (s, row)
             for s in enumerate_strings(N)
-        }
-        return list(op_mismatches(conjugated, kl_operator(tag, N, gen, M)))
+            for row, _, _ in vector_mismatches(
+                standard_to_kl(op_apply(E, {s2: RatioElem(c) for s2, c in T[s].items()}), tag, N, M),
+                K[s],
+            )
+        ]
 
     @pytest.mark.parametrize("tag,M", [("A", None), ("BI", 1), ("BI", 2), ("BII", None), ("BIII", None)])
     @pytest.mark.parametrize("gen", ["e1", "eN", "e0", "X"])
