@@ -26,7 +26,7 @@ from .ring import (
     is_positivity_class,
 )
 from .kl_action import kl_operator
-from .coideal import _integer_rank, _integer_row, candidate_eigenvalues, eval_op_at
+from .coideal import _integer_rank, _integer_row, candidate_eigenvalues, eval_op_at, x_matrix_kl
 from .algebra import (
     generator_names, hamiltonian_terms, identity_mismatches, op_apply, vector_mismatches
 )
@@ -341,7 +341,7 @@ E0_GENERIC = "e0 Psi != 0 before the integrable substitution"
 def verify_x_eigen(gs: GroundState) -> bool:
     """X Psi = lambda Psi exactly."""
     lam = candidate_eigenvalues(gs.tag, gs.N, gs.M)[0][1]
-    X = kl_operator(gs.tag, gs.N, "X", gs.M)
+    X = x_matrix_kl(gs.tag, gs.N, gs.M)
     return not any(identity_mismatches({"Psi": gs.components()}, [(R_ONE, (X,))], [(lam, ())]))
 
 

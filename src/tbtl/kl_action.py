@@ -3,8 +3,11 @@ four decorated bases.
 
 Every rewrite is expressed as a coefficient times the basis element of a
 flipped binary string; decorations of the result are recomputed from the
-string, never patched.  The conjugated standard-basis action provides an
-independent oracle (crosscheck_vs_standard) for every generator and X.
+string, never patched.  e_i is one join rule and e_0 one pair-then-prepend
+rule, both read from the block vectors for every family; type A's e_N is
+the mirror of e_0, and the B families keep their own e_N rules.  The
+conjugated standard-basis action provides an independent oracle
+(crosscheck_vs_standard) for every generator and X.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from .algebra import (
 )
 
 _mono = RingElem.mono
-_DQ0 = _mono(1, 0, 0, 1) - _mono(1, 0, 0, -1)  # Q0 - 1/Q0
-_ONE_Q2 = ONE + _mono(1, 2)  # 1 + q^2
 
 
 # -- e_i, 1 <= i <= N-1 ----------------------------------------------------
@@ -88,58 +89,23 @@ def apply_ei_kl(tag: str, D: Diagram, i: int) -> Vec:
     return {flip(D.string, changes): RatioElem(c)} if c else {}
 
 
-# -- coefficient c_{(j,i)} ---------------------------------------------------
-
-
-def coeff_c(j: int, i: int) -> RingElem:
-    """The two-arc coefficient of the boundary cascade; i < j."""
-    if i == 1:
-        return _mono(1, -j + 2)
-    if j == i + 1:
-        return _mono(1, -2 * i + 2)
-    return _mono(1, -i - j + 3) + _mono(1, -i - j + 5)
-
-
-def _cascade(out: Vec, base: str, sites: list[int], ch: str):
-    """The two-arc terms of the boundary cascade: -c_{(j,i)}/q times base with
-    the i-th and j-th of the sites set to ch, for every i < j."""
-    for i in range(1, len(sites)):
-        for j in range(i + 1, len(sites) + 1):
-            c = -(_mono(1, -1) * coeff_c(j, i))
-            _accumulate(out, flip(base, {sites[i - 1]: ch, sites[j - 1]: ch}), RatioElem(c))
-
-
 # -- e_N --------------------------------------------------------------------
 
 
 def apply_eN_kl(tag: str, D: Diagram) -> Vec:
-    N = D.N
+    """e_N on a basis diagram.  Type A's e_N is the mirror of e_0: reflect,
+    apply e_0, reflect back and exchange Q and Q0.  The B families keep
+    their own rules: their decorations count from the right, so a new down
+    at site N re-ranks every decorated down."""
     s = D.string
+    if tag == "A":
+        image = apply_e0_kl("A", build_diagram("A", reflect(s)))
+        return {reflect(s2): _swap_Q_Q0(c) for s2, c in image.items()}
+
+    N = D.N
     kind = D.site_kind(N)
     out: Vec = {}
     M = D.M
-
-    if tag == "A":
-        if kind == ("up",):
-            _accumulate(out, flip(s, {N: "-"}), R_ONE)
-            _accumulate(out, s, RatioElem(_mono(-1, 0, -1)))
-            return out
-        if kind == ("down",):
-            for idx, site in enumerate(reversed(D.downs), start=1):
-                _accumulate(out, flip(s, {site: "+"}), RatioElem(_mono(1, -(idx - 1))))
-            _accumulate(out, s, RatioElem(_mono(-1, 0, 1)))
-            return out
-        if kind[0] == "arc_r":
-            base = flip(s, {N: "-"})
-            downs = [N, kind[1], *reversed(D.downs)]  # right to left in D~
-            _accumulate(out, base, R_ONE)
-            _accumulate(out, s, RatioElem(_mono(-1, 0, -1)))
-            qfac = _mono(1, -1, 1) - _mono(1, -1, -1)  # (Q - 1/Q)/q
-            for idx, site in enumerate(downs[1:]):
-                _accumulate(out, flip(base, {site: "+"}), RatioElem(qfac * _mono(1, -idx)))
-            _cascade(out, base, downs, "+")
-            return out
-        raise AssertionError(f"site N of type A diagram is {kind}")
 
     if tag == "BII":
         if kind == ("up",) or kind[0] == "arc_r":
@@ -193,151 +159,67 @@ def apply_eN_kl(tag: str, D: Diagram) -> Vec:
     raise ValueError(tag)
 
 
+def _swap_Q_Q0(c: RatioElem) -> RatioElem:
+    """Exchange Q and Q0 in a coefficient (the type A mirror)."""
+    return c.remap(lambda e, f, g: (e, g, f))
+
+
 # -- e_0 --------------------------------------------------------------------
 
 
-def _prepend_down_bii(tail: str) -> list[tuple[RingElem, str]]:
-    """KL expansion of a bare down arrow prepended to a canonical tail:
-    v_- (x) KL(E) = KL(-E) + sum_l q^{-l} KL(+ E with l-th up flipped)
-    + beta KL(+E), beta = q^{-k}/Q (leftmost mark e or none) or -q^{-k-1} Q."""
-    if not tail:
-        return [(ONE, "-"), (_mono(1, 0, -1), "+")]
-    E = build_diagram("BII", tail)
-    terms = [(ONE, "-" + tail)]
-    for idx, u in enumerate(E.ups, start=1):
-        terms.append((_mono(1, -idx), "+" + flip(tail, {u: "-"})))
-    k = len(E.ups)
-    if E.leftmost_mark() == "o":
-        beta = _mono(-1, -k - 1, 1)
+def _prepend(tag: str, M: int | None, a: RingElem, b: RingElem, t: str):
+    """(a v_- + b v_+) (x) KL(t) as [(coefficient, basis string)], the strings
+    one site longer than t.
+
+    v_+ (x) KL(t) is KL(+t).  v_- beside t's first up is that arc plus q^-1
+    times the arrows swapped, so v_- walks along t's ups: KL(-t) + sum_k
+    q^-k KL(+t with t's k-th up lowered).  The v_- that is left, at t's last
+    up (site 1 if t has none), settles into the block that the diagram of +t
+    with that up lowered puts there: a decorated down v_- - alpha v_+ leaves
+    alpha KL(+t), and a BI dashed arc with t's bare down d, v_- v_- - q^-1
+    v_+ v_+, leaves q^-1 KL(+t with d raised).
+    """
+    up = "+" + t
+    ups = build_diagram(tag, up, M).ups  # site 1, then t's ups one site on
+    terms = [(b, up), (a, "-" + t)]
+    terms += [(a * _mono(1, -k), flip(up, {u: "-"})) for k, u in enumerate(ups[1:], start=1)]
+    last = ups[-1]
+    kind = build_diagram(tag, flip(up, {last: "-"}), M).site_kind(last)
+    settle = a * _mono(1, 1 - len(ups))
+    if kind[0] == "dash_l":
+        terms.append((settle * _mono(1, -1), flip(up, {kind[1]: "+"})))
     else:
-        beta = _mono(1, -k, -1)
-    terms.append((beta, "+" + tail))
+        terms.append((settle * down_block_alpha(kind), up))
     return terms
 
 
-def _local_down_action(alpha: RingElem, s: str, out: Vec):
-    """e_0 on a decorated down arrow at site 1 with block v_- - alpha v_+:
-    -(1/Q0 + alpha) D + (1 + alpha (Q0 - 1/Q0) - alpha^2) (site 1 -> +)."""
-    c_diag = -(_mono(1, 0, 0, -1) + alpha)
-    c_up = ONE + alpha * _DQ0 - alpha * alpha
-    _accumulate(out, s, RatioElem(c_diag))
-    _accumulate(out, flip(s, {1: "+"}), RatioElem(c_up))
-
-
 def apply_e0_kl(tag: str, D: Diagram) -> Vec:
+    """e_0 on a basis diagram: one rule for every family.
+
+    e_0 is (v_- - Q0 v_+) <v_+* - Q0^-1 v_-*| on site 1 (algebra._E_0).  The
+    covector pairs with site 1's block.  A single arrow a v_- + b v_+ gives
+    b - a/Q0 times KL of the rest.  An arc (1, j) leaves the arrow -q^-1 v_-
+    - Q0^-1 v_+ at j, and a dashed arc the same with v_- and v_+ swapped;
+    that arrow is prepended to the sites after j, behind the balanced arcs
+    inside (1, j).  Then v_- - Q0 v_+ is prepended at site 1.
+    """
     s = D.string
-    out: Vec = {}
-
-    if tag == "A":
-        # reflection trick: e_0 = u e_N u with Q -> Q0
-        mirrored = build_diagram("A", reflect(s))
-        image = apply_eN_kl("A", mirrored)
-        for s2, c in image.items():
-            _accumulate(out, reflect(s2), _swap_Q_Q0(c))
-        return out
-
     kind = D.site_kind(1)
-    if kind[0] in DOWN_KINDS:
-        _local_down_action(down_block_alpha(kind), s, out)
-        return out
-    n_up = len(D.ups)
-
-    if kind == ("up",):
-        for idx, site in enumerate(D.ups, start=1):
-            _accumulate(out, flip(s, {site: "-"}), RatioElem(_mono(1, -(idx - 1))))
-        # the diagonal is -Q0 plus a term of the family
-        if tag == "BII" and D.leftmost_mark() == "o":
-            c = -_mono(1, -n_up, 1)  # -Q q^{-n}
-        elif tag == "BII":
-            c = _mono(1, -n_up + 1, -1)  # q^{1-n}/Q
-        elif tag == "BIII":
-            c = _mono(1, -n_up + len(D.circles) + 1, -1)  # q^{1-n+r}/Q
-        elif D.unpaired_down is not None:
-            _accumulate(out, flip(s, {D.unpaired_down: "+"}), RatioElem(_mono(1, -n_up)))
-            c = ZERO
-        else:
-            r = D.first_label()
-            c = ZERO if r == 1 else _mono(1, -(r + n_up - 2))
-        _accumulate(out, s, RatioElem(c - _mono(1, 0, 0, 1)))
-        return out
-
-    if tag == "BII" and kind[0] == "arc_l":
-        # e_0 on the arc block gives, over the pure tensors at (1, j):
-        #   -1/Q0 (arc) + (++) + (Q0 - 1/Q0)/q (+-) - 1/q (--),
-        # and the mixed tensors are re-expanded via the prepend-down
-        # identities, which is what the boundary cascades amount to.
+    arrow = _single_vector(kind)
+    if arrow:
+        a, b = arrow
+        rest = [(b - a * _mono(1, 0, 0, -1), s[1:])]
+    else:
         j = kind[1]
-        _accumulate(out, s, RatioElem(_mono(-1, 0, 0, -1)))
-        _accumulate(out, flip(s, {1: "+"}), R_ONE)
-        middle = s[1 : j - 1]
-        tail = s[j:]
-        for c_a, t_a in _prepend_down_bii(tail):
-            full = "+" + middle + t_a
-            _accumulate(out, full, RatioElem(_mono(1, -1) * _DQ0 * c_a))
-            for c_b, t_b in _prepend_down_bii(middle + t_a):
-                _accumulate(out, t_b, RatioElem(_mono(-1, -1) * c_a * c_b))
-        return out
-
-    if tag == "BIII" and kind[0] == "arc_l":
-        base = flip(s, {1: "+"})
-        ups = [1, kind[1], *D.ups]
-        r = len(D.circles)
-        _local_down_action(_mono(1, -n_up + r - 1, -1), s, out)  # q^{-n+r-1}/Q
-        for idx in range(2, n_up + 3):
-            ctilde = _mono(1, -(idx - 1)) * _DQ0 - _mono(1, -n_up + r - idx, -1) * _ONE_Q2
-            _accumulate(out, flip(base, {ups[idx - 1]: "-"}), RatioElem(ctilde))
-        _cascade(out, base, ups, "-")
-        return out
-
-    if tag == "BI" and kind[0] == "dash_l":
-        j = kind[1]
-        _accumulate(out, s, RatioElem(_mono(-1, 0, 0, -1)))
-        _accumulate(out, flip(s, {1: "+"}), RatioElem(ONE - _mono(1, -2)))
-        _accumulate(out, flip(s, {1: "+", j: "+"}), RatioElem(_mono(1, -1) * _DQ0))
-        _accumulate(out, flip(s, {j: "+"}), RatioElem(_mono(-1, -1)))
-        return out
-
-    if tag == "BI" and kind[0] == "arc_l":
-        base = flip(s, {1: "+"})
-        ups = [1, kind[1], *D.ups]
-        r = D.first_label()
-        d = D.unpaired_down
-        if d is not None:
-            _accumulate(out, base, RatioElem(ONE - _mono(1, -2 * n_up - 4)))
-            _accumulate(out, s, RatioElem(_mono(-1, 0, 0, -1)))
-            for idx in range(2, n_up + 3):
-                c = _mono(1, -(idx - 1)) * _DQ0
-                _accumulate(out, flip(base, {ups[idx - 1]: "-"}), RatioElem(c))
-            _accumulate(out, flip(base, {d: "+"}), RatioElem(_mono(1, -(n_up + 2)) * _DQ0))
-            _accumulate(
-                out,
-                flip(base, {ups[n_up + 1]: "-", d: "+"}),
-                RatioElem(_mono(-1, -2 * n_up - 3)),
-            )
-            for i2 in range(1, n_up + 2):
-                extra = _ONE_Q2 if i2 != 1 else ONE
-                c = -(_mono(1, -1) * _mono(1, -n_up - i2) * extra)
-                _accumulate(out, flip(base, {ups[i2 - 1]: "-", d: "+"}), RatioElem(c))
-        elif r == 1:
-            _accumulate(out, base, RatioElem(ONE - _mono(1, -2 * n_up - 2)))
-            _accumulate(out, s, RatioElem(_mono(-1, 0, 0, -1)))
-            for idx in range(2, n_up + 3):
-                c = _mono(1, -1) * _DQ0 * _mono(1, -(idx - 2))
-                _accumulate(out, flip(base, {ups[idx - 1]: "-"}), RatioElem(c))
-        else:
-            _local_down_action(_mono(1, -n_up - r), s, out)
-            for idx in range(2, n_up + 3):
-                extra = ONE if r == 2 and idx == n_up + 2 else _ONE_Q2
-                ctilde = _mono(1, -(idx - 1)) * _DQ0 - _mono(1, -n_up - r - idx + 1) * extra
-                _accumulate(out, flip(base, {ups[idx - 1]: "-"}), RatioElem(ctilde))
-        _cascade(out, base, ups, "-")
-        return out
-    raise AssertionError(f"site 1 of type {tag} diagram is {kind}")
-
-
-def _swap_Q_Q0(c: RatioElem) -> RatioElem:
-    """Exchange Q and Q0 in a coefficient (used by the type A reflection)."""
-    return c.remap(lambda e, f, g: (e, g, f))
+        a, b = _mono(-1, -1), _mono(-1, 0, 0, -1)
+        if kind[0] == "dash_l":
+            a, b = b, a
+        rest = [(c, s[1 : j - 1] + t) for c, t in _prepend(tag, D.M, a, b, s[j:])]
+    out: Vec = {}
+    for c, t in rest:
+        for c2, s2 in _prepend(tag, D.M, ONE, _mono(-1, 0, 0, 1), t):
+            _accumulate(out, s2, RatioElem(c * c2))
+    return out
 
 
 # -- the coideal generator X --------------------------------------------------

@@ -502,6 +502,11 @@ class RatioElem:
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "RatioElem") -> "RatioElem":
+        # a zero side adds nothing, not even its atoms to the denominator
+        if not other.num.terms:
+            return self
+        if not self.num.terms:
+            return other
         if not self.den and not other.den:
             return RatioElem(self.num + other.num)
         if self.den == other.den:

@@ -508,6 +508,39 @@ class TestVerifyMutants:
             "--check", "eigen", "--type", "BI", "--m", "1", "--n", "3",
         )
 
+    def test_rows_fail_on_wrong_circle_vector(self, capsys, monkeypatch):
+        """Circle k as v_- - q^k/Q v_+ for q^{k-1}/Q, in the basis and in the
+        diagram rules alike.  The e_0 and e_i rows still pass: they prepend
+        and join the block vectors that the basis holds, and that holds for
+        any decoration counted from the right.  The e_N and X rules and the
+        closed-form ground state keep the paper's coefficients, so their
+        rows fail."""
+        from tbtl import basis, kl_action
+        from tbtl.ring import RingElem
+
+        down_block_alpha = basis.down_block_alpha
+
+        def wrong_circle(kind):
+            if kind[0] == "circle":
+                return RingElem.mono(1, kind[1], -1)
+            return down_block_alpha(kind)
+
+        monkeypatch.setattr(basis, "down_block_alpha", wrong_circle)
+        monkeypatch.setattr(kl_action, "down_block_alpha", wrong_circle)
+        code = main(["verify", "--check", "all", "--type", "BIII", "--n", "4"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        lines = captured.out.splitlines()
+        for label in (
+            "diagram action == conjugated matrix: BIII eN N=4",
+            "X action == conjugated matrix: BIII N=4",
+            "closed form == change of basis BIII N=4",
+            "e_g Psi = 0 (e_0 at the integrable point) BIII N=4",
+        ):
+            assert f"FAIL  {label}" in lines
+        for gen in ("e1", "e2", "e3", "e0"):
+            assert f"PASS  diagram action == conjugated matrix: BIII {gen} N=4" in lines
+
     @pytest.mark.parametrize("tag", ["BII", "BIII"])
     @pytest.mark.parametrize("fault", ["across the diagonal", "diagonal"])
     def test_triangular_spectrum_fails_on_moved_or_changed_entry(

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from tbtl import kl_action
@@ -7,13 +9,13 @@ from tbtl.basis import (
     enumerate_strings,
     specialize,
     standard_to_kl,
+    string_sort_key,
     transition_matrix,
 )
 from tbtl.kl_action import (
     apply_e0_kl,
     apply_eN_kl,
     apply_ei_kl,
-    coeff_c,
     crosscheck_vs_standard,
     kl_operator,
 )
@@ -80,14 +82,6 @@ class TestBulkRows:
         assert apply_ei_kl("BI", D, 2) == {"+-+----+-": R_ONE}
         assert apply_ei_kl("BI", D, 5) == {"+--+-+-+-": R_ONE}
         assert apply_ei_kl("BI", D, 6) == {"+--+--+--": R_ONE}
-
-
-class TestCascadeCoefficient:
-    def test_clauses(self):
-        assert coeff_c(2, 1) == RingElem.mono(1)
-        assert coeff_c(3, 1) == mono(1, -1)
-        assert coeff_c(3, 2) == mono(1, -2)
-        assert coeff_c(4, 2) == mono(1, -3) + mono(1, -1)
 
 
 class TestBoundaryRows:
@@ -265,18 +259,17 @@ class TestOracle:
                         want = loop * once.get(s3, RatioElem.rational(0))
                         assert c == want, (tag, s, i)
 
-    def test_typeA_reflection(self):
-        # e_0 = reflect . e_N . reflect with the boundary parameters swapped
-        from tbtl.basis import reflect
-        from tbtl.kl_action import _swap_Q_Q0
 
-        for N in (2, 3, 4, 5):
-            for s in enumerate_strings(N):
-                direct = apply_e0_kl("A", build_diagram("A", s))
-                mirrored = {
-                    reflect(s2): _swap_Q_Q0(c)
-                    for s2, c in apply_eN_kl("A", build_diagram("A", reflect(s))).items()
-                }
-                assert set(direct) == set(mirrored)
-                for k in direct:
-                    assert direct[k] == mirrored[k]
+def test_operator_digest():
+    # every coefficient of every diagram rule, pinned: each family, N <= 7,
+    # each generator and X, rows in the paper's order within a column
+    h = hashlib.sha256()
+    for tag, M in [("A", None), ("BI", 1), ("BI", 2), ("BI", 3), ("BI", 4), ("BII", None), ("BIII", None)]:
+        for N in range(1, 8):
+            for gen in [*generator_names(N), "X"]:
+                K = kl_operator(tag, N, gen, M)
+                for s in enumerate_strings(N):
+                    h.update(f"{tag} {M} {N} {gen} {s}\n".encode())
+                    for row in sorted(K[s], key=string_sort_key):
+                        h.update(f"{row} {K[s][row].to_text()}\n".encode())
+    assert h.hexdigest() == "90a3d9c25e89d13f521eb7de435d12c6663e163d11e59420b6242d906dcddcfb"

@@ -579,8 +579,20 @@ def test_ratio_add_matches_cross_multiplication(x, y, shared, only_a, only_b):
     reference = RatioElem(lhs + rhs, a.den + b.den)
     for total in (a + b, b + a):
         assert _cross_multiplied_eq(total, reference)
-        # the sum is written over the least common multiset of atoms
-        assert Counter(total.den) == Counter(a.den) | Counter(b.den)
+        # the sum is written over the least common multiset of atoms; a zero
+        # side adds none of its atoms, so the sum is an operand, the nonzero
+        # one if there is one
+        if x and y:
+            assert Counter(total.den) == Counter(a.den) | Counter(b.den)
+        else:
+            kept = [r.den for r, v in ((a, x), (b, y)) if v] or [a.den, b.den]
+            assert total.den in kept
+
+
+def test_ratio_add_drops_the_atoms_of_a_zero_side():
+    zero, half = RatioElem(ZERO, (qint(3),)), RatioElem(ONE, (qint(2),))
+    for total in (zero + half, half + zero):
+        assert total.den == (qint(2),) and total.num == ONE
 
 
 def test_one_atom_per_value():
