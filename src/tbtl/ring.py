@@ -465,7 +465,13 @@ class RatioElem:
 
     def __init__(self, num: RingElem, den=()):
         self.num = num
-        self.den = tuple(sorted(den, key=_atom_key)) if den else ()
+        if den:
+            self.den = den = tuple(sorted(den, key=_atom_key))
+            # the zero polynomial's key, (), sorts before every other atom's
+            if not den[0].terms:
+                raise ZeroDenominator(f"a denominator atom of ({num.to_text()}) is 0")
+        else:
+            self.den = ()
 
     def reduced(self) -> "RatioElem":
         """The same value with each atom that divides the numerator exactly
@@ -545,13 +551,7 @@ class RatioElem:
     def remap(self, fn) -> "RatioElem":
         """RingElem.remap on the numerator and on every atom; raises
         ZeroDenominator if an atom maps to 0."""
-        den = []
-        for atom in self.den:
-            image = atom.remap(fn)
-            if not image.terms:
-                raise ZeroDenominator(f"atom {atom.to_text()} maps to 0")
-            den.append(image)
-        return RatioElem(self.num.remap(fn), den)
+        return RatioElem(self.num.remap(fn), [atom.remap(fn) for atom in self.den])
 
     def subst_Q(self, M: int) -> "RatioElem":
         """Substitute Q -> q^M, then cancel the atoms that divide."""

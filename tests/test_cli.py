@@ -415,6 +415,23 @@ class TestCommands:
         assert code == 0 and out == "PASS  appA\n"
         assert seen == [7]
 
+    def test_identities_zero_denominator_is_a_fail(self, capsys, monkeypatch):
+        # a zero atom on both sides would absorb the + 1 that makes them differ
+        from tbtl import identities
+
+        app2 = identities.LEMMAS["app2"]
+
+        def over_zero(ms, x):
+            lhs, rhs = app2(ms, x)
+            zero = identities._ratio(0, [], [0])
+            return lhs + identities.R_ONE + zero, rhs + zero
+
+        monkeypatch.setitem(identities.LEMMAS, "app2", over_zero)
+        code = main(["identities", "--lemma", "app2", "--draws", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert captured.out == "FAIL  app2  (ZeroDenominator: a denominator atom of (1) is 0)\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,15 +1,22 @@
 import hashlib
+import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
+from tbtl import identities
+from tbtl.cli import build_parser
 from tbtl.identities import (
     LEMMA_IDS,
     LEMMAS,
+    _bracket_product,
+    _ratio,
     lemma_app0,
     lemma_app2,
     lemma_app13,
+    random_params,
     sweep,
     tridiag_v_closed,
     tridiag_v_sequence,
@@ -17,7 +24,7 @@ from tbtl.identities import (
     verify_tridiagonal_lemma,
 )
 from tbtl.basis import specialize
-from tbtl.ring import RatioElem, SpecPoint, qint, qQ_bracket
+from tbtl.ring import ONE, RatioElem, SpecPoint, ZeroDenominator, qint, qQ_bracket
 
 
 def bi_eigenvalue_consistency(N: int, M: int) -> bool:
@@ -72,10 +79,63 @@ class TestSmallGrids:
                         )
 
 
+SWEPT = [l for l in LEMMA_IDS if l != "appA"]
+_CLI = build_parser().parse_args(["identities"])
+
+
+def _drawn(lemma, draws, seed):
+    """The params of every draw of sweep(lemma, draws, seed), in order."""
+    rng = random.Random(seed)
+    return [random_params(lemma, rng) for _ in range(draws)]
+
+
+def _recorded(monkeypatch, verdict=lambda lemma, params: True):
+    """Replace verify_qidentity by verdict; returns the list of its calls."""
+    calls = []
+
+    def record(lemma, params):
+        calls.append((lemma, repr(params)))
+        return verdict(lemma, params)
+
+    monkeypatch.setattr(identities, "verify_qidentity", record)
+    return calls
+
+
 class TestSweeps:
-    @pytest.mark.parametrize("lemma", [l for l in LEMMA_IDS if l != "appA"])
+    @pytest.mark.parametrize("lemma", SWEPT)
     def test_random_draws(self, lemma):
         assert sweep(lemma, draws=60, seed=23)
+
+    @pytest.mark.parametrize("draws, seed", [(60, 23), (_CLI.draws, _CLI.seed)])
+    @pytest.mark.parametrize("lemma", SWEPT)
+    def test_each_distinct_draw_is_checked_once(self, monkeypatch, lemma, draws, seed):
+        calls = _recorded(monkeypatch)
+        assert sweep(lemma, draws=draws, seed=seed)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {(lemma, repr(p)) for p in _drawn(lemma, draws, seed)}
+
+    @pytest.mark.parametrize("lemma", SWEPT)
+    def test_a_repeated_draw_that_fails_still_fails(self, monkeypatch, lemma):
+        (bad, n), = Counter(map(repr, _drawn(lemma, 60, 23))).most_common(1)
+        assert n >= 2
+        calls = _recorded(monkeypatch, lambda lemma, params: repr(params) != bad)
+        assert not sweep(lemma, draws=60, seed=23)
+        assert calls[-1] == (lemma, bad)
+
+
+class TestBracketProduct:
+    def test_matches_the_product_left_to_right(self):
+        for k in range(5):
+            for nums in combinations_with_replacement(range(-3, 7), k):
+                expected = ONE
+                for n in nums:
+                    expected = expected * qint(n)
+                assert _bracket_product(nums) == expected, nums
+
+    def test_a_zero_bracket_in_a_denominator_raises(self):
+        assert not _ratio(3, [2, 0], [3]).num
+        with pytest.raises(ZeroDenominator):
+            _ratio(0, [2], [0, 3])
 
 
 class TestTridiagonal:

@@ -595,6 +595,14 @@ def test_ratio_add_drops_the_atoms_of_a_zero_side():
         assert total.den == (qint(2),) and total.num == ONE
 
 
+def test_zero_atom_is_refused():
+    # a zero atom used to be kept, and then absorbed every other term of a sum
+    for den in ([qint(0)], [ZERO], [qint(2), qint(0)], (qshift(1), ZERO, qint(-3))):
+        with pytest.raises(ZeroDenominator):
+            RatioElem(ONE, den)
+    assert RatioElem(ONE, []).den == () and RatioElem(ONE, (qint(-2),)).den == (qint(-2),)
+
+
 def test_one_atom_per_value():
     # [2] from qint, from angle and built term by term is one atom
     two = RingElem({(1, 0, 0): 1, (-1, 0, 0): 1})
