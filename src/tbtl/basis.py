@@ -176,8 +176,9 @@ class Diagram:
         return " ; ".join(parts)
 
 
-def _match_arcs(string: str):
-    """Rules (A)/(B): non-crossing pairing of '-' openers with '+' closers."""
+def match_arcs(string: str):
+    """Rules (A)/(B): non-crossing pairing of '-' openers with '+' closers;
+    the (arcs, ups, downs) of a string, which no decoration changes."""
     stack: list[int] = []
     arcs: list[tuple[int, int]] = []
     ups: list[int] = []
@@ -192,12 +193,11 @@ def _match_arcs(string: str):
     return tuple(sorted(arcs)), tuple(ups), tuple(downs)
 
 
-# 2^12: one family's every string at N=12, the top of the frontier sweep.  A
-# larger cache only keeps a table's diagrams alive; a table rarely hits it.
-@lru_cache(maxsize=4096)
-def build_diagram(tag: str, string: str, M: int | None = None) -> Diagram:
+def make_diagram(tag: str, string: str, M: int | None = None) -> Diagram:
+    """The decorated diagram of a string, built afresh; build_diagram is the
+    cached lookup."""
     check_tag(tag, M)
-    arcs, ups, downs = _match_arcs(string)
+    arcs, ups, downs = match_arcs(string)
     if tag == "A":
         return Diagram("A", None, string, arcs=arcs, ups=ups, downs=downs)
     if tag == "BII":
@@ -237,6 +237,19 @@ def build_diagram(tag: str, string: str, M: int | None = None) -> Diagram:
     return Diagram("BI", M, string, arcs=arcs, ups=ups,
                    dashed=tuple(sorted(dashed)), star=star,
                    labels=tuple(sorted(labels)), unpaired_down=unpaired)
+
+
+# The operator rows of verify come back to a diagram and look it up here:
+# kl_operator and transition_matrix read every basis diagram once per
+# generator, and e_0's prepend rule and the coideal rows read them again.
+# psi_vector, enumerate and the conjecture sweeps call make_diagram: table,
+# sum, psi, enumerate and conjecture read each diagram once, and a table
+# sweeps more diagrams than the cache keeps.  verify builds psi_vector's
+# diagrams once more that way (BI, M=2, N=8: a few ms).  2^12 is one
+# family's every string at N=12, the top of the frontier sweep.
+@lru_cache(maxsize=4096)
+def build_diagram(tag: str, string: str, M: int | None = None) -> Diagram:
+    return make_diagram(tag, string, M)
 
 
 # -- building-block vectors ---------------------------------------------

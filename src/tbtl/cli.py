@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .ring import RatioElem, SpecPoint, ZeroDenominator
-from .basis import build_diagram, check_tag, enumerate_strings
+from .basis import check_tag, enumerate_strings, make_diagram
 from . import algebra, basis, combinatorics, coideal, ground_state, identities, kl_action
 
 EXIT_OK = 0
@@ -71,7 +71,7 @@ def cmd_enumerate(args) -> int:
     if tag == "standard":
         emit(args, [{"string": s} for s in strings], strings)
     else:
-        diagrams = [build_diagram(tag, s, M) for s in strings]
+        diagrams = [make_diagram(tag, s, M) for s in strings]
         emit(args, [D.to_json() for D in diagrams], [D.serialize() for D in diagrams])
     return EXIT_OK
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
 
-from .basis import build_diagram
+from .basis import make_diagram
 from .ground_state import psi_vector, psi_component
 from .ring import ONE, R_ONE, R_ZERO, ZERO, RatioElem, RingElem, SpecPoint
 
@@ -121,12 +121,14 @@ TABLE_1 = {
 
 def table_sums(n_max: int) -> list:
     """(TABLE_1 key, row label, sums at q = Q = 1 for N = 1..n_max), one
-    triple per family of the table; M = inf means M = N + 1."""
+    triple per family of the table; M = inf means M = N + 1.  Every cell is
+    evaluated at one point, so each atom's value is computed once."""
+    p = SpecPoint(1, 1, 1)
     out = []
     for key in TABLE_1:
         tag, M = key if isinstance(key, tuple) else (key, None)
         label = tag if M is None else f"{tag}(M={M})"
-        sums = [sum_rule(tag, N, N + 1 if M == "inf" else M) for N in range(1, n_max + 1)]
+        sums = [sum_rule(tag, N, N + 1 if M == "inf" else M, p) for N in range(1, n_max + 1)]
         out.append((key, label, sums))
     return out
 
@@ -181,7 +183,7 @@ def decompose_sum(tag: str, N: int, degrees=None) -> dict[int, int]:
         shifts, Q_exp = (0, i) if tag == "A" else (i, 0)
         total = Fraction(0)
         for s in _strings_with_pluses(N, i):
-            f = psi_component(tag, build_diagram(tag, s))
+            f = psi_component(tag, make_diagram(tag, s))
             # one numerator atom in Q, Q q^k + Q^-1 q^-k, per shift
             assert sum(any(m[1] for m in a.terms) for a in f.num) == shifts and f.Q_exp == Q_exp
             total += f.evaluate(p)
@@ -322,7 +324,7 @@ def check_typeA_component_conjecture(N: int, b: str):
     for links in admissible_links(N):
         if is_admissible(links) and links_string(links, N) == b:
             total = total + F_of_links(links, N)
-    psi = psi_component("A", build_diagram("A", b)).as_polynomial()
+    psi = psi_component("A", make_diagram("A", b)).as_polynomial()
     return psi == total, psi, total
 
 
@@ -515,6 +517,6 @@ def check_biii_component_conjecture(N: int):
     p = SpecPoint(1, 1, 1)
     results = {}
     for b in block_strings(N):
-        psi = psi_component("BIII", build_diagram("BIII", b)).evaluate(p)
+        psi = psi_component("BIII", make_diagram("BIII", b)).evaluate(p)
         results[b] = (hist.get(b, 0), psi, hist.get(b, 0) == psi)
     return results

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .basis import Diagram, build_diagram, enumerate_strings, specialize, standard_to_kl
+from .basis import Diagram, enumerate_strings, make_diagram, specialize, standard_to_kl
 from .ring import (
     NotDivisible,
     R_ONE,
@@ -329,7 +329,7 @@ def psi_vector(tag: str, N: int, M: int | None = None) -> GroundState:
     if tag == "standard":
         factors = {s: _psi_standard(s) for s in enumerate_strings(N)}
     else:
-        factors = {s: psi_component(tag, build_diagram(tag, s, M)) for s in enumerate_strings(N)}
+        factors = {s: psi_component(tag, make_diagram(tag, s, M)) for s in enumerate_strings(N)}
     return GroundState(tag, N, M, factors)
 
 

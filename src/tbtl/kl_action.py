@@ -19,6 +19,7 @@ from .basis import (
     down_block_alpha,
     enumerate_strings,
     flip,
+    match_arcs,
     reflect,
     specialize,
     standard_to_kl,
@@ -180,7 +181,7 @@ def _prepend(tag: str, M: int | None, a: RingElem, b: RingElem, t: str):
     v_+ v_+, leaves q^-1 KL(+t with d raised).
     """
     up = "+" + t
-    ups = build_diagram(tag, up, M).ups  # site 1, then t's ups one site on
+    ups = match_arcs(up)[1]  # site 1, then t's ups one site on
     terms = [(b, up), (a, "-" + t)]
     terms += [(a * _mono(1, -k), flip(up, {u: "-"})) for k, u in enumerate(ups[1:], start=1)]
     last = ups[-1]

@@ -275,11 +275,22 @@ def test_site_kind_exhaustive(tag, M):
 
 
 def test_build_diagram_cache_is_bounded():
-    # a table sweeps more diagrams than the cache keeps; a verify run still
-    # reuses the diagrams it built
-    build_diagram.cache_clear()
-    assert main(["table", "--nmax", "9"]) == 0
-    assert build_diagram.cache_info().currsize <= 4096
+    # the verbs that read each diagram once build it without the cache; a
+    # verify run reuses the diagrams it built
+    for argv in (
+        ["table", "--nmax", "9"],
+        ["enumerate", "--type", "BI", "--m", "2", "--n", "5"],
+        ["conjecture", "--check", "all", "--nmax", "5"],
+    ):
+        build_diagram.cache_clear()
+        assert main(argv) == 0
+        assert build_diagram.cache_info().currsize == 0, argv
     build_diagram.cache_clear()
     assert main(["verify", "--check", "klactions", "--type", "BI", "--m", "2", "--n", "4"]) == 0
     assert build_diagram.cache_info().hits > 0
+    # the cache keeps at most 4,096 diagrams, one family's every string at N=12
+    for s in enumerate_strings(13):
+        build_diagram("A", s)
+    info = build_diagram.cache_info()
+    assert info.maxsize == 4096 and info.currsize == 4096
+    build_diagram.cache_clear()

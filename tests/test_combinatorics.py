@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from tbtl import combinatorics
 from tbtl.combinatorics import (
     TABLE_1,
     bii_P_polynomial,
@@ -127,6 +128,28 @@ class TestSumRules:
         p = SpecPoint(2, 3, 1)
         total = sum_rule("A", 3, None, p)
         assert total > 0
+
+    def test_table_evaluates_each_atom_once(self, monkeypatch):
+        # every cell is summed at one point, whose atom table is shared
+        points, evaluated = [], []
+        real_sum_rule, real_evaluate = combinatorics.sum_rule, RingElem.evaluate
+
+        def sum_rule(tag, N, M=None, p=None):
+            points.append(p)
+            return real_sum_rule(tag, N, M, p)
+
+        def evaluate(self, p):
+            evaluated.append(self)
+            return real_evaluate(self, p)
+
+        monkeypatch.setattr(combinatorics, "sum_rule", sum_rule)
+        monkeypatch.setattr(RingElem, "evaluate", evaluate)
+        assert [sums for _, _, sums in combinatorics.table_sums(6)] == [
+            row[:6] for row in TABLE_1.values()
+        ]
+        assert len(points) == 42 and points[0] is not None
+        assert all(p is points[0] for p in points)
+        assert evaluated and len(evaluated) == len(set(evaluated))
 
 
 class TestEnumerations:
