@@ -274,22 +274,29 @@ def down_block_alpha(kind) -> RingElem:
     raise ValueError(kind)
 
 
+def arrow(kind):
+    """(a, b) for a single arrow a v_- + b v_+: an up is (0, 1) and a
+    decorated down (1, -alpha); None for the end of an arc or a dashed arc.
+    The one encoding of a single site that block_vector and the diagram
+    rules read."""
+    if kind[0] == "up":
+        return ZERO, ONE
+    if kind[0] in DOWN_KINDS:
+        return ONE, -down_block_alpha(kind)
+    return None
+
+
 def block_vector(block) -> list[tuple[str, RingElem]]:
     """Expansion of a building block over local standard strings."""
     name = block[0]
-    if name == "up":
-        return [("+", ONE)]
     if name == "arc":
         return [("-+", ONE), ("+-", _Q(-1, -1))]
     if name == "dash":
         return [("--", ONE), ("++", _Q(-1, -1))]
-    if name in DOWN_KINDS:
-        alpha = down_block_alpha((name,) + block[2:])
-        out = [("-", ONE)]
-        if alpha.terms:
-            out.append(("+", -alpha))
-        return out
-    raise ValueError(block)
+    single = arrow((name,) + block[2:])
+    if single is None:
+        raise ValueError(block)
+    return [(ch, c) for ch, c in zip("-+", single) if c]
 
 
 def _block_sites(block):

@@ -1,8 +1,10 @@
 """Batch command-line front end.
 
-Exit codes: 0 all checks passed, 1 a theorem-level check failed or a
-conjecture checker raised, 2 a conjecture-level check disagreed (escalated
-to 1 under --strict-conjectures), 64 usage error.
+Exit codes: 0 all checks passed, 1 a theorem-level check failed, a
+conjecture checker raised or the program failed, 2 a conjecture-level check
+disagreed (escalated to 1 under --strict-conjectures), 64 usage error (a
+UsageError, raised before any work).  Any other exception that escapes a
+verb prints ``error: internal: <Type>: <message>``, with no traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .ring import RatioElem, SpecPoint, ZeroDenominator
+from .ring import RatioElem, SpecPoint
 from .basis import check_tag, enumerate_strings, make_diagram
 from . import algebra, basis, combinatorics, coideal, ground_state, identities, kl_action
 
@@ -23,6 +25,10 @@ EXIT_THEOREM = 1
 EXIT_CONJECTURE = 2
 EXIT_USAGE = 64
 SEED = 20260809  # default --seed of verify, spectrum and identities
+
+
+class UsageError(ValueError):
+    """An argument the verb cannot run with: the only exception that exits 64."""
 
 
 def size(text: str) -> int:
@@ -35,25 +41,31 @@ def size(text: str) -> int:
 
 def parse_at(text: str) -> SpecPoint:
     vals = {"q": Fraction(1), "Q": Fraction(1), "Q0": Fraction(1)}
-    for part in text.split(","):
-        name, _, raw = part.partition("=")
-        name = name.strip()
-        if name not in vals or not raw:
-            raise ValueError(f"bad assignment {part!r}; use q=1,Q=2/3,Q0=1")
-        try:
-            vals[name] = Fraction(raw.strip())
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {part!r}") from None
-    return SpecPoint(vals["q"], vals["Q"], vals["Q0"])
+    try:
+        for part in text.split(","):
+            name, _, raw = part.partition("=")
+            name = name.strip()
+            if name not in vals or not raw:
+                raise ValueError(f"bad assignment {part!r}; use q=1,Q=2/3,Q0=1")
+            try:
+                vals[name] = Fraction(raw.strip())
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {part!r}") from None
+        return SpecPoint(vals["q"], vals["Q"], vals["Q0"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def require_tag(args) -> tuple[str, int | None]:
     tag = args.type
     M = getattr(args, "m", None)
-    if tag != "standard":
-        check_tag(tag, M)
-    elif M is not None:
-        raise ValueError("--m only applies to type BI")
+    try:
+        if tag != "standard":
+            check_tag(tag, M)
+        elif M is not None:
+            raise ValueError("--m only applies to type BI")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return tag, M
 
 
@@ -78,9 +90,10 @@ def cmd_enumerate(args) -> int:
 
 def cmd_psi(args) -> int:
     tag, M = require_tag(args)
+    p = parse_at(args.at) if args.at else None
     gs = ground_state.psi_vector(tag, args.n, M)
-    if args.at:
-        vals = sorted(gs.evaluate(parse_at(args.at)).items())
+    if p is not None:
+        vals = sorted(gs.evaluate(p).items())
         emit(args, {s: str(v) for s, v in vals}, [f"{s}: {v}" for s, v in vals])
     else:
         payload = gs.to_json()
@@ -105,7 +118,7 @@ def _run_checks(args, checks, words=("PASS", "FAIL")):
     ]
     if not selected:
         # only verify has rows that skip a family: those need a decorated one
-        raise ValueError(f"check {args.check!r} needs a decorated family (A, BI, BII or BIII)")
+        raise UsageError(f"check {args.check!r} needs a decorated family (A, BI, BII or BIII)")
     failed = []
     for label, fn in selected:
         try:
@@ -127,7 +140,7 @@ def verify_checks(args):
     tag, M = require_tag(args)
     N, seed = args.n, args.seed
     if N < 2 and args.check in ("relations", "all"):
-        raise ValueError("need N >= 2")  # the defining relations need two sites
+        raise UsageError("need N >= 2")  # the defining relations need two sites
     decorated = tag != "standard"
     # built inside the first check that needs it, once per run
     psi = functools.cache(lambda: ground_state.psi_vector(tag, N, M))
@@ -228,17 +241,20 @@ def cmd_table(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    alphas, plus, minus = (
-        [int(x) for x in raw.split(",")] if raw else []
-        for raw in (args.alpha, args.plus, args.minus)
-    )
+    try:
+        alphas, plus, minus = (
+            [int(x) for x in raw.split(",")] if raw else []
+            for raw in (args.alpha, args.plus, args.minus)
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     sites = alphas + plus + minus
     outside = [i for i in sites if not 1 <= i <= args.n]
     if outside:
-        raise ValueError(f"sites {outside} lie outside 1..{args.n}")
+        raise UsageError(f"sites {outside} lie outside 1..{args.n}")
     if len(set(sites)) != len(sites):
         # the closed form is a product of one factor per distinct site
-        raise ValueError("a site may appear only once across --alpha, --plus and --minus")
+        raise UsageError("a site may appear only once across --alpha, --plus and --minus")
     p = parse_at(args.at) if args.at else None
     closed = combinatorics.correlation_closed(args.n, alphas, plus, minus)
     agree = combinatorics.correlation_check(args.n, alphas, plus, minus)
@@ -421,9 +437,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, ZeroDenominator) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_THEOREM
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ four decorated bases.
 Every rewrite is expressed as a coefficient times the basis element of a
 flipped binary string; decorations of the result are recomputed from the
 string, never patched.  e_i is one join rule and e_0 one pair-then-prepend
-rule, both read from the block vectors for every family; type A's e_N is
-the mirror of e_0, and the B families keep their own e_N rules.  The
+rule, both read from the block vectors for every family.  Type A's e_N is
+the mirror of e_0; the B families' e_N pairs site N's block (basis.arrow)
+with the boundary covector, and only BI and BIII add a re-ranking sum.  The
 conjugated standard-basis action provides an independent oracle
 (crosscheck_vs_standard) for every generator and X.
 """
@@ -13,8 +14,8 @@ conjugated standard-basis action provides an independent oracle
 from __future__ import annotations
 
 from .basis import (
-    DOWN_KINDS,
     Diagram,
+    arrow,
     build_diagram,
     down_block_alpha,
     enumerate_strings,
@@ -25,7 +26,7 @@ from .basis import (
     standard_to_kl,
     transition_matrix,
 )
-from .ring import ONE, R_ONE, ZERO, RatioElem, RingElem, angle, qint, qQ_bracket, qshift
+from .ring import ONE, R_ONE, RatioElem, RingElem, angle, qint, qQ_bracket, qshift
 from .algebra import (
     Op,
     Vec,
@@ -41,16 +42,6 @@ _mono = RingElem.mono
 
 
 # -- e_i, 1 <= i <= N-1 ----------------------------------------------------
-
-
-def _single_vector(kind):
-    """(a, b) for a single arrow a v_- + b v_+: an up is (0, 1), a decorated
-    down (1, -alpha); None for the end of an arc or a dashed arc."""
-    if kind[0] == "up":
-        return ZERO, ONE
-    if kind[0] in DOWN_KINDS:
-        return ONE, -down_block_alpha(kind)
-    return None
 
 
 def apply_ei_kl(tag: str, D: Diagram, i: int) -> Vec:
@@ -75,7 +66,7 @@ def apply_ei_kl(tag: str, D: Diagram, i: int) -> Vec:
         return {}
     changes = {i: "-", i + 1: "+"}
     c = ONE
-    x, y = _single_vector(left), _single_vector(right)
+    x, y = arrow(left), arrow(right)
     if x and y:
         (a, b), (a2, b2) = x, y
         c = b * a2 - _mono(1, 1) * a * b2
@@ -94,70 +85,45 @@ def apply_ei_kl(tag: str, D: Diagram, i: int) -> Vec:
 
 
 def apply_eN_kl(tag: str, D: Diagram) -> Vec:
-    """e_N on a basis diagram.  Type A's e_N is the mirror of e_0: reflect,
-    apply e_0, reflect back and exchange Q and Q0.  The B families keep
-    their own rules: their decorations count from the right, so a new down
-    at site N re-ranks every decorated down."""
+    """e_N on a basis diagram.
+
+    Type A's e_N is the mirror of e_0: reflect, apply e_0, reflect back and
+    exchange Q and Q0.  In the B families e_N is (v_- - Q^-1 v_+)
+    <v_+* - Q v_-*| on site N (algebra._E_N), and v_- - Q^-1 v_+ is the
+    block of the rightmost decorated down (BII's o, BIII's circle 1, BI's
+    label M at Q = q^M).  A single arrow a v_- + b v_+ at N pairs to b - Q a
+    times KL of the string with N lowered: 1 for an up, a loop for the down.
+    An arc (h, N) leaves v_- + Q q^-1 v_+ at h: in BII the e block of the new
+    rank-2 down, and the other marks move two ranks, keeping their letters.
+    BIII and BI re-rank their circles and labels, as the paper writes them.
+    """
     s = D.string
     if tag == "A":
         image = apply_e0_kl("A", build_diagram("A", reflect(s)))
         return {reflect(s2): _swap_Q_Q0(c) for s2, c in image.items()}
 
-    N = D.N
-    kind = D.site_kind(N)
-    out: Vec = {}
-    M = D.M
-
+    kind = D.site_kind(D.N)
+    lowered = flip(s, {D.N: "-"})
+    single = arrow(kind)
+    if single:
+        a, b = single
+        return specialize({lowered: RatioElem(b - _mono(1, 0, 1) * a)}, tag, D.M)
     if tag == "BII":
-        if kind == ("up",) or kind[0] == "arc_r":
-            _accumulate(out, flip(s, {N: "-"}), R_ONE)
-            return out
-        if kind == ("mark", "o"):
-            _accumulate(out, s, RatioElem(-(_mono(1, 0, 1) + _mono(1, 0, -1))))
-            return out
-        raise AssertionError(f"site N of type BII diagram is {kind}")
-
+        return {lowered: R_ONE}
     if tag == "BIII":
-        if kind == ("up",):
-            _accumulate(out, flip(s, {N: "-"}), R_ONE)
-            return out
-        if kind == ("circle", 1):
-            _accumulate(out, s, RatioElem(-(_mono(1, 0, 1) + _mono(1, 0, -1))))
-            return out
-        if kind[0] == "arc_r":
-            base = flip(s, {N: "-"})
-            # the arc's left end, then the circles 1, 2, ... (right to left); the
-            # k-th raised site has coefficient Q q^{-k} + Q^{-1} q^k = qshift(-k)
-            sites = [kind[1]] + [site for site, _ in reversed(D.circles)]
-            _accumulate(out, base, R_ONE)
-            for k, site in enumerate(sites, start=1):
-                _accumulate(out, flip(base, {site: "+"}), RatioElem(qshift(-k)))
-            return out
-        raise AssertionError(f"site N of type BIII diagram is {kind}")
-
-    if tag == "BI":
-        if kind == ("up",):
-            _accumulate(out, flip(s, {N: "-"}), R_ONE)
-            return out
-        label_sites = D.label_sites()
-        if label_sites.get(M) == N:
-            _accumulate(out, s, RatioElem(-angle(M)))
-            return out
-        if kind[0] == "arc_r":
-            base = flip(s, {N: "-"})
-            r = D.first_label()
-            label_sites[M + 1] = kind[1]
-            start = max(r, 2)
-            _accumulate(out, base, R_ONE)
-            c = ONE if r <= 2 else angle(r - 2)
-            _accumulate(out, flip(base, {label_sites[start]: "+"}), RatioElem(c))
-            for k in range(start, M + 1):
-                _accumulate(
-                    out, flip(base, {label_sites[k + 1]: "+"}), RatioElem(angle(k - 1))
-                )
-            return out
-        raise AssertionError(f"site N of type BI diagram is {kind}")
-    raise ValueError(tag)
+        # the arc's left end, then the circles 1, 2, ... (right to left); the
+        # k-th raised site has coefficient Q q^{-k} + Q^{-1} q^k = qshift(-k)
+        sites = [kind[1]] + [site for site, _ in reversed(D.circles)]
+        raised = [(site, qshift(-k)) for k, site in enumerate(sites, start=1)]
+    elif tag == "BI":
+        # with the arc's left end as label M + 1, each label p from
+        # max(first label, 2) up is raised with coefficient <p - 2>, 1 at p = 2
+        sites = D.label_sites() | {D.M + 1: kind[1]}
+        raised = [(sites[p], ONE if p == 2 else angle(p - 2))
+                  for p in range(max(D.first_label(), 2), D.M + 2)]
+    else:
+        raise ValueError(tag)
+    return {lowered: R_ONE} | {flip(lowered, {site: "+"}): RatioElem(c) for site, c in raised}
 
 
 def _swap_Q_Q0(c: RatioElem) -> RatioElem:
@@ -206,9 +172,9 @@ def apply_e0_kl(tag: str, D: Diagram) -> Vec:
     """
     s = D.string
     kind = D.site_kind(1)
-    arrow = _single_vector(kind)
-    if arrow:
-        a, b = arrow
+    single = arrow(kind)
+    if single:
+        a, b = single
         rest = [(b - a * _mono(1, 0, 0, -1), s[1:])]
     else:
         j = kind[1]

@@ -559,7 +559,7 @@ class TestVerifyMutants:
             assert f"PASS  diagram action == conjugated matrix: BIII {gen} N=4" in lines
 
     @pytest.mark.parametrize("tag", ["BII", "BIII"])
-    @pytest.mark.parametrize("fault", ["across the diagonal", "diagonal"])
+    @pytest.mark.parametrize("fault", ["across the diagonal", "diagonal", "other eigenvalue"])
     def test_triangular_spectrum_fails_on_moved_or_changed_entry(
         self, capsys, monkeypatch, tag, fault
     ):
@@ -571,6 +571,12 @@ class TestVerifyMutants:
         order = enumerate_strings(3)
         if fault == "diagonal":
             X[order[0]][order[0]] = X[order[0]].get(order[0], R_ONE) + R_ONE
+        elif fault == "other eigenvalue":
+            # still a claimed eigenvalue, so only the multiplicities tell
+            diag = X[order[0]][order[0]]
+            X[order[0]][order[0]] = next(
+                lam for _, lam in coideal.candidate_eigenvalues(tag, 3, None) if lam != diag
+            )
         else:
             # the first off-diagonal entry, moved to the mirror place across
             # the diagonal, which a triangular X leaves empty
@@ -655,6 +661,13 @@ class TestUsageErrors:
         assert code == 64 and captured.out == ""
         assert captured.err == "error: zero denominator in 'q=1/0'\n"
 
+    @pytest.mark.parametrize("verb", [["sum"], ["psi"], ["correlate", "--alpha", "1"]])
+    def test_at_zero_coordinate(self, capsys, verb):
+        code = main([*verb, "--n", "2", "--at", "q=0"])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert captured.err == "error: spec point values must be nonzero\n"
+
     @pytest.mark.parametrize("verb", ["enumerate", "psi", "sum", "correlate"])
     def test_seed_only_where_read(self, capsys, verb):
         # verify, spectrum and identities take --seed; these verbs draw nothing
@@ -679,6 +692,7 @@ class TestUsageErrors:
             ["--alpha", "1", "--plus", "2,7"],
             ["--alpha", "2,2"],
             ["--plus", "2", "--minus", "2"],
+            ["--alpha", "x"],
         ],
     )
     def test_correlate_rejects_bad_sites_before_work(self, capsys, monkeypatch, sites):
@@ -693,3 +707,35 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert code == 64 and captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+class TestInternalErrors:
+    """An exception that is not a UsageError is a fault of the program: one
+    line on stderr, exit 1, never the usage code 64."""
+
+    @pytest.mark.parametrize("verb", ["psi", "sum"])
+    def test_component_fault_is_internal(self, capsys, monkeypatch, verb):
+        from tbtl import ground_state
+
+        def broken(*_, **__):
+            raise ValueError("nonpositive quantum integer [0] in a component")
+
+        monkeypatch.setattr(ground_state, "_component", broken)
+        code = main([verb, "--type", "A", "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            "error: internal: ValueError: nonpositive quantum integer [0] in a component\n"
+        )
+
+    def test_spectrum_without_a_point_is_internal(self, capsys, monkeypatch):
+        from tbtl import coideal
+
+        def no_point(*_, **__):
+            raise RuntimeError("no generic sample point found")
+
+        monkeypatch.setattr(coideal, "eigen_multiplicities", no_point)
+        code = main(["spectrum", "--type", "A", "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: internal: RuntimeError: no generic sample point found\n"

@@ -143,6 +143,10 @@ class TestBoundaryRows:
         loop = RatioElem(-(mono(1, 0, 1) + mono(1, 0, -1)))
         assert apply_eN_kl("BII", build_diagram("BII", "-")) == {"-": loop}
         assert apply_eN_kl("BII", build_diagram("BII", "-+")) == {"--": R_ONE}
+        # the new down at N moves every mark two ranks, which keeps its letter
+        D = build_diagram("BII", "---+--+")
+        assert D.marks == ((1, "o"), (2, "e"), (5, "o")) and (6, 7) in D.arcs
+        assert apply_eN_kl("BII", D) == {"---+---": R_ONE}
 
     def test_BIII_rules(self):
         assert apply_eN_kl("BIII", build_diagram("BIII", "+")) == {"-": R_ONE}
