@@ -235,6 +235,64 @@ def test_e0_commutant_stops_at_first_differing_column(monkeypatch):
     assert 0 < len(calls) < 2**N
 
 
+# -- the locality certificates against the brute force --------------------------
+
+
+def brute_force_relations(N):
+    """check_defining_relations(N) with every row checked on every unit column."""
+    return {label: algebra._holds(N, lhs, rhs) for label, _, lhs, rhs in algebra._relation_rows(N)}
+
+
+def brute_force_commutant(N):
+    """commutation_check(N) with every row checked on every unit column."""
+    return {
+        "[e0, X] != 0" if g == "e0" else f"[{g}, X] = 0":
+            algebra._commutes_with_X(N, g) != (g == "e0")
+        for g in generator_names(N)
+    }
+
+
+def _flip_bulk_sign(monkeypatch):
+    monkeypatch.setitem(algebra._E_BULK, ("-+", "+-"), RatioElem.rational(-1))
+
+
+def _flip_eN_sign(monkeypatch):
+    monkeypatch.setitem(algebra._E_N, ("+", "+"), RatioElem(mono(1, 0, -1)))
+
+
+def _scalar_e0(monkeypatch):
+    # e0 = -(Q0 + 1/Q0) 1 keeps e0^2 = -(Q0 + 1/Q0) e0 but breaks e1 e0 e1,
+    # and it commutes with X
+    loop = RatioElem(-(mono(1, 0, 0, 1) + mono(1, 0, 0, -1)))
+    monkeypatch.setattr(algebra, "_E_0", {("+", "+"): loop, ("-", "-"): loop})
+
+
+def _x_as_bulk(monkeypatch):
+    # e = X at N = 2 commutes with X at N = 2 but not with K ⊗ K, so above
+    # N = 2 only the [e, K ⊗ K] = 0 premise fails the bulk commutant rows
+    X = x_matrix_direct(2)
+    monkeypatch.setattr(algebra, "_E_BULK", {(r, s): X[s][r] for s in X for r in X[s]})
+
+
+@pytest.mark.parametrize(
+    "mutant", [None, _flip_bulk_sign, _flip_eN_sign, _scalar_e0, _x_as_bulk]
+)
+def test_certificates_agree_with_brute_force(monkeypatch, mutant):
+    # row by row, on the true local rules and under local-rule mutants
+    algebra.generator_matrix.cache_clear()
+    if mutant:
+        mutant(monkeypatch)
+    try:
+        for N in range(2, 7):
+            relations, commutant = check_defining_relations(N), commutation_check(N)
+            assert relations == brute_force_relations(N), N
+            assert commutant == brute_force_commutant(N), N
+        # at N = 6 each mutant fails both claims, on both sides
+        assert all(relations.values()) is all(commutant.values()) is (mutant is None)
+    finally:
+        algebra.generator_matrix.cache_clear()
+
+
 # -- op_apply against the product-by-product loop ---------------------------------
 
 

@@ -496,6 +496,43 @@ class TestVerifyMutants:
         monkeypatch.setitem(algebra._E_BULK, ("-+", "+-"), RatioElem.rational(-1))
         self.assert_fails(capsys, "[e_g, X] = 0 N=3", "--check", "commutant", "--n", "3")
 
+    @staticmethod
+    def perturb(monkeypatch, N, gen, col, row):
+        """generator_matrix(N, gen) with the entry at (row, col) set to 2."""
+        from tbtl import algebra
+        from tbtl.ring import RatioElem
+
+        build = algebra.generator_matrix
+
+        def perturbed(n, g):
+            E = build(n, g)
+            if (n, g) == (N, gen):
+                E = {c: dict(column) for c, column in E.items()}
+                E[col][row] = RatioElem.rational(2)
+            return E
+
+        monkeypatch.setattr(algebra, "generator_matrix", perturbed)
+
+    def test_relations_above_base_fail_on_perturbed_column(self, capsys, monkeypatch):
+        # N = 10 is decided from N = 3; only the locality premise reads e5 at N = 10
+        self.perturb(monkeypatch, 10, "e5", "++++-+++++", "++++-+++++")  # -q there
+        self.assert_fails(capsys, "defining relations N=10", "--check", "relations", "--n", "10")
+
+    def test_commutant_above_base_fails_on_perturbed_X_column(self, capsys, monkeypatch):
+        # the flip of site 1 has weight 1; only the product-form premise reads X at N = 8
+        self.perturb(monkeypatch, 8, "X", "++++++++", "-+++++++")
+        self.assert_fails(capsys, "[e_g, X] = 0 N=8", "--check", "commutant", "--n", "8")
+
+    def test_relations_and_commutant_above_base_fail_on_flipped_bulk_sign(
+        self, capsys, monkeypatch
+    ):
+        from tbtl import algebra
+        from tbtl.ring import RatioElem
+
+        monkeypatch.setitem(algebra._E_BULK, ("-+", "+-"), RatioElem.rational(-1))
+        self.assert_fails(capsys, "defining relations N=8", "--check", "relations", "--n", "8")
+        self.assert_fails(capsys, "[e_g, X] = 0 N=8", "--check", "commutant", "--n", "8")
+
     def test_klbasis_fails_on_wrong_arc_vector(self, capsys, monkeypatch):
         from tbtl import basis
         from tbtl.ring import ONE, RingElem

@@ -34,6 +34,9 @@ COMMANDS = [
     "spectrum --type A --n 5",
     "correlate --n 5 --alpha 2 --plus 4 --at q=2,Q=3",
     "correlate --n 5 --alpha 2 --plus 4",
+    # N <= 3 (relations) and N <= 2 (commutant) check every unit column;
+    # larger N are decided by locality and must print the same
+    *[f"verify --check {c} --n {n}" for c in ("relations", "commutant") for n in (2, 3, 4, 8)],
 ]
 
 GOLDEN = {
@@ -67,6 +70,14 @@ GOLDEN = {
     "spectrum --type A --n 5": (0, "6f92eeab5d62a1f5f0ae56c511b94a73f45adf2aa7c6530c22e77a4d2b4bb2c9"),
     "correlate --n 5 --alpha 2 --plus 4 --at q=2,Q=3": (0, "6b38a3363d2c04f11e1dd1f8be9b2c2bf102c565281c7061c2e15c4993975a12"),
     "correlate --n 5 --alpha 2 --plus 4": (0, "0ae138691615f10e4fd3f276e5f3397ab5912273b0631a6774f27c9573b63c40"),
+    "verify --check relations --n 2": (0, "e8f188f167db15545337c5948c9886787ff6db173d8f5334865711581a9f56c9"),
+    "verify --check relations --n 3": (0, "30f39f6c1b42907a00ad397e7303976f416fe7edf2a10aa934872153598b415e"),
+    "verify --check relations --n 4": (0, "f89fe18833e0db76442213038469ccbe8fdd2af225a77000713092c7686ba6c7"),
+    "verify --check relations --n 8": (0, "54514ad7773aa9df7ccbfa5ba7be0bcdabc3bffabeedc185c5f5e17ed9e73c50"),
+    "verify --check commutant --n 2": (0, "4bde47cc157cbba3905b2bc28d338d1c3fe4350e41e4615dfa3164d189a5400f"),
+    "verify --check commutant --n 3": (0, "450b73798d953e1e9c026894293bfe4c5a2b1f8ecc2195ca96a8f26820c61f06"),
+    "verify --check commutant --n 4": (0, "e383e82234fb6050a3864cb911649e07e774cb27f21c789941f3551803ac9f27"),
+    "verify --check commutant --n 8": (0, "b782929afe83899183cfd6ec53bb2f017ea13eb78336e7d91638841ba6322924"),
 }
 
 
