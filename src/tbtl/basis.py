@@ -14,7 +14,7 @@ from itertools import product
 from operator import itemgetter
 from types import MappingProxyType
 
-from .ring import ONE, ZERO, RatioElem, RingElem
+from .ring import ONE, R_ONE, ZERO, RatioElem, RingElem
 
 TAGS = ("A", "BI", "BII", "BIII")
 
@@ -318,17 +318,20 @@ def _accumulate(out: dict, s: str, c):
         out[s] = nxt
 
 
-def diagram_to_standard(D: Diagram) -> dict[str, RingElem]:
-    """Tensor-product expansion of a diagram over standard strings."""
+def diagram_to_standard(D: Diagram) -> dict[str, RatioElem]:
+    """Tensor-product expansion of a diagram over standard strings: T's
+    column, with the RatioElem entries that every operator holds."""
     placements = []
     for block in D.blocks():
         placements.append((_block_sites(block), block_vector(block)))
     chars_template = ["?"] * D.N
-    out: dict[str, RingElem] = {}
+    out: dict[str, RatioElem] = {}
 
     def rec(idx: int, coeff: RingElem, chars):
         if idx == len(placements):
-            _accumulate(out, "".join(chars), coeff)
+            # disjoint blocks with distinct local strings: each path writes
+            # its own string, with a product of nonzero coefficients
+            out["".join(chars)] = RatioElem(coeff)
             return
         sites, options = placements[idx]
         for local, c in options:
@@ -348,7 +351,8 @@ def read_only(op: dict) -> MappingProxyType:
 
 @lru_cache(maxsize=None)
 def transition_matrix(tag: str, N: int, M: int | None = None):
-    """Columns of KL vectors in the standard basis, keyed by string."""
+    """T: columns of KL vectors in the standard basis, keyed by string; an
+    operator like every other (algebra.Op), read-only since it is shared."""
     check_tag(tag, M)
     return read_only({
         s: diagram_to_standard(build_diagram(tag, s, M))
@@ -368,10 +372,9 @@ def standard_to_kl(vec: dict[str, RatioElem], tag: str, N: int, M: int | None = 
         if not c:
             continue
         out[s] = c
-        for s2, poly in T[s].items():
-            if s2 == s:
-                continue
-            _accumulate(work, s2, -(c * RatioElem(poly)))
+        for s2, t in T[s].items():
+            if s2 != s:
+                _accumulate(work, s2, -(c * t))
     if work:
         raise AssertionError("back-substitution left residual entries")
     return out
@@ -386,22 +389,15 @@ _GAMMA_CHECKS = {
 
 
 def validate_kl_conditions(tag: str, N: int, M: int | None = None) -> dict[str, bool]:
-    """Check triangularity and the Gamma_- membership of every correction."""
+    """Check triangularity and the Gamma_- membership of every correction:
+    a correction with a denominator atom is not in Gamma_-."""
     T = transition_matrix(tag, N, M)
     member = _GAMMA_CHECKS[tag]
     report = {}
     for s, col in T.items():
-        ok = True
-        lead = col.get(s)
-        if lead is None or lead != ONE:
-            ok = False
         key = string_sort_key(s)
-        for s2, poly in col.items():
-            if s2 == s:
-                continue
-            if string_sort_key(s2) <= key:
-                ok = False
-            if not all(member(*m) for m in poly.terms):
-                ok = False
-        report[s] = ok
+        report[s] = col.get(s) == R_ONE and all(
+            string_sort_key(s2) > key and not t.den and all(member(*m) for m in t.num.terms)
+            for s2, t in col.items() if s2 != s
+        )
     return report

@@ -78,34 +78,25 @@ def sum_rule(tag: str, N: int, M: int | None = None, p: SpecPoint | None = None)
     return sum(psi_vector(tag, N, M).evaluate(p).values(), Fraction(0))
 
 
+# name -> (first index n0, x_{n0}, x_{n0+1}, a, b) for x_k = a x_{k-1} + b(k) x_{k-2}
+_OEIS = {
+    "A005425": (0, 1, 2, 2, lambda k: k - 1),
+    "A000902": (1, 1, 3, 2, lambda k: 2 * k - 2),
+    "A083886": (1, 1, 3, 3, lambda k: 2 * k - 4),
+}
+
+
 def oeis_sequence(name: str, n: int) -> int:
-    if name == "A005425":  # A_n = 2A_{n-1} + (n-1)A_{n-2}
-        a, b = 1, 2  # A_0, A_1
-        if n == 0:
-            return a
-        for k in range(2, n + 1):
-            a, b = b, 2 * b + (k - 1) * a
-        return b
-    if name == "A000902":  # B_n = 2B_{n-1} + (2n-2)B_{n-2}
-        if n < 1:
-            raise ValueError("B_n starts at n=1")
-        a, b = 1, 3  # B_1, B_2
-        if n == 1:
-            return a
-        for k in range(3, n + 1):
-            a, b = b, 2 * b + (2 * k - 2) * a
-        return b
-    if name == "A083886":  # C_{n+1} = 3C_n + 2(n-1)C_{n-1}
-        if n < 1:
-            raise ValueError("C_n starts at n=1")
-        a, b = 1, 3  # C_1, C_2
-        if n == 1:
-            return a
-        for k in range(3, n + 1):
-            # C_k = 3C_{k-1} + 2(k-3+1)C_{k-2} with index shift n+1 -> k
-            a, b = b, 3 * b + 2 * (k - 2) * a
-        return b
-    raise ValueError(name)
+    """x_n of one of the three sequences in _OEIS; an n below the first
+    index raises ValueError."""
+    if name not in _OEIS:
+        raise ValueError(name)
+    n0, x, y, a, b = _OEIS[name]
+    if n < n0:
+        raise ValueError(f"{name} starts at n={n0}")
+    for k in range(n0 + 2, n + 1):
+        x, y = y, a * y + b(k) * x
+    return x if n == n0 else y
 
 
 TABLE_1 = {

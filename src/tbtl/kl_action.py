@@ -257,23 +257,20 @@ def crosscheck_vs_standard(tag: str, N: int, gen: str, M: int | None = None):
     """Diagrammatic action of e_g or X == T^{-1} E_g T, exhaustively over
     basis diagrams (for BI after Q -> q^M).
 
-    T is the transition matrix (KL columns in the standard basis), E the
-    standard matrix of the generator and K its diagram action.  Each column
-    is checked as E T[s] == T K[s] by identity_mismatches, with no inverse
-    of T.  This is the conjugation claim because T is unitriangular, which
-    the klbasis check (validate_kl_conditions) verifies: then T is
-    invertible and E T[s] == T K[s] holds exactly when T^{-1} E T[s] ==
-    K[s].  Only a column that differs is back-substituted (standard_to_kl),
+    T is the shared transition matrix (KL columns in the standard basis),
+    read as it is, E the standard matrix of the generator and K its diagram
+    action.  Each column is checked as E T[s] == T K[s] by
+    identity_mismatches, with no inverse of T.  This is the conjugation
+    claim because T is unitriangular, which the klbasis check
+    (validate_kl_conditions) verifies: then T is invertible and E T[s] ==
+    T K[s] holds exactly when T^{-1} E T[s] == K[s].  Only a column that differs is back-substituted (standard_to_kl),
     to name the rows where it differs from K.
 
     Returns (ok, mismatches) where mismatches lists the differing
     (column, row) pairs of basis strings.
     """
     E = {s: specialize(col, tag, M) for s, col in generator_matrix(N, gen).items()}
-    T = {
-        s: {s2: RatioElem(c) for s2, c in col.items()}
-        for s, col in transition_matrix(tag, N, M).items()
-    }
+    T = transition_matrix(tag, N, M)
     K = kl_operator(tag, N, gen, M)
     mismatches = []
     for s, *_ in identity_mismatches(unit_columns(N), [(R_ONE, (E, T))], [(R_ONE, (T, K))]):

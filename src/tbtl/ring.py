@@ -29,19 +29,27 @@ class ZeroDenominator(Exception):
     """Raised when a denominator atom evaluates or substitutes to zero."""
 
 
+def _refuse(self, *_):
+    """__setattr__ and __delattr__ of a read-only value."""
+    raise AttributeError(f"{type(self).__name__} is read-only")
+
+
 class RingElem:
     """Laurent polynomial over Z in q, Q, Q0 with canonical term storage.
 
     A value owns its terms: the constructor copies the dict it is given, and
     ``terms`` is a read-only view of the copy, so a value shared through a
-    cache cannot be changed by one caller.  The hash and, for a denominator
-    atom, the sorted-term key are computed on first use and kept.
+    cache cannot be changed by one caller.  Assigning or deleting an
+    attribute raises AttributeError.  The hash and, for a denominator atom,
+    the sorted-term key are computed on first use and kept.
     """
 
     __slots__ = ("terms", "_hash", "_key")
 
     def __init__(self, terms=None):
-        self.terms: MappingProxyType[Monomial, int] = MappingProxyType(dict(terms) if terms else {})
+        _set_terms(self, MappingProxyType(dict(terms) if terms else {}))
+
+    __setattr__ = __delattr__ = _refuse
 
     @staticmethod
     def mono(c: int, eq: int = 0, eQ: int = 0, eQ0: int = 0) -> "RingElem":
@@ -115,7 +123,7 @@ class RingElem:
         try:
             return self._hash
         except AttributeError:
-            self._hash = h = hash(frozenset(self.terms.items()))
+            object.__setattr__(self, "_hash", h := hash(frozenset(self.terms.items())))
             return h
 
     # -- structure -----------------------------------------------------
@@ -172,6 +180,9 @@ class RingElem:
         return f"RingElem({self.to_text()})"
 
 
+# The constructors write through the slot descriptors, which bypass _refuse
+# at about half the cost of object.__setattr__ on this hot path.
+_set_terms = RingElem.terms.__set__
 ZERO = RingElem()
 ONE = RingElem.mono(1)
 
@@ -389,10 +400,7 @@ class SpecPoint:
         for name, value in (("q", q), ("Q", Q), ("Q0", Q0), ("_monomials", {}), ("_atoms", {})):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, *_):
-        raise AttributeError("SpecPoint is read-only")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = _refuse
 
     def monomial(self, m: Monomial) -> Fraction:
         """q^e Q^f Q0^g for the exponent triple m = (e, f, g)."""
@@ -428,7 +436,7 @@ def _atom_key(atom: RingElem):
     try:
         return atom._key
     except AttributeError:
-        atom._key = key = tuple(sorted(atom.terms.items()))
+        object.__setattr__(atom, "_key", key := tuple(sorted(atom.terms.items())))
         return key
 
 
@@ -459,19 +467,21 @@ def _lift(num: RingElem, atoms) -> RingElem:
 
 
 class RatioElem:
-    """num / product-of-atoms; reduced() cancels the atoms that divide."""
+    """num / product-of-atoms; reduced() cancels the atoms that divide.
+    Read-only, as RingElem is."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: RingElem, den=()):
-        self.num = num
         if den:
-            self.den = den = tuple(sorted(den, key=_atom_key))
+            den = tuple(sorted(den, key=_atom_key))
             # the zero polynomial's key, (), sorts before every other atom's
             if not den[0].terms:
                 raise ZeroDenominator(f"a denominator atom of ({num.to_text()}) is 0")
-        else:
-            self.den = ()
+        _set_num(self, num)
+        _set_den(self, den or ())
+
+    __setattr__ = __delattr__ = _refuse
 
     def reduced(self) -> "RatioElem":
         """The same value with each atom that divides the numerator exactly
@@ -577,6 +587,7 @@ class RatioElem:
         return f"RatioElem({self.to_text()})"
 
 
+_set_num, _set_den = RatioElem.num.__set__, RatioElem.den.__set__
 R_ZERO = RatioElem(ZERO)
 R_ONE = RatioElem(ONE)
 

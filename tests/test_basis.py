@@ -171,25 +171,25 @@ class TestBlocks:
 
     def test_expansion_example(self):
         exp = diagram_to_standard(build_diagram("A", "+--+--"))
-        assert exp == {"+--+--": ONE, "+-+---": mono(-1, -1)}
+        assert exp == {"+--+--": R_ONE, "+-+---": RatioElem(mono(-1, -1))}
 
     def test_leading_coefficient(self):
         for tag, M in ALL_FAMILIES:
             for N in range(1, 7):
                 for s in enumerate_strings(N):
                     exp = diagram_to_standard(build_diagram(tag, s, M))
-                    assert exp[s] == ONE, (tag, s)
+                    assert exp[s] == R_ONE, (tag, s)
 
 
 class TestTransition:
     def test_identity_n1_type_A(self):
         T = transition_matrix("A", 1)
-        assert T == {"-": {"-": ONE}, "+": {"+": ONE}}
+        assert T == {"-": {"-": R_ONE}, "+": {"+": R_ONE}}
 
     def test_n2_type_A(self):
         T = transition_matrix("A", 2)
-        assert T["-+"] == {"-+": ONE, "+-": mono(-1, -1)}
-        assert T["--"] == {"--": ONE}
+        assert T["-+"] == {"-+": R_ONE, "+-": RatioElem(mono(-1, -1))}
+        assert T["--"] == {"--": R_ONE}
 
     def test_unitriangular(self):
         for tag, M in ALL_FAMILIES:
@@ -217,9 +217,9 @@ class TestTransition:
                      for s in enumerate_strings(N) if rng.random() < 0.5}
             vec: dict = {}
             for s, c in combo.items():
-                for s2, poly in T[s].items():
+                for s2, t in T[s].items():
                     cur = vec.get(s2)
-                    add = c * RatioElem(poly)
+                    add = c * t
                     vec[s2] = add if cur is None else cur + add
             back = standard_to_kl(vec, tag, N, M)
             for s in enumerate_strings(N):
@@ -232,8 +232,7 @@ class TestTransition:
 
     def test_kl_column_to_unit(self):
         T = transition_matrix("BIII", 3)
-        col = {s: RatioElem(c) for s, c in T["-+-"].items()}
-        back = standard_to_kl(col, "BIII", 3)
+        back = standard_to_kl(T["-+-"], "BIII", 3)
         assert back == {"-+-": R_ONE}
 
 

@@ -550,6 +550,26 @@ class TestVerifyMutants:
             "--check", "klbasis", "--type", "A", "--n", "3",
         )
 
+    def test_klbasis_fails_on_a_denominator_in_T(self, capsys, monkeypatch):
+        # -q^-2 / [2]: its numerator is in Gamma_-, but a coefficient with a
+        # denominator atom is not a Laurent polynomial
+        from tbtl import basis
+        from tbtl.ring import RatioElem, qint
+
+        build = basis.transition_matrix
+
+        def perturbed(tag, N, M=None):
+            T = build(tag, N, M)
+            if N == 4:
+                T = {s: dict(col) for s, col in T.items()}
+                T["--++"]["++--"] = RatioElem(T["--++"]["++--"].num, (qint(2),))
+            return T
+
+        monkeypatch.setattr(basis, "transition_matrix", perturbed)
+        self.assert_fails(
+            capsys, "KL triangularity/coefficient classes A N=4", "--check", "klbasis", "--n", "4"
+        )
+
     def test_index_histogram_fails_on_dropped_unpaired_down(self, capsys, monkeypatch):
         from tbtl import basis, coideal
 

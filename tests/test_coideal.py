@@ -283,7 +283,7 @@ def test_cached_matrix_is_read_only(cached):
     [
         lambda: x_matrix_kl("A", 3)["+-+"]["+-+"].num,
         lambda: generator_matrix(3, "e1")["+-+"]["+-+"].num,
-        lambda: transition_matrix("A", 3)["+-+"]["+-+"],
+        lambda: transition_matrix("A", 3)["+-+"]["+-+"].num,
         lambda: qint(3),
         lambda: qfact(3),
         lambda: angle(2),

@@ -103,6 +103,11 @@ class TestOEIS:
         assert [oeis_sequence("A083886", n) for n in range(1, 8)] == [
             1, 3, 11, 45, 201, 963, 4899]
 
+    @pytest.mark.parametrize("name,n", [("A005425", -1), ("A000902", 0), ("A083886", 0)])
+    def test_below_first_index(self, name, n):
+        with pytest.raises(ValueError):
+            oeis_sequence(name, n)
+
 
 class TestSumRules:
     def test_table_spot_values(self):

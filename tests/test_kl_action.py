@@ -1,12 +1,24 @@
 import hashlib
+import random
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import pytest
 
 from tbtl import kl_action
-from tbtl.algebra import generator_matrix, generator_names, op_apply, vector_mismatches
+from tbtl.algebra import (
+    generator_matrix,
+    generator_names,
+    identity_mismatches,
+    op_apply,
+    vector_mismatches,
+    x_matrix_direct,
+)
 from tbtl.basis import (
     build_diagram,
+    diagram_to_standard,
     enumerate_strings,
+    make_diagram,
     specialize,
     standard_to_kl,
     string_sort_key,
@@ -209,7 +221,7 @@ class TestOracle:
             (s, row)
             for s in enumerate_strings(N)
             for row, _, _ in vector_mismatches(
-                standard_to_kl(op_apply(E, {s2: RatioElem(c) for s2, c in T[s].items()}), tag, N, M),
+                standard_to_kl(op_apply(E, T[s]), tag, N, M),
                 K[s],
             )
         ]
@@ -262,6 +274,79 @@ class TestOracle:
                     for s3, c in twice.items():
                         want = loop * once.get(s3, RatioElem.rational(0))
                         assert c == want, (tag, s, i)
+
+
+class LazyOp(Mapping):
+    """A read-only operator on the strings of size N whose column s is
+    column(s), built on its first read and kept."""
+
+    def __init__(self, N, column):
+        self.N, self.column, self.built = N, column, {}
+
+    def __getitem__(self, s):
+        col = self.built.get(s)
+        if col is None:
+            col = self.built[s] = MappingProxyType(self.column(s))
+        return col
+
+    def __iter__(self):
+        return iter(enumerate_strings(self.N))
+
+    def __len__(self):
+        return 2**self.N
+
+
+def sampled_mismatches(tag, N, M=None, seed=0, gens=None):
+    """E T[s] == T K[s] for each generator (default: all of them and X) on
+    one seeded string s per count of '-'; the (gen, column, row) of each
+    sampled column that differs.
+
+    Each column is one claim, and it needs T only at s and at the strings
+    of K[s], so T and K are read column by column from the diagram of each
+    string they meet, and E column by column from its standard matrix
+    (x_matrix_direct for X), specialized to the family as it is read.  This
+    samples N + 1 of the 2^N columns, so it is a test above the sizes that
+    verify's klactions and xkl rows check in full, not a verify row
+    (after QuickCheck, Claessen and Hughes, ICFP 2000).
+    """
+    rng = random.Random(seed)
+    sample = {}
+    for k in range(N + 1):
+        downs = set(rng.sample(range(N), k))
+        s = "".join("-" if i in downs else "+" for i in range(N))
+        sample[s] = {s: R_ONE}
+    T = LazyOp(N, lambda s: diagram_to_standard(make_diagram(tag, s, M)))
+    found = []
+    for gen in gens or [*generator_names(N), "X"]:
+        full = x_matrix_direct(N) if gen == "X" else generator_matrix(N, gen)
+        E = LazyOp(N, lambda s, full=full: specialize(full[s], tag, M))
+        K = LazyOp(N, lambda s, gen=gen: kl_action.apply_generator_kl(tag, make_diagram(tag, s, M), gen))
+        found += [
+            (gen, s, row)
+            for s, row, _, _ in identity_mismatches(sample, [(R_ONE, (E, T))], [(R_ONE, (T, K))])
+        ]
+    return found
+
+
+@pytest.mark.parametrize("tag,M,N", [("A", None, 12), ("BI", 2, 12), ("BII", None, 11), ("BIII", None, 11)])
+def test_sampled_columns_above_the_full_oracle(tag, M, N):
+    assert sampled_mismatches(tag, N, M) == []
+
+
+def test_sampled_columns_catch_a_many_downs_fault(monkeypatch):
+    # a BII e_N rule wrong only with at least 10 downs: no string at the
+    # full oracle's N = 9 has that many, and the sample has one per count
+    rule = kl_action.apply_eN_kl
+
+    def doubled(tag, D):
+        image = rule(tag, D)
+        if D.string.count("-") >= 10:
+            image = {s: c * RatioElem.rational(2) for s, c in image.items()}
+        return image
+
+    monkeypatch.setattr(kl_action, "apply_eN_kl", doubled)
+    found = sampled_mismatches("BII", 11, gens=["eN"])
+    assert {s.count("-") for _, s, _ in found} == {10, 11}
 
 
 def test_operator_digest():

@@ -528,6 +528,24 @@ def test_constructor_copies_terms():
             assert hash(a) == h
 
 
+def test_ring_values_refuse_assignment():
+    # qint(3) and R_ONE are shared by every caller: assigning through one
+    # would change them all and leave the cached hash stale
+    from types import MappingProxyType
+
+    three, h = qint(3), hash(qint(3))
+    with pytest.raises(AttributeError):
+        three.terms = MappingProxyType({(0, 0, 0): 9})
+    with pytest.raises(AttributeError):
+        del three.terms
+    with pytest.raises(AttributeError):
+        ring.R_ONE.num = RingElem.mono(7)
+    with pytest.raises(AttributeError):
+        ring.R_ONE.den = (qint(2),)
+    assert qint(3).terms == {(2, 0, 0): 1, (0, 0, 0): 1, (-2, 0, 0): 1} and hash(qint(3)) == h
+    assert ring.R_ONE.num == ONE and ring.R_ONE.den == ()
+
+
 def test_expanded_product_hashes_as_typed_terms():
     # (q + Q)(q - Q0) = q^2 - q Q0 + q Q - Q Q0
     product = (mono(1, 1) + mono(1, 0, 1)) * (mono(1, 1) - mono(1, 0, 0, 1))
