@@ -32,33 +32,29 @@ Side = list[tuple[RatioElem, Word]]  # sum_k c_k w_k
 _mono = RingElem.mono
 
 
-def op_apply(A: Op, v: Vec) -> Vec:
-    """A v, the one way to apply an operator to a vector.
+def _products(A: Op | None, v: Vec, sign: int, plain: dict, fractional: dict) -> None:
+    """Add sign * A v, term by term, into plain ({row: terms}, the products
+    with no denominator) and fractional ({(row, den): terms}); A None is
+    the identity.  Only the columns A[col] that v reads are read.
 
-    A fused multiply-accumulate kernel (after Johnson 1974, Monagan and
+    A fused multiply-accumulate loop (after Johnson 1974, Monagan and
     Pearce 2009): each product c * a of a vector entry c at column s and a
-    matrix entry a of column s is summed term by term into one plain
-    {monomial: int} dict per (row, denominator), where the denominator is
-    the multiset c.den + a.den sorted as RatioElem sorts it.  No product is
-    built as an object: the outer loop runs over the factor with fewer
-    terms, so a monomial factor (the common case) costs one pass over the
-    other factor's terms, and a term is dropped as soon as its coefficient
-    reaches 0.  At the end each nonempty dict is wrapped once, without
-    reduction, and the groups of a row that carry a denominator (rare) are
-    added to it with RatioElem addition.
-
-    The result has the value of the sum of the products c * a and no zero
-    entry, and it shares no term dict with A or v; neither input is changed.
-    Every column of v with a nonzero entry must be a column of A.
+    matrix entry a of column s is summed into one plain {monomial: int}
+    dict per (row, denominator), where the denominator is the multiset
+    c.den + a.den sorted as RatioElem sorts it.  No product is built as an
+    object: the outer loop runs over the factor with fewer terms, so a
+    monomial factor (the common case) costs one pass over the other
+    factor's terms, and a term is dropped as soon as its coefficient
+    reaches 0.
     """
-    plain: dict[str, dict] = {}  # row -> terms of the products with no denominator
-    fractional: dict[tuple, dict] = {}  # (row, den) -> terms
     for col, c in v.items():
         ct = c.num.terms
         if not ct:
             continue
+        if sign < 0:
+            ct = {m: -k for m, k in ct.items()}
         cden = c.den
-        for row, a in A[col].items():
+        for row, a in (A[col].items() if A is not None else ((col, R_ONE),)):
             at = a.num.terms
             aden = a.den
             if cden or aden:
@@ -79,11 +75,33 @@ def op_apply(A: Op, v: Vec) -> Vec:
                         t[m] = x
                     else:
                         del t[m]
+
+
+def _sums(plain: dict, fractional: dict) -> Vec:
+    """The vector that _products accumulated: each nonempty dict wrapped
+    once, without reduction, and the groups of a row that carry a
+    denominator (rare) added to it with RatioElem addition, which is exact,
+    so a row whose groups cancel, a plain part against a fractional one
+    included, is dropped."""
     out: Vec = {row: RatioElem(RingElem(t)) for row, t in plain.items() if t}
     for (row, den), t in fractional.items():
         if t:
             _accumulate(out, row, RatioElem(RingElem(t), den))
     return out
+
+
+def op_apply(A: Op, v: Vec) -> Vec:
+    """A v, the one way to apply an operator to a vector: the products
+    accumulated by _products, then wrapped once by _sums.
+
+    The result has the value of the sum of the products c * a and no zero
+    entry, and it shares no term dict with A or v; neither input is changed.
+    Every column of v with a nonzero entry must be a column of A.
+    """
+    plain: dict[str, dict] = {}
+    fractional: dict[tuple, dict] = {}
+    _products(A, v, 1, plain, fractional)
+    return _sums(plain, fractional)
 
 
 def apply_word(word: Word, v: Vec) -> Vec:
@@ -120,15 +138,28 @@ def identity_mismatches(columns: dict[str, Vec], lhs: Side, rhs: Side):
     """Where lhs == rhs fails for two sides sum_k c_k w_k (see apply_word):
     the one way to compare two operators or two vectors.
 
-    One column at a time, both sides are applied to its start vector (a
-    unit column of unit_columns, or a vector such as Psi), and each column
-    where they differ yields (column, row, left, right) at its first
-    differing row.  No product is built in full, and a caller that needs
-    only a verdict stops at the first differing column.
+    One column at a time, on its start vector v (a unit column of
+    unit_columns, or a vector such as Psi), lhs v - rhs v is accumulated
+    by _products into one set of term dicts: a word A_1 A_2 ... A_k adds
+    +-A_1 u, where u is A_2 ... A_k v (apply_word) scaled by c_k, and an
+    empty word adds +-c_k v.  The column passes when every row of that
+    signed sum is zero under exact RatioElem addition (_sums), so a
+    passing column builds neither side.  Only a column that does not pass
+    is applied side by side, and it yields (column, row, left, right) at
+    its first differing row.  No product is built in full, and a caller
+    that needs only a verdict stops at the first differing column.
     """
     for label, v in columns.items():
-        first = next(vector_mismatches(_apply_side(lhs, v), _apply_side(rhs, v)), None)
-        if first is not None:
+        plain: dict[str, dict] = {}
+        fractional: dict[tuple, dict] = {}
+        for sign, side in ((1, lhs), (-1, rhs)):
+            for c, word in side:
+                u = apply_word(word[1:], v)
+                if c is not R_ONE:
+                    u = {row: c * x for row, x in u.items()}
+                _products(word[0] if word else None, u, sign, plain, fractional)
+        if _sums(plain, fractional):
+            first = next(vector_mismatches(_apply_side(lhs, v), _apply_side(rhs, v)))
             yield (label, *first)
 
 
@@ -396,10 +427,11 @@ def x_matrix_coproduct(N: int) -> Op:
     out: Op = {}
     for eps in enumerate_strings(N):
         head, tail = eps[0], eps[1:]
-        k = RatioElem(_mono(1, 1 if head == "+" else -1))
+        d = 1 if head == "+" else -1  # K's entry q^d, an exponent shift
         col: Vec = {}
         for row_tail, c in inner[tail].items():
-            col[head + row_tail] = c * k
+            shifted = {(e + d, f, g): x for (e, f, g), x in c.num.terms.items()}
+            col[head + row_tail] = RatioElem(RingElem(shifted), c.den)
         col[("-" if head == "+" else "+") + tail] = R_ONE  # no row above has this head
         out[eps] = col
     return out

@@ -31,10 +31,18 @@ def check_tag(tag: str, M=None):
 
 def specialize(vec: dict, tag: str, M=None) -> dict:
     """Restrict coefficients to the family's parameters: BI lives at
-    Q = q^M, every other family keeps Q free."""
+    Q = q^M, every other family keeps Q free.  An entry with no power of Q
+    in its numerator or its atoms is kept as it is, and a vector where no
+    entry has one is returned itself, so the bulk generators' columns pass
+    through unchanged."""
     if tag != "BI":
         return vec
-    return {s: c.subst_Q(M) for s, c in vec.items()}
+    changed = {
+        s: c.subst_Q(M)
+        for s, c in vec.items()
+        if any(f for part in (c.num, *c.den) for _, f, _ in part.terms)
+    }
+    return {**vec, **changed} if changed else vec
 
 
 def enumerate_strings(N: int) -> list[str]:

@@ -263,8 +263,9 @@ def crosscheck_vs_standard(tag: str, N: int, gen: str, M: int | None = None):
     identity_mismatches, with no inverse of T.  This is the conjugation
     claim because T is unitriangular, which the klbasis check
     (validate_kl_conditions) verifies: then T is invertible and E T[s] ==
-    T K[s] holds exactly when T^{-1} E T[s] == K[s].  Only a column that differs is back-substituted (standard_to_kl),
-    to name the rows where it differs from K.
+    T K[s] holds exactly when T^{-1} E T[s] == K[s].  Only a column that
+    differs is back-substituted (standard_to_kl), to name the rows where it
+    differs from K.
 
     Returns (ok, mismatches) where mismatches lists the differing
     (column, row) pairs of basis strings.

@@ -22,7 +22,7 @@ from tbtl.algebra import (
 )
 from tbtl import algebra
 from tbtl.basis import enumerate_strings, flip
-from tbtl.ring import RatioElem, RingElem, R_ONE, angle, qdiff, qQ_bracket, qint
+from tbtl.ring import RatioElem, RingElem, R_ONE, R_ZERO, angle, qdiff, qQ_bracket, qint
 
 mono = RingElem.mono
 
@@ -209,6 +209,21 @@ def test_kernel_locates_perturbed_entry():
     # and the unperturbed matrix satisfies it
     E2 = generator_matrix(3, "e2")
     assert not any(identity_mismatches(unit_columns(3), [(R_ONE, (E2, E2))], [(loop, (E2,))]))
+    # one diagonal entry of X at N = 3 moved by q/[2]: e1 commutes with the
+    # true X, and the perturbed one fails on the two columns that read the
+    # entry, with the tuples the two-sided kernel gives, atoms included
+    X = {col: dict(column) for col, column in x_matrix_direct(3).items()}
+    X["+-+"]["+-+"] = X["+-+"]["+-+"] + RatioElem(mono(1, 1), (qint(2),))
+    E1 = generator_matrix(3, "e1")
+    sides = [(R_ONE, (E1, X))], [(R_ONE, (X, E1))]
+    got = list(identity_mismatches(unit_columns(3), *sides))
+    lam = "(-1*q*Q^-1 + q*Q) / (-1*q^-1 + q)"
+    moved = "(-1*Q^-1 - 1 + Q - 1*q^2*Q^-1 + q^2 + q^2*Q) / (-1*q^-1 + q, q^-1 + q)"
+    assert [(c, r, a.to_text(), b.to_text()) for c, r, a, b in got] == [
+        ("-++", "+-+", lam, moved),
+        ("+-+", "-++", moved, lam),
+    ]
+    assert _exact(got) == _exact(reference_mismatches(unit_columns(3), *sides))
 
 
 def test_vector_mismatches_reads_a_missing_entry_as_zero():
@@ -361,3 +376,121 @@ def test_op_apply_matches_reference_loop(inputs):
     assert all(got.values())
     assert _snapshot(A, v)[0] == before
     assert not any(id(c.num.terms) in input_dicts for c in got.values())
+
+
+# -- identity_mismatches against the two-sided kernel ---------------------------
+
+
+def reference_mismatches(columns, lhs, rhs):
+    """The two-sided kernel: on each start vector both sides are built in
+    full, each word applied right to left with op_apply (a unit vector's
+    image read as the column, as apply_word does) and the words summed
+    with RatioElem arithmetic, then compared by vector_mismatches."""
+
+    def apply(word, v):
+        for A in reversed(word):
+            unit = len(v) == 1 and next(iter(v.values())) is R_ONE
+            v = A[next(iter(v))] if unit else op_apply(A, v)
+        return v
+
+    def side(words, v):
+        if len(words) == 1 and words[0][0] is R_ONE:
+            return apply(words[0][1], v)
+        out = {}
+        for c, word in words:
+            for row, x in apply(word, v).items():
+                p = c * x
+                if not p:
+                    continue
+                total = out.get(row, R_ZERO) + p
+                if total:
+                    out[row] = total
+                else:
+                    del out[row]
+        return out
+
+    for label, v in columns.items():
+        first = next(vector_mismatches(side(lhs, v), side(rhs, v)), None)
+        if first is not None:
+            yield (label, *first)
+
+
+def _exact(mismatches):
+    """Mismatch tuples with each coefficient as its stored numerator and
+    atoms, so equal values with different representations differ."""
+    return [
+        (col, row, *((dict(x.num.terms), x.den) for x in (a, b))) for col, row, a, b in mismatches
+    ]
+
+
+_operators = st.fixed_dictionaries(
+    {s: st.dictionaries(st.sampled_from(_STRINGS), _entries, max_size=3) for s in _STRINGS}
+)
+_scalars = st.one_of(st.just(R_ONE), _entries)
+
+
+@st.composite
+def identity_inputs(draw):
+    ops = [draw(_operators) for _ in range(2)]
+    words = st.lists(st.sampled_from(ops), max_size=2).map(tuple)
+    lhs = draw(st.lists(st.tuples(_scalars, words), max_size=3))
+    kind = draw(st.sampled_from(["independent", "regrouped", "perturbed"]))
+    if kind == "independent":
+        rhs = draw(st.lists(st.tuples(_scalars, words), max_size=3))
+    else:
+        # the same sum with each scalar split in two: the sides are equal
+        rhs = []
+        for c, word in lhs:
+            part = draw(_entries)
+            rhs += [(part, word), (c - part, word)]
+        rhs = draw(st.permutations(rhs))
+        if kind == "perturbed":
+            rhs.append((draw(_entries), draw(words)))
+    columns = {s: {s: R_ONE} for s in _STRINGS}
+    columns["v"] = draw(st.dictionaries(st.sampled_from(_STRINGS), _entries, max_size=3))
+    return columns, lhs, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(identity_inputs())
+def test_identity_mismatches_matches_two_sided_kernel(inputs):
+    columns, lhs, rhs = inputs
+    got = _exact(identity_mismatches(columns, lhs, rhs))
+    assert got == _exact(reference_mismatches(columns, lhs, rhs))
+
+
+def test_equal_values_with_other_representations_pass():
+    # [2]/[2] is 1 with an atom left in, and a plain row cancelled by a
+    # fractional group sums to zero only under RatioElem addition
+    two_over_two = RatioElem(qint(2), (qint(2),))
+    v = {"v": {"+": R_ONE, "-": RatioElem(mono(1, 1))}}
+    assert not any(identity_mismatches(v, [(two_over_two, ())], [(R_ONE, ())]))
+    A = {"+": {"+": two_over_two}, "-": {"-": R_ONE}}
+    assert not any(identity_mismatches(v, [(R_ONE, (A,))], [(R_ONE, ())]))
+    cancelled = [(R_ONE, ()), (RatioElem(-qint(2), (qint(2),)), ())]
+    assert not any(identity_mismatches(v, cancelled, []))
+    # B + C = 0 with every entry of C written over other atoms than B's
+    B = {"+": {"+": R_ONE, "-": RatioElem(mono(1, 1), (qdiff(),))}, "-": {"-": R_ONE}}
+    C = {
+        "+": {"+": RatioElem(-qint(2), (qint(2),)),
+              "-": RatioElem(mono(-1, 1) * qint(2), (qdiff(), qint(2)))},
+        "-": {"-": RatioElem(-qint(3), (qint(3),))},
+    }
+    assert not any(identity_mismatches(unit_columns(1), [(R_ONE, (B,)), (R_ONE, (C,))], []))
+
+
+def test_scalars_empty_words_and_an_empty_side():
+    # sigma^+ on one site: sigma^+ sigma^+ = 0, and [2] sigma^+ = (q + 1/q) sigma^+
+    up = {"+": {}, "-": {"+": R_ONE}}
+    ones = unit_columns(1)
+    assert not any(identity_mismatches(ones, [(R_ONE, (up, up))], []))
+    assert list(identity_mismatches(ones, [(R_ONE, (up,))], [])) == [("-", "+", R_ONE, R_ZERO)]
+    qq = RatioElem(mono(1, 1) + mono(1, -1))
+    assert not any(identity_mismatches(ones, [(RatioElem(qint(2)), (up,))], [(qq, (up,))]))
+    # the identity as an empty word, scaled, against the same scalar times 1
+    one = {"+": {"+": R_ONE}, "-": {"-": R_ONE}}
+    assert not any(identity_mismatches(ones, [(qq, ())], [(qq, (one,))]))
+    assert list(identity_mismatches(ones, [(qq, ())], [(qq, (up,))])) == [
+        ("-", "-", qq, R_ZERO),
+        ("+", "+", qq, R_ZERO),
+    ]
