@@ -14,13 +14,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .basis import _accumulate, enumerate_strings, flip, read_only
+from .basis import _accumulate, _products, _sums, enumerate_strings, flip, read_only
 from .ring import (
     RatioElem,
     RingElem,
     R_ONE,
     R_ZERO,
-    _atom_key,
     qQ_bracket,
 )
 
@@ -32,64 +31,6 @@ Side = list[tuple[RatioElem, Word]]  # sum_k c_k w_k
 _mono = RingElem.mono
 
 
-def _products(A: Op | None, v: Vec, sign: int, plain: dict, fractional: dict) -> None:
-    """Add sign * A v, term by term, into plain ({row: terms}, the products
-    with no denominator) and fractional ({(row, den): terms}); A None is
-    the identity.  Only the columns A[col] that v reads are read.
-
-    A fused multiply-accumulate loop (after Johnson 1974, Monagan and
-    Pearce 2009): each product c * a of a vector entry c at column s and a
-    matrix entry a of column s is summed into one plain {monomial: int}
-    dict per (row, denominator), where the denominator is the multiset
-    c.den + a.den sorted as RatioElem sorts it.  No product is built as an
-    object: the outer loop runs over the factor with fewer terms, so a
-    monomial factor (the common case) costs one pass over the other
-    factor's terms, and a term is dropped as soon as its coefficient
-    reaches 0.
-    """
-    for col, c in v.items():
-        ct = c.num.terms
-        if not ct:
-            continue
-        if sign < 0:
-            ct = {m: -k for m, k in ct.items()}
-        cden = c.den
-        for row, a in (A[col].items() if A is not None else ((col, R_ONE),)):
-            at = a.num.terms
-            aden = a.den
-            if cden or aden:
-                den = tuple(sorted(cden + aden, key=_atom_key)) if cden and aden else cden or aden
-                t = fractional.get((row, den))
-                if t is None:
-                    t = fractional[row, den] = {}
-            else:
-                t = plain.get(row)
-                if t is None:
-                    t = plain[row] = {}
-            small, big = (ct, at) if len(ct) <= len(at) else (at, ct)
-            for (e1, f1, g1), c1 in small.items():
-                for (e2, f2, g2), c2 in big.items():
-                    m = (e1 + e2, f1 + f2, g1 + g2)
-                    x = t.get(m, 0) + c1 * c2
-                    if x:
-                        t[m] = x
-                    else:
-                        del t[m]
-
-
-def _sums(plain: dict, fractional: dict) -> Vec:
-    """The vector that _products accumulated: each nonempty dict wrapped
-    once, without reduction, and the groups of a row that carry a
-    denominator (rare) added to it with RatioElem addition, which is exact,
-    so a row whose groups cancel, a plain part against a fractional one
-    included, is dropped."""
-    out: Vec = {row: RatioElem(RingElem(t)) for row, t in plain.items() if t}
-    for (row, den), t in fractional.items():
-        if t:
-            _accumulate(out, row, RatioElem(RingElem(t), den))
-    return out
-
-
 def op_apply(A: Op, v: Vec) -> Vec:
     """A v, the one way to apply an operator to a vector: the products
     accumulated by _products, then wrapped once by _sums.
@@ -99,7 +40,7 @@ def op_apply(A: Op, v: Vec) -> Vec:
     Every column of v with a nonzero entry must be a column of A.
     """
     plain: dict[str, dict] = {}
-    fractional: dict[tuple, dict] = {}
+    fractional: dict[str, dict] = {}
     _products(A, v, 1, plain, fractional)
     return _sums(plain, fractional)
 
@@ -142,22 +83,23 @@ def identity_mismatches(columns: dict[str, Vec], lhs: Side, rhs: Side):
     unit_columns, or a vector such as Psi), lhs v - rhs v is accumulated
     by _products into one set of term dicts: a word A_1 A_2 ... A_k adds
     +-A_1 u, where u is A_2 ... A_k v (apply_word) scaled by c_k, and an
-    empty word adds +-c_k v.  The column passes when every row of that
-    signed sum is zero under exact RatioElem addition (_sums), so a
-    passing column builds neither side.  Only a column that does not pass
-    is applied side by side, and it yields (column, row, left, right) at
-    its first differing row.  No product is built in full, and a caller
+    empty word adds +-c_k v term by term, with c_k as _products' scalar
+    operator, so no scaled copy of v is built.  The column passes when
+    every row of that signed sum is zero under exact RatioElem addition
+    (_sums), so a passing column builds neither side.  Only a column that
+    does not pass is applied side by side, and it yields (column, row,
+    left, right) at its first differing row.  No product is built in full, and a caller
     that needs only a verdict stops at the first differing column.
     """
     for label, v in columns.items():
         plain: dict[str, dict] = {}
-        fractional: dict[tuple, dict] = {}
+        fractional: dict[str, dict] = {}
         for sign, side in ((1, lhs), (-1, rhs)):
             for c, word in side:
                 u = apply_word(word[1:], v)
-                if c is not R_ONE:
+                if word and c is not R_ONE:
                     u = {row: c * x for row, x in u.items()}
-                _products(word[0] if word else None, u, sign, plain, fractional)
+                _products(word[0] if word else c, u, sign, plain, fractional)
         if _sums(plain, fractional):
             first = next(vector_mismatches(_apply_side(lhs, v), _apply_side(rhs, v)))
             yield (label, *first)

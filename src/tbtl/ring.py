@@ -351,13 +351,19 @@ def qdiff() -> RingElem:
 
 
 def exact_div(a: RingElem, b: RingElem) -> RingElem:
-    """Quotient a / b when it exists; raises NotDivisible otherwise."""
+    """Quotient a / b when it exists; raises NotDivisible otherwise.
+
+    Long division on one mutable remainder: each quotient term c m, taken
+    from the lex-leading terms, subtracts c m b from the remainder's term
+    dict in place (after Johnson 1974, Monagan and Pearce 2011), so no
+    intermediate polynomial is built."""
     if not b.terms:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a.terms:
         return ZERO
     lead_b, cb = b.leading()
-    rem = a
+    b_terms = b.terms.items()
+    rem = dict(a.terms)
     quot: dict[Monomial, int] = {}
     # A true quotient's support fits in the Minkowski difference of the
     # exponent boxes, so its term count is bounded by the box volume of a;
@@ -367,15 +373,23 @@ def exact_div(a: RingElem, b: RingElem) -> RingElem:
         exps = [m[axis] for m in a.terms]
         limit *= max(exps) - min(exps) + 1
     for _ in range(limit):
-        if not rem.terms:
+        if not rem:
             return RingElem(quot)
-        lead_r, cr = rem.leading()
+        lead_r = max(rem)
+        cr = rem[lead_r]
         if cr % cb:
             raise NotDivisible(f"coefficient {cr} not divisible by {cb}")
-        m = (lead_r[0] - lead_b[0], lead_r[1] - lead_b[1], lead_r[2] - lead_b[2])
-        c = cr // cb
-        quot[m] = quot.get(m, 0) + c
-        rem = rem - b * RingElem.mono(c, *m)
+        # the leading term of the remainder falls at each step, so no
+        # quotient monomial comes twice
+        e, f, g = lead_r[0] - lead_b[0], lead_r[1] - lead_b[1], lead_r[2] - lead_b[2]
+        c = quot[e, f, g] = cr // cb
+        for (e2, f2, g2), k in b_terms:
+            m = (e + e2, f + f2, g + g2)
+            x = rem.get(m, 0) - c * k
+            if x:
+                rem[m] = x
+            else:
+                del rem[m]
     raise NotDivisible("no exact quotient found")
 
 

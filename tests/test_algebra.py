@@ -20,7 +20,7 @@ from tbtl.algebra import (
     x_matrix_direct,
     x_matrix_standard,
 )
-from tbtl import algebra
+from tbtl import algebra, basis
 from tbtl.basis import enumerate_strings, flip
 from tbtl.ring import RatioElem, RingElem, R_ONE, R_ZERO, angle, qdiff, qQ_bracket, qint
 
@@ -494,3 +494,54 @@ def test_scalars_empty_words_and_an_empty_side():
         ("-", "-", qq, R_ZERO),
         ("+", "+", qq, R_ZERO),
     ]
+
+
+def test_scalar_on_an_empty_word_matches_two_sided_kernel():
+    # lam carries an atom that no vector entry has; the entries carry others
+    lam = RatioElem(mono(1, 1) + mono(-2, 0, 1), (qdiff(),))
+    columns = {
+        "v": {"+": RatioElem(mono(1, -1), (qint(2),)), "-": RatioElem(qint(3), (angle(1), qint(3)))},
+        "w": {"-": RatioElem(mono(3, 0, 0, 1)), "+": R_ONE},
+        "+": {"+": R_ONE},
+    }
+    diagonal = {s: {s: lam} for s in ("+", "-")}  # lam times the identity, as an operator
+    # lam written over one more atom, and lam split into parts that cancel
+    lam_2 = RatioElem(lam.num * qint(2), (*lam.den, qint(2)))
+    part = RatioElem(mono(1, 2), (angle(1),))
+    cases = [
+        ([(lam, ())], [(R_ONE, (diagonal,))]),
+        ([(lam, ())], [(lam_2, ())]),
+        ([(lam - part, ()), (part, ())], [(lam, ())]),
+        ([(lam, ())], [(lam + lam, ())]),
+        ([(lam, ()), (R_ZERO, ())], [(R_ONE, (diagonal,))]),
+        ([(R_ZERO, ())], []),
+        ([(R_ZERO, ())], [(R_ONE, ())]),
+    ]
+    for lhs, rhs in cases:
+        got = list(identity_mismatches(columns, lhs, rhs))
+        assert _exact(got) == _exact(reference_mismatches(columns, lhs, rhs)), (lhs, rhs)
+    assert [not any(identity_mismatches(columns, lhs, rhs)) for lhs, rhs in cases] == [
+        True, True, True, False, True, True, False
+    ]
+
+
+def test_op_apply_multiplies_large_factors_as_integers(monkeypatch):
+    # factors of 8 terms or more each go through the packed product: a dense
+    # box, a sparse one (refused by the packing) and wide coefficients
+    packed = []
+    pack = basis._kronecker_product
+
+    def spy(a, b):
+        packed.append(pack(a, b))
+        return packed[-1]
+
+    monkeypatch.setattr(basis, "_kronecker_product", spy)
+    dense = RatioElem(sum((mono(k - 3, k) for k in range(9)), mono(0)))
+    sparse = RatioElem(sum((mono(1, 40 * k, k % 2) for k in range(8)), mono(0)))
+    wide = RatioElem(sum((mono(2**70 + k, k, 0, 1) for k in range(10)), mono(0)))
+    A = {"+": {"+": dense, "-": sparse}, "-": {"+": wide, "-": -dense}}
+    for v in ({"+": dense, "-": wide}, {"+": sparse, "-": RatioElem(dense.num, (qint(2),))},
+              {"+": dense, "-": dense}):
+        got, want = op_apply(A, v), reference_apply(A, v)
+        assert got.keys() == want.keys() and all(got[r] == want[r] for r in got)
+    assert any(p is None for p in packed) and any(p is not None for p in packed)

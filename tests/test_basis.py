@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from tbtl import basis
 from tbtl.basis import (
     build_diagram,
     block_vector,
@@ -13,7 +16,7 @@ from tbtl.basis import (
     validate_kl_conditions,
 )
 from tbtl.cli import main
-from tbtl.ring import ONE, RatioElem, RingElem, R_ONE
+from tbtl.ring import ONE, RatioElem, RingElem, R_ONE, ZERO, angle, qdiff, qint
 
 mono = RingElem.mono
 
@@ -293,3 +296,86 @@ def test_build_diagram_cache_is_bounded():
     info = build_diagram.cache_info()
     assert info.maxsize == 4096 and info.currsize == 4096
     build_diagram.cache_clear()
+
+
+# -- standard_to_kl against the back-substitution on RatioElem values ----------
+
+
+def reference_standard_to_kl(vec, tag, N, M=None):
+    """Ascending back-substitution with one RatioElem product, negation and
+    addition per off-diagonal entry of T, each added into its row at once."""
+    T = basis.transition_matrix(tag, N, M)
+    work = dict(vec)
+    out = {}
+    for s in enumerate_strings(N):
+        c = work.pop(s, None)
+        if not c:
+            continue
+        out[s] = c
+        for s2, t in T[s].items():
+            if s2 != s:
+                cur = work.get(s2)
+                nxt = -(c * t) if cur is None else cur - c * t
+                if nxt:
+                    work[s2] = nxt
+                else:
+                    del work[s2]
+    if work:
+        raise AssertionError("back-substitution left residual entries")
+    return out
+
+
+# atoms shared by some entries and not by others; the two [3]s are equal
+# atoms built apart
+_ATOMS = (qint(2), qint(3), angle(1), qdiff(), RingElem(qint(3).terms))
+
+
+def _random_entry(rng, atoms):
+    terms = {
+        (rng.randint(-2, 2), rng.randint(-1, 1), rng.randint(-1, 1)): rng.choice((-2, -1, 1, 2))
+        for _ in range(rng.randint(1, 3))
+    }
+    return RatioElem(RingElem(terms), rng.sample(atoms, rng.randint(0, 2)) if atoms else ())
+
+
+def _expand(combo, T):
+    """sum_s combo[s] T[s], with RatioElem arithmetic."""
+    vec = {}
+    for s, c in combo.items():
+        for s2, t in T[s].items():
+            total = vec.get(s2, RatioElem(ZERO)) + c * t
+            if total:
+                vec[s2] = total
+            else:
+                vec.pop(s2, None)
+    return vec
+
+
+@pytest.mark.parametrize("tag,M", ALL_FAMILIES)
+def test_standard_to_kl_matches_ratio_back_substitution(tag, M):
+    rng = random.Random(f"{tag}{M}")
+    for N in range(1, 7):
+        T = transition_matrix(tag, N, M)
+        strings = enumerate_strings(N)
+        for atoms in ((), _ATOMS):
+            # an arbitrary vector, and the expansion of a KL combination,
+            # whose corrections cancel plain parts against fractional ones
+            arbitrary = {s: _random_entry(rng, atoms) for s in strings if rng.random() < 0.6}
+            combo = {s: _random_entry(rng, atoms) for s in strings if rng.random() < 0.4}
+            for vec in (arbitrary, _expand(combo, T)):
+                got = standard_to_kl(vec, tag, N, M)
+                want = reference_standard_to_kl(vec, tag, N, M)
+                assert got.keys() == want.keys(), (tag, M, N)
+                assert all(got[s] == want[s] and got[s] for s in got), (tag, M, N)
+            assert standard_to_kl(_expand(combo, T), tag, N, M) == combo
+
+
+@pytest.mark.parametrize("entry", [R_ONE, RatioElem(mono(1, 1), (qint(2), qdiff()))])
+def test_standard_to_kl_refuses_a_T_that_is_not_triangular(monkeypatch, entry):
+    # column "+-" reaches down to the row "-+", read before it
+    T = {s: dict(col) for s, col in transition_matrix("BIII", 2).items()}
+    T["+-"]["-+"] = RatioElem(mono(1, 1))
+    monkeypatch.setattr(basis, "transition_matrix", lambda *_: T)
+    for back_substitute in (standard_to_kl, reference_standard_to_kl):
+        with pytest.raises(AssertionError, match="residual"):
+            back_substitute({"+-": entry}, "BIII", 2)

@@ -146,6 +146,84 @@ class TestExactDivision:
             assert exact_div(a * b, b) == a
 
 
+# -- exact_div against the long division that rebuilds the remainder ----------
+
+
+def reference_exact_div(a: RingElem, b: RingElem) -> RingElem:
+    """Long division with an immutable remainder: each quotient term builds
+    b times it and the remainder minus that as new polynomials."""
+    if not b.terms:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not a.terms:
+        return ZERO
+    lead_b, cb = b.leading()
+    rem = a
+    quot = {}
+    limit = 2
+    for axis in range(3):
+        exps = [m[axis] for m in a.terms]
+        limit *= max(exps) - min(exps) + 1
+    for _ in range(limit):
+        if not rem.terms:
+            return RingElem(quot)
+        lead_r, cr = rem.leading()
+        if cr % cb:
+            raise NotDivisible(f"coefficient {cr} not divisible by {cb}")
+        m = (lead_r[0] - lead_b[0], lead_r[1] - lead_b[1], lead_r[2] - lead_b[2])
+        c = cr // cb
+        quot[m] = quot.get(m, 0) + c
+        rem = rem - b * RingElem.mono(c, *m)
+    raise NotDivisible("no exact quotient found")
+
+
+def _division_outcome(div, a, b):
+    """The quotient's terms, or the exception's type and message."""
+    try:
+        return dict(div(a, b).terms)
+    except (NotDivisible, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+_div_polys = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-1, 1), st.integers(-1, 1)),
+    st.integers(-3, 3).filter(bool),
+    max_size=5,
+).map(RingElem)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_div_polys, _div_polys, _div_polys, st.sampled_from(["exact", "perturbed", "free"]))
+# a quotient, a coefficient that does not divide, the limit exit (1 / (1 - q)
+# has no end) and a zero divisor
+@example(mono(1, 1) + mono(2, 0, 1), qint(3), ZERO, "exact")
+@example(mono(1, 1), mono(2, 0, 1) + ONE, ZERO, "exact")
+@example(ONE, ONE - mono(1, 1), ZERO, "free")
+@example(qint(2), ZERO, ZERO, "free")
+def test_exact_div_matches_rebuilt_remainder(q, b, r, kind):
+    """The in-place division answers as the rebuilt one does: the same
+    quotient terms, or the same exception with the same message."""
+    a = q if kind == "free" else q * b + (r if kind == "perturbed" else ZERO)
+    got = _division_outcome(exact_div, a, b)
+    assert got == _division_outcome(reference_exact_div, a, b)
+    if isinstance(got, dict):
+        assert RingElem(got) * b == a
+    if kind == "exact" and b.terms:
+        assert got == dict(q.terms)
+
+
+def test_exact_div_exits_each_way():
+    assert exact_div(qint(3) * qshift(1), qint(3)) == qshift(1)
+    for a, b, kind, message in [
+        (mono(1, 1), mono(2, 0, 1) + ONE, NotDivisible, "coefficient 1 not divisible by 2"),
+        (ONE, ONE - mono(1, 1), NotDivisible, "no exact quotient found"),
+        (qint(2), ZERO, ZeroDivisionError, "division by the zero polynomial"),
+    ]:
+        with pytest.raises(kind, match=message):
+            exact_div(a, b)
+        with pytest.raises(kind, match=message):
+            reference_exact_div(a, b)
+
+
 class TestBarAndEval:
     def test_bar_involutive(self):
         a = mono(3, 2, 1, -1) + mono(-2, 0, 4, 2)
