@@ -93,12 +93,27 @@ def _integer_rank(rows: list[dict[int, int]]) -> int:
 
 
 def eval_op_at(A: Op, p: SpecPoint, order: list[str]):
+    """A at the point p as sparse rows {row index: {column index: value}},
+    indices in order, zero values left out.
+
+    An operator holds few distinct entries (X on the BI M=2, N=8 basis has
+    630 entries and 9 values), so each value is evaluated once per call,
+    kept in a dict keyed by (num, den): a RatioElem is unhashable, but equal
+    keys are equal numerators over the same sorted atoms, which evaluate
+    alike.  Entries are read in A's order and a value that raises is not
+    kept, so the first entry whose atom vanishes at p still raises
+    ZeroDenominator.
+    """
     index = {s: i for i, s in enumerate(order)}
+    values: dict[tuple, Fraction] = {}
     rows: dict[int, dict[int, Fraction]] = {}
     for col, column in A.items():
         jc = index[col]
         for row, c in column.items():
-            v = c.evaluate(p)
+            key = (c.num, c.den)
+            v = values.get(key)
+            if v is None:
+                v = values[key] = c.evaluate(p)
             if v:
                 rows.setdefault(index[row], {})[jc] = v
     return rows

@@ -13,6 +13,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import product
 from math import inf
 from types import MappingProxyType
@@ -356,14 +357,18 @@ def exact_div(a: RingElem, b: RingElem) -> RingElem:
     Long division on one mutable remainder: each quotient term c m, taken
     from the lex-leading terms, subtracts c m b from the remainder's term
     dict in place (after Johnson 1974, Monagan and Pearce 2011), so no
-    intermediate polynomial is built."""
+    intermediate polynomial is built.  The remainder is kept over negated
+    monomials, so that a min-heap of its keys pops the leading one; a key
+    whose term cancels stays in the heap until it pops and is skipped."""
     if not b.terms:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a.terms:
         return ZERO
-    lead_b, cb = b.leading()
+    (eb, fb, gb), cb = b.leading()
     b_terms = b.terms.items()
-    rem = dict(a.terms)
+    rem = {(-e, -f, -g): k for (e, f, g), k in a.terms.items()}
+    heap = list(rem)
+    heapify(heap)
     quot: dict[Monomial, int] = {}
     # A true quotient's support fits in the Minkowski difference of the
     # exponent boxes, so its term count is bounded by the box volume of a;
@@ -375,21 +380,27 @@ def exact_div(a: RingElem, b: RingElem) -> RingElem:
     for _ in range(limit):
         if not rem:
             return RingElem(quot)
-        lead_r = max(rem)
+        lead_r = heappop(heap)
+        while lead_r not in rem:
+            lead_r = heappop(heap)
         cr = rem[lead_r]
         if cr % cb:
             raise NotDivisible(f"coefficient {cr} not divisible by {cb}")
-        # the leading term of the remainder falls at each step, so no
-        # quotient monomial comes twice
-        e, f, g = lead_r[0] - lead_b[0], lead_r[1] - lead_b[1], lead_r[2] - lead_b[2]
-        c = quot[e, f, g] = cr // cb
+        # every new term c m t lies below c m lead_b, so the leading term of
+        # the remainder falls at each step and no quotient monomial comes
+        # twice; (e, f, g) is the quotient monomial, negated
+        e, f, g = lead_r[0] + eb, lead_r[1] + fb, lead_r[2] + gb
+        c = quot[-e, -f, -g] = cr // cb
         for (e2, f2, g2), k in b_terms:
-            m = (e + e2, f + f2, g + g2)
-            x = rem.get(m, 0) - c * k
-            if x:
-                rem[m] = x
-            else:
+            m = (e - e2, f - f2, g - g2)
+            x = rem.get(m)
+            if x is None:
+                rem[m] = -c * k
+                heappush(heap, m)
+            elif x == c * k:
                 del rem[m]
+            else:
+                rem[m] = x - c * k
     raise NotDivisible("no exact quotient found")
 
 

@@ -456,17 +456,25 @@ class TestVerifyMutants:
     """One seeded fault per verify row, in an input the row reads: each turns
     its row to FAIL with exit 1 and nothing on stderr."""
 
+    @staticmethod
+    def clear_caches():
+        # every cache a fault passes through
+        from tbtl import algebra, basis, kl_action
+
+        for cache in (
+            algebra.generator_matrix,
+            basis.transition_matrix,
+            basis.build_diagram,
+            kl_action._prepend_e0_vector,
+        ):
+            cache.cache_clear()
+
     @pytest.fixture(autouse=True)
     def cold_caches(self):
-        # every cache a fault passes through starts and ends empty
-        from tbtl import algebra, basis
-
-        caches = (algebra.generator_matrix, basis.transition_matrix, basis.build_diagram)
-        for cache in caches:
-            cache.cache_clear()
+        # each test starts and ends with those caches empty
+        self.clear_caches()
         yield
-        for cache in caches:
-            cache.cache_clear()
+        self.clear_caches()
 
     @staticmethod
     def assert_fails(capsys, label, *argv):
@@ -614,6 +622,17 @@ class TestVerifyMutants:
             assert f"FAIL  {label}" in lines
         for gen in ("e1", "e2", "e3", "e0"):
             assert f"PASS  diagram action == conjugated matrix: BIII {gen} N=4" in lines
+
+    def test_rows_fail_on_wrong_circle_vector_after_a_warm_run(self, capsys, monkeypatch):
+        """A run with the true rule first fills every cache; cleared as
+        between two tests, they must hold no value of the true rule, so the
+        wrong circle vector gives the same rows as from cold caches.  A cache
+        that clear_caches misses, such as e_0's columns per tail, would keep
+        the true e_0 and fail the e_0 row against the wrong basis."""
+        assert main(["verify", "--check", "all", "--type", "BIII", "--n", "4"]) == 0
+        capsys.readouterr()
+        self.clear_caches()
+        self.test_rows_fail_on_wrong_circle_vector(capsys, monkeypatch)
 
     @pytest.mark.parametrize("tag", ["BII", "BIII"])
     @pytest.mark.parametrize("fault", ["across the diagonal", "diagonal", "other eigenvalue"])

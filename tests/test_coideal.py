@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tbtl import coideal
+from tbtl import coideal, kl_action
 
 from tbtl.algebra import generator_matrix
 from tbtl.basis import build_diagram, enumerate_strings, transition_matrix
@@ -18,7 +18,8 @@ from tbtl.coideal import (
 )
 from tbtl.kl_action import apply_X_kl, crosscheck_vs_standard
 from tbtl.ring import (
-    RatioElem, RingElem, ZeroDenominator, angle, qdiff, qQ_bracket, qfact, qint, qshift, R_ONE,
+    ONE, ZERO, RatioElem, RingElem, SpecPoint, ZeroDenominator, angle, qdiff, qQ_bracket, qfact,
+    qint, qshift, R_ONE, R_ZERO,
 )
 
 mono = RingElem.mono
@@ -255,6 +256,112 @@ class TestRank:
         assert rank_of([a, combo, {}, b, dict(a)]) == 2
 
 
+# -- eval_op_at against entry-by-entry evaluation --------------------------
+
+
+def reference_eval_op_at(A, p, order):
+    """eval_op_at without its table of values: c.evaluate(p) for every
+    entry, in A's order."""
+    index = {s: i for i, s in enumerate(order)}
+    rows = {}
+    for col, column in A.items():
+        for row, c in column.items():
+            v = c.evaluate(p)
+            if v:
+                rows.setdefault(index[row], {})[index[col]] = v
+    return rows
+
+
+_VALUES = [
+    R_ONE,
+    RatioElem(qint(2), [qint(2)]),  # 1 again, over an atom
+    RatioElem(qint(2)),  # the same numerator over no atom
+    R_ZERO,
+    RatioElem(ZERO, [qint(3)]),  # 0 again, over an atom
+    qQ_bracket(1),  # its atom q - 1/q vanishes at q = 1 and q = -1
+    RatioElem(mono(-3, 1, 0, 1)),
+    RatioElem(qint(3), [qint(2), angle(1)]),
+    RatioElem(mono(1, 0, 1), [mono(1, 1) - mono(2)]),  # q - 2 vanishes at q = 2
+]
+
+
+def _copy(c):
+    """An equal RatioElem that shares no object with c."""
+    return RatioElem(RingElem(dict(c.num.terms)), [RingElem(dict(a.terms)) for a in c.den])
+
+
+def _outcome(evaluate, A, p, order):
+    try:
+        return evaluate(A, p, order)
+    except ZeroDenominator as exc:
+        return "ZeroDenominator", str(exc)
+
+
+_coords = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(
+            st.sampled_from(enumerate_strings(2)),
+            st.tuples(st.integers(0, len(_VALUES) - 1), st.booleans()),
+            max_size=4,
+        ),
+        min_size=4, max_size=4,
+    ),
+    _coords, _coords, _coords,
+)
+def test_eval_op_at_matches_entry_by_entry(columns, q, Q, Q0):
+    # each entry is a value of _VALUES, the pool's own object (shared by
+    # every entry that draws it) or a fresh equal copy
+    order = enumerate_strings(2)
+    A = {
+        col: {row: _copy(_VALUES[k]) if fresh else _VALUES[k] for row, (k, fresh) in column.items()}
+        for col, column in zip(order, columns)
+    }
+    got = _outcome(coideal.eval_op_at, A, SpecPoint(q, Q, Q0), order)
+    assert got == _outcome(reference_eval_op_at, A, SpecPoint(q, Q, Q0), order)
+
+
+@pytest.mark.parametrize("first", ["q - 1", "q - 1/q"])
+def test_eval_op_at_raises_at_the_first_vanishing_atom(first):
+    # at q = 1 both q - 1 and q - 1/q vanish; the entry read first names its atom
+    order = enumerate_strings(1)
+    q_minus_1 = mono(1, 1) - mono(1)
+    over_q_minus_1 = RatioElem(ONE, [q_minus_1])
+    entries = [over_q_minus_1, qQ_bracket(1), _copy(over_q_minus_1), _copy(qQ_bracket(1))]
+    if first == "q - 1/q":
+        entries.reverse()
+    A = {"-": dict(zip(order, entries[:2])), "+": dict(zip(order, entries[2:]))}
+    p = SpecPoint(1, 3)
+    with pytest.raises(ZeroDenominator) as exc:
+        coideal.eval_op_at(A, p, order)
+    atom = q_minus_1 if first == "q - 1" else qdiff()
+    assert str(exc.value) == f"atom {atom.to_text()} vanishes at {p}"
+
+
+def test_eval_op_at_evaluates_each_distinct_entry_once(monkeypatch):
+    # X at BI M=2, N=6 holds many more entries than values
+    X = x_matrix_kl("BI", 6, 2)
+    calls = []
+    evaluate = RatioElem.evaluate
+
+    def counted(c, p):
+        calls.append(c)
+        return evaluate(c, p)
+
+    monkeypatch.setattr(RatioElem, "evaluate", counted)
+    order = enumerate_strings(6)
+    p = SpecPoint(Fraction(2, 3), 5, 7)
+    rows = coideal.eval_op_at(X, p, order)
+    monkeypatch.setattr(RatioElem, "evaluate", evaluate)
+    assert rows == reference_eval_op_at(X, p, order)
+    entries = [c for column in X.values() for c in column.values()]
+    assert len(calls) < len(entries) / 10
+    assert all(a != b for i, a in enumerate(calls) for b in calls[:i])
+
+
 @pytest.mark.parametrize(
     "cached",
     [
@@ -278,12 +385,24 @@ def test_cached_matrix_is_read_only(cached):
     assert cached()["+-+"] == before["+-+"] != {}
 
 
+def test_cached_e0_column_is_read_only():
+    # the tail cache hands one column, not an operator, to every e_0 build
+    column = kl_action._prepend_e0_vector("A", None, "++")
+    before = dict(column)
+    with pytest.raises(TypeError):
+        column["+++"] = R_ONE
+    with pytest.raises(AttributeError):
+        column.clear()
+    assert kl_action._prepend_e0_vector("A", None, "++") == before != {}
+
+
 @pytest.mark.parametrize(
     "cached",
     [
         lambda: x_matrix_kl("A", 3)["+-+"]["+-+"].num,
         lambda: generator_matrix(3, "e1")["+-+"]["+-+"].num,
         lambda: transition_matrix("A", 3)["+-+"]["+-+"].num,
+        lambda: kl_action._prepend_e0_vector("A", None, "++")["+-+"].num,
         lambda: qint(3),
         lambda: qfact(3),
         lambda: angle(2),
@@ -291,7 +410,7 @@ def test_cached_matrix_is_read_only(cached):
         lambda: qdiff(),
     ],
     ids=[
-        "x_matrix_kl", "generator_matrix", "transition_matrix",
+        "x_matrix_kl", "generator_matrix", "transition_matrix", "prepend_e0_vector",
         "qint", "qfact", "angle", "qshift", "qdiff",
     ],
 )
