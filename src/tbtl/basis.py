@@ -14,7 +14,7 @@ from itertools import product
 from operator import itemgetter
 from types import MappingProxyType
 
-from .ring import ONE, R_ONE, ZERO, RatioElem, RingElem, _atom_key, _kronecker_product
+from .ring import ONE, R_ONE, ZERO, RatioElem, RingElem, _atom_key
 
 TAGS = ("A", "BI", "BII", "BIII")
 
@@ -31,18 +31,10 @@ def check_tag(tag: str, M=None):
 
 def specialize(vec: dict, tag: str, M=None) -> dict:
     """Restrict coefficients to the family's parameters: BI lives at
-    Q = q^M, every other family keeps Q free.  An entry with no power of Q
-    in its numerator or its atoms is kept as it is, and a vector where no
-    entry has one is returned itself, so the bulk generators' columns pass
-    through unchanged."""
+    Q = q^M, every other family keeps Q free."""
     if tag != "BI":
         return vec
-    changed = {
-        s: c.subst_Q(M)
-        for s, c in vec.items()
-        if any(f for part in (c.num, *c.den) for _, f, _ in part.terms)
-    }
-    return {**vec, **changed} if changed else vec
+    return {s: c.subst_Q(M) for s, c in vec.items()}
 
 
 def enumerate_strings(N: int) -> list[str]:
@@ -331,16 +323,6 @@ def _accumulate(out: dict, s: str, c):
 # algebra's op_apply and identity_mismatches and standard_to_kl below share
 # it.
 
-# Two factors that both have at least this many terms are multiplied by
-# Kronecker substitution (ring._kronecker_product) and the product is then
-# added term by term.  Below it the pair loop is cheaper: it makes |small|
-# passes over the larger factor, the packing a few passes over both and one
-# more to add the product.  At BI M=2, N=8 and 9, lambda Psi (lambda has 10
-# and 11 terms) took 20 and 34 % less time this way, and the annihilation
-# rows, whose entries have a few terms, no more.
-_KRONECKER_MIN_TERMS = 8
-
-
 def _products(A, v: dict, sign: int, plain: dict, fractional: dict) -> None:
     """Add sign * A v, term by term, into plain ({row: terms}, the products
     with no denominator) and fractional ({row: {den: terms}}).  A is an
@@ -355,8 +337,7 @@ def _products(A, v: dict, sign: int, plain: dict, fractional: dict) -> None:
     object: the outer loop runs over the factor with fewer terms, so a
     monomial factor (the common case) costs one pass over the other
     factor's terms, and a term is dropped as soon as its coefficient
-    reaches 0.  Only two factors of _KRONECKER_MIN_TERMS or more terms
-    each are multiplied as integers first, then added the same way.
+    reaches 0.
     """
     scalar = isinstance(A, RatioElem)
     for col, c in v.items():
@@ -382,16 +363,6 @@ def _products(A, v: dict, sign: int, plain: dict, fractional: dict) -> None:
                 if t is None:
                     t = plain[row] = {}
             small, big = (ct, at) if len(ct) <= len(at) else (at, ct)
-            if len(small) >= _KRONECKER_MIN_TERMS:
-                packed = _kronecker_product(small, big)
-                if packed is not None:
-                    for m, k in packed.items():
-                        x = t.get(m, 0) + k
-                        if x:
-                            t[m] = x
-                        else:
-                            del t[m]
-                    continue
             for (e1, f1, g1), c1 in small.items():
                 for (e2, f2, g2), c2 in big.items():
                     m = (e1 + e2, f1 + f2, g1 + g2)

@@ -13,9 +13,6 @@ conjugated standard-basis action provides an independent oracle
 
 from __future__ import annotations
 
-from functools import lru_cache
-from types import MappingProxyType
-
 from .basis import (
     Diagram,
     arrow,
@@ -29,7 +26,7 @@ from .basis import (
     standard_to_kl,
     transition_matrix,
 )
-from .ring import ONE, R_ONE, ZERO, RatioElem, RingElem, angle, qint, qQ_bracket, qshift
+from .ring import ONE, R_ONE, RatioElem, RingElem, angle, qint, qQ_bracket, qshift
 from .algebra import (
     Op,
     Vec,
@@ -163,27 +160,6 @@ def _prepend(tag: str, M: int | None, a: RingElem, b: RingElem, t: str):
     return terms
 
 
-# The columns of _prepend_e0_vector hold few distinct values (BI M=2, N=8:
-# 501 entries, 14 values), so they share one RatioElem per value, which
-# keeps the cached columns small.
-_shared_ratio = lru_cache(maxsize=1024)(RatioElem)
-
-
-@lru_cache(maxsize=4096)
-def _prepend_e0_vector(tag: str, M: int | None, t: str):
-    """(v_- - Q0 v_+) (x) KL(t), e_0's last step, as a read-only column over
-    the strings one site longer than t.
-
-    It depends on the tail t alone, and every column of e_0 (and of type
-    A's e_N) ends with it, so it is built once per tail; the bound, as
-    build_diagram's, is one family's every tail at N = 13.
-    """
-    col: dict[str, RingElem] = {}
-    for c, s in _prepend(tag, M, ONE, _mono(-1, 0, 0, 1), t):
-        col[s] = col.get(s, ZERO) + c
-    return MappingProxyType({s: _shared_ratio(c) for s, c in col.items() if c})
-
-
 def apply_e0_kl(tag: str, D: Diagram) -> Vec:
     """e_0 on a basis diagram: one rule for every family.
 
@@ -192,25 +168,25 @@ def apply_e0_kl(tag: str, D: Diagram) -> Vec:
     b - a/Q0 times KL of the rest.  An arc (1, j) leaves the arrow -q^-1 v_-
     - Q0^-1 v_+ at j, and a dashed arc the same with v_- and v_+ swapped;
     that arrow is prepended to the sites after j, behind the balanced arcs
-    inside (1, j).  The pairing gives a vector over tails one site shorter,
-    and op_apply maps it through the column of each tail that
-    _prepend_e0_vector keeps, which prepends v_- - Q0 v_+ at site 1.
+    inside (1, j).  Then v_- - Q0 v_+ is prepended at site 1.
     """
     s = D.string
     kind = D.site_kind(1)
     single = arrow(kind)
-    rest: Vec = {}
     if single:
         a, b = single
-        _accumulate(rest, s[1:], RatioElem(b - a * _mono(1, 0, 0, -1)))
+        rest = [(b - a * _mono(1, 0, 0, -1), s[1:])]
     else:
         j = kind[1]
         a, b = _mono(-1, -1), _mono(-1, 0, 0, -1)
         if kind[0] == "dash_l":
             a, b = b, a
-        for c, t in _prepend(tag, D.M, a, b, s[j:]):
-            _accumulate(rest, s[1 : j - 1] + t, RatioElem(c))
-    return op_apply({t: _prepend_e0_vector(tag, D.M, t) for t in rest}, rest)
+        rest = [(c, s[1 : j - 1] + t) for c, t in _prepend(tag, D.M, a, b, s[j:])]
+    out: Vec = {}
+    for c, t in rest:
+        for c2, s2 in _prepend(tag, D.M, ONE, _mono(-1, 0, 0, 1), t):
+            _accumulate(out, s2, RatioElem(c * c2))
+    return out
 
 
 # -- the coideal generator X --------------------------------------------------

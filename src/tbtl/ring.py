@@ -13,7 +13,6 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from itertools import product
 from math import inf
 from types import MappingProxyType
@@ -194,7 +193,8 @@ ONE = RingElem.mono(1)
 # one int with one signed digit per slot then multiplies as an integer, and
 # the digits of the integer product are the coefficients of the polynomial
 # product (Schonhage 1982; Fateman 2010).  No coefficient of a * b exceeds
-# |a|_1 |b|_1 in absolute value, so digits wide enough for that never carry.
+# |a|_1 |b|_1 in absolute value, so while that is below 2^63 the 64-bit
+# digits never carry; a larger product is left to the schoolbook loop.
 
 # Below this many term pairs the schoolbook loop is cheaper.
 _KRONECKER_MIN_PAIRS = 64
@@ -207,7 +207,8 @@ _HALF_DIGIT = _HALF.to_bytes(8, _BYTE_ORDER)
 
 
 def _kronecker_product(a: dict, b: dict) -> dict | None:
-    """The terms of a * b, or None when the product's box is too sparse."""
+    """The terms of a * b, or None when the product's box is too sparse or
+    its coefficients may not fit in 64-bit digits."""
     ae, af, ag = zip(*a)
     be, bf, bg = zip(*b)
     ea, fa, ga, eb, fb, gb = min(ae), min(af), min(ag), min(be), min(bf), min(bg)
@@ -221,11 +222,9 @@ def _kronecker_product(a: dict, b: dict) -> dict | None:
     n = max(slots_a) + max(slots_b) + 1
     if n > _KRONECKER_MAX_FILL * len(a) * len(b):
         return None
-    bound = sum(map(abs, a.values())) * sum(map(abs, b.values()))
-    if bound < _HALF:
-        digits = _digits_64(a, slots_a, b, slots_b, n)
-    else:
-        digits = _digits_wide(a, slots_a, b, slots_b, n, bound.bit_length() + 1)
+    if sum(map(abs, a.values())) * sum(map(abs, b.values())) >= _HALF:
+        return None
+    digits = _digits_64(a, slots_a, b, slots_b, n)
     qs = range(ea + eb, ea + eb + step * n, step)
     if nf == ng == 1:
         f, g = fa + fb, ga + gb
@@ -255,21 +254,6 @@ def _digits_64(a: dict, slots_a, b: dict, slots_b, n: int):
             digits[i] = c + _HALF
         packed *= int.from_bytes(digits, _BYTE_ORDER) - (offset >> 64 * (n - len(digits)))
     return memoryview(((packed + offset) ^ offset).to_bytes(8 * n, _BYTE_ORDER)).cast("q")
-
-
-def _digits_wide(a: dict, slots_a, b: dict, slots_b, n: int, bits: int) -> list[int]:
-    """The n signed digits of the packed product, bits wide each, for
-    coefficients too large for 64-bit digits."""
-    packed = 1
-    for terms, slots in ((a, slots_a), (b, slots_b)):
-        packed *= sum(c << bits * i for i, c in zip(slots, terms.values()))
-    half, mask = 1 << bits - 1, (1 << bits) - 1
-    digits = []
-    for _ in range(n):
-        d = ((packed + half) & mask) - half
-        digits.append(d)
-        packed = (packed - d) >> bits
-    return digits
 
 
 # -- the substitutions, as exponent maps for remap ---------------------------
@@ -357,18 +341,14 @@ def exact_div(a: RingElem, b: RingElem) -> RingElem:
     Long division on one mutable remainder: each quotient term c m, taken
     from the lex-leading terms, subtracts c m b from the remainder's term
     dict in place (after Johnson 1974, Monagan and Pearce 2011), so no
-    intermediate polynomial is built.  The remainder is kept over negated
-    monomials, so that a min-heap of its keys pops the leading one; a key
-    whose term cancels stays in the heap until it pops and is skipped."""
+    intermediate polynomial is built."""
     if not b.terms:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a.terms:
         return ZERO
-    (eb, fb, gb), cb = b.leading()
+    lead_b, cb = b.leading()
     b_terms = b.terms.items()
-    rem = {(-e, -f, -g): k for (e, f, g), k in a.terms.items()}
-    heap = list(rem)
-    heapify(heap)
+    rem = dict(a.terms)
     quot: dict[Monomial, int] = {}
     # A true quotient's support fits in the Minkowski difference of the
     # exponent boxes, so its term count is bounded by the box volume of a;
@@ -380,27 +360,21 @@ def exact_div(a: RingElem, b: RingElem) -> RingElem:
     for _ in range(limit):
         if not rem:
             return RingElem(quot)
-        lead_r = heappop(heap)
-        while lead_r not in rem:
-            lead_r = heappop(heap)
+        lead_r = max(rem)
         cr = rem[lead_r]
         if cr % cb:
             raise NotDivisible(f"coefficient {cr} not divisible by {cb}")
-        # every new term c m t lies below c m lead_b, so the leading term of
-        # the remainder falls at each step and no quotient monomial comes
-        # twice; (e, f, g) is the quotient monomial, negated
-        e, f, g = lead_r[0] + eb, lead_r[1] + fb, lead_r[2] + gb
-        c = quot[-e, -f, -g] = cr // cb
+        # the leading term of the remainder falls at each step, so no
+        # quotient monomial comes twice
+        e, f, g = lead_r[0] - lead_b[0], lead_r[1] - lead_b[1], lead_r[2] - lead_b[2]
+        c = quot[e, f, g] = cr // cb
         for (e2, f2, g2), k in b_terms:
-            m = (e - e2, f - f2, g - g2)
-            x = rem.get(m)
-            if x is None:
-                rem[m] = -c * k
-                heappush(heap, m)
-            elif x == c * k:
-                del rem[m]
+            m = (e + e2, f + f2, g + g2)
+            x = rem.get(m, 0) - c * k
+            if x:
+                rem[m] = x
             else:
-                rem[m] = x - c * k
+                del rem[m]
     raise NotDivisible("no exact quotient found")
 
 

@@ -20,7 +20,7 @@ from tbtl.algebra import (
     x_matrix_direct,
     x_matrix_standard,
 )
-from tbtl import algebra, basis
+from tbtl import algebra
 from tbtl.basis import enumerate_strings, flip
 from tbtl.ring import RatioElem, RingElem, R_ONE, R_ZERO, angle, qdiff, qQ_bracket, qint
 
@@ -523,25 +523,3 @@ def test_scalar_on_an_empty_word_matches_two_sided_kernel():
     assert [not any(identity_mismatches(columns, lhs, rhs)) for lhs, rhs in cases] == [
         True, True, True, False, True, True, False
     ]
-
-
-def test_op_apply_multiplies_large_factors_as_integers(monkeypatch):
-    # factors of 8 terms or more each go through the packed product: a dense
-    # box, a sparse one (refused by the packing) and wide coefficients
-    packed = []
-    pack = basis._kronecker_product
-
-    def spy(a, b):
-        packed.append(pack(a, b))
-        return packed[-1]
-
-    monkeypatch.setattr(basis, "_kronecker_product", spy)
-    dense = RatioElem(sum((mono(k - 3, k) for k in range(9)), mono(0)))
-    sparse = RatioElem(sum((mono(1, 40 * k, k % 2) for k in range(8)), mono(0)))
-    wide = RatioElem(sum((mono(2**70 + k, k, 0, 1) for k in range(10)), mono(0)))
-    A = {"+": {"+": dense, "-": sparse}, "-": {"+": wide, "-": -dense}}
-    for v in ({"+": dense, "-": wide}, {"+": sparse, "-": RatioElem(dense.num, (qint(2),))},
-              {"+": dense, "-": dense}):
-        got, want = op_apply(A, v), reference_apply(A, v)
-        assert got.keys() == want.keys() and all(got[r] == want[r] for r in got)
-    assert any(p is None for p in packed) and any(p is not None for p in packed)

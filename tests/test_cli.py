@@ -459,14 +459,9 @@ class TestVerifyMutants:
     @staticmethod
     def clear_caches():
         # every cache a fault passes through
-        from tbtl import algebra, basis, kl_action
+        from tbtl import algebra, basis
 
-        for cache in (
-            algebra.generator_matrix,
-            basis.transition_matrix,
-            basis.build_diagram,
-            kl_action._prepend_e0_vector,
-        ):
+        for cache in (algebra.generator_matrix, basis.transition_matrix, basis.build_diagram):
             cache.cache_clear()
 
     @pytest.fixture(autouse=True)
@@ -627,8 +622,9 @@ class TestVerifyMutants:
         """A run with the true rule first fills every cache; cleared as
         between two tests, they must hold no value of the true rule, so the
         wrong circle vector gives the same rows as from cold caches.  A cache
-        that clear_caches misses, such as e_0's columns per tail, would keep
-        the true e_0 and fail the e_0 row against the wrong basis."""
+        that clear_caches misses and that holds a value built from the
+        circle vector would keep the true rule, and a row that passes from
+        cold caches would fail against the wrong basis."""
         assert main(["verify", "--check", "all", "--type", "BIII", "--n", "4"]) == 0
         capsys.readouterr()
         self.clear_caches()

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tbtl import coideal, kl_action
+from tbtl import coideal
 
 from tbtl.algebra import generator_matrix
 from tbtl.basis import build_diagram, enumerate_strings, transition_matrix
@@ -385,24 +385,12 @@ def test_cached_matrix_is_read_only(cached):
     assert cached()["+-+"] == before["+-+"] != {}
 
 
-def test_cached_e0_column_is_read_only():
-    # the tail cache hands one column, not an operator, to every e_0 build
-    column = kl_action._prepend_e0_vector("A", None, "++")
-    before = dict(column)
-    with pytest.raises(TypeError):
-        column["+++"] = R_ONE
-    with pytest.raises(AttributeError):
-        column.clear()
-    assert kl_action._prepend_e0_vector("A", None, "++") == before != {}
-
-
 @pytest.mark.parametrize(
     "cached",
     [
         lambda: x_matrix_kl("A", 3)["+-+"]["+-+"].num,
         lambda: generator_matrix(3, "e1")["+-+"]["+-+"].num,
         lambda: transition_matrix("A", 3)["+-+"]["+-+"].num,
-        lambda: kl_action._prepend_e0_vector("A", None, "++")["+-+"].num,
         lambda: qint(3),
         lambda: qfact(3),
         lambda: angle(2),
@@ -410,7 +398,7 @@ def test_cached_e0_column_is_read_only():
         lambda: qdiff(),
     ],
     ids=[
-        "x_matrix_kl", "generator_matrix", "transition_matrix", "prepend_e0_vector",
+        "x_matrix_kl", "generator_matrix", "transition_matrix",
         "qint", "qfact", "angle", "qshift", "qdiff",
     ],
 )

@@ -304,7 +304,9 @@ def sampled_mismatches(tag, N, M=None, seed=0, gens=None):
     Each column is one claim, and it needs T only at s and at the strings
     of K[s], so T and K are read column by column from the diagram of each
     string they meet, and E column by column from its standard matrix
-    (x_matrix_direct for X), specialized to the family as it is read.  This
+    (x_matrix_direct for X), specialized to the family as it is read.  The
+    standard matrices are built uncached (generator_matrix.__wrapped__), so
+    none at these sizes stays in the process once the call returns.  This
     samples N + 1 of the 2^N columns, so it is a test above the sizes that
     verify's klactions and xkl rows check in full, not a verify row
     (after QuickCheck, Claessen and Hughes, ICFP 2000).
@@ -318,7 +320,7 @@ def sampled_mismatches(tag, N, M=None, seed=0, gens=None):
     T = LazyOp(N, lambda s: diagram_to_standard(make_diagram(tag, s, M)))
     found = []
     for gen in gens or [*generator_names(N), "X"]:
-        full = x_matrix_direct(N) if gen == "X" else generator_matrix(N, gen)
+        full = x_matrix_direct(N) if gen == "X" else generator_matrix.__wrapped__(N, gen)
         E = LazyOp(N, lambda s, full=full: specialize(full[s], tag, M))
         K = LazyOp(N, lambda s, gen=gen: kl_action.apply_generator_kl(tag, make_diagram(tag, s, M), gen))
         found += [
@@ -345,8 +347,10 @@ def test_sampled_columns_catch_a_many_downs_fault(monkeypatch):
         return image
 
     monkeypatch.setattr(kl_action, "apply_eN_kl", doubled)
+    cached = generator_matrix.cache_info().currsize
     found = sampled_mismatches("BII", 11, gens=["eN"])
     assert {s.count("-") for _, s, _ in found} == {10, 11}
+    assert generator_matrix.cache_info().currsize == cached  # no matrix at N = 11 kept
 
 
 def test_operator_digest():
