@@ -10,7 +10,7 @@ from math import comb, gcd, lcm
 import random
 
 from .basis import build_diagram, enumerate_strings, read_only, specialize
-from .ring import R_ZERO, SpecPoint, ZeroDenominator, qQ_bracket
+from .ring import R_ZERO, SpecPoint, qQ_bracket
 from .algebra import Op
 from .kl_action import kl_operator
 
@@ -142,48 +142,42 @@ def eigen_multiplicities(tag: str, N: int, M: int | None = None, seed: int = 7):
 
     Computed as the kernel dimension of X - lambda at the point, from its
     rank over Q (exact integer elimination, sparsest rows first; see
-    _integer_rank); degenerate sample points (colliding candidate
-    eigenvalues) are resampled, up to 8 times.  The multiplicities are
-    returned as found: if they do not add up to 2^N,
-    check_multiplicity_theorem fails.
+    _integer_rank).  The first point drawn is generic for the candidates:
+    random_generic_point draws q, Q > 0 with q != 1, so their one atom
+    q - 1/q is nonzero, and [Q; n] = (x - 1/x)/(q - 1/q) with x = Q q^n is
+    strictly increasing in x > 0, so distinct n give distinct values (for
+    BI, x = q^(N+M-2i)).  An entry of X that cannot be evaluated at the
+    point raises.  The multiplicities are returned as found: if they do not
+    add up to 2^N, check_multiplicity_theorem fails.
     """
-    rng = random.Random(seed)
     X = x_matrix_kl(tag, N, M)
     order = enumerate_strings(N)
     dim = len(order)
-    cands = candidate_eigenvalues(tag, N, M)
-    for _ in range(8):
-        p = random_generic_point(rng)
-        try:
-            values = [(i, lam.evaluate(p)) for i, lam in cands]
-        except ZeroDenominator:
-            continue
-        if len({v for _, v in values}) != len(values):
-            continue  # eigenvalue collision; resample
-        # Only the diagonal of X - lambda depends on lambda, so each row's
-        # off-diagonal part is scaled to integers once per point.
-        rows_all = eval_op_at(X, p, order)
-        parts = []
-        for k in range(dim):
-            row = rows_all.get(k, {})
-            scale, off = _integer_row({j: v for j, v in row.items() if j != k})
-            parts.append((k, row.get(k, Fraction(0)), scale, off))
-        mult = {}
-        for i, lam in values:
-            rows = []
-            for k, diag, scale, off in parts:
-                d = diag - lam
-                if not d:
-                    rows.append(off)
-                    continue
-                den = lcm(scale, d.denominator)
-                m = den // scale
-                row = {j: m * v for j, v in off.items()}
-                row[k] = d.numerator * (den // d.denominator)
-                rows.append(row)
-            mult[i] = dim - _integer_rank(rows)
-        return mult, p
-    raise RuntimeError("no generic sample point found")
+    p = random_generic_point(random.Random(seed))
+    values = [(i, lam.evaluate(p)) for i, lam in candidate_eigenvalues(tag, N, M)]
+    # Only the diagonal of X - lambda depends on lambda, so each row's
+    # off-diagonal part is scaled to integers once per point.
+    rows_all = eval_op_at(X, p, order)
+    parts = []
+    for k in range(dim):
+        row = rows_all.get(k, {})
+        scale, off = _integer_row({j: v for j, v in row.items() if j != k})
+        parts.append((k, row.get(k, Fraction(0)), scale, off))
+    mult = {}
+    for i, lam in values:
+        rows = []
+        for k, diag, scale, off in parts:
+            d = diag - lam
+            if not d:
+                rows.append(off)
+                continue
+            den = lcm(scale, d.denominator)
+            m = den // scale
+            row = {j: m * v for j, v in off.items()}
+            row[k] = d.numerator * (den // d.denominator)
+            rows.append(row)
+        mult[i] = dim - _integer_rank(rows)
+    return mult, p
 
 
 def check_multiplicity_theorem(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -9,6 +10,7 @@ from tbtl import coideal
 from tbtl.algebra import generator_matrix
 from tbtl.basis import build_diagram, enumerate_strings, transition_matrix
 from tbtl.coideal import (
+    candidate_eigenvalues,
     check_bi_multiplicity_histogram,
     check_multiplicity_theorem,
     check_triangular_spectrum,
@@ -156,8 +158,17 @@ class TestMultiplicities:
         for i in range(N + 1):
             assert hist.get(N + M - 2 * i, 0) == mult[i] or comb(N, i) == mult[i]
 
+    @pytest.mark.parametrize("tag,M", [("A", None), ("BI", 1), ("BI", 3), ("BII", None)])
+    def test_first_point_separates_the_candidates(self, tag, M):
+        # q, Q > 0 and q != 1, and [Q; n] is strictly increasing in Q q^n
+        for seed in range(100):
+            p = coideal.random_generic_point(random.Random(seed))
+            values = [lam.evaluate(p) for _, lam in candidate_eigenvalues(tag, 8, M)]
+            assert len(set(values)) == len(values), seed
+
     @pytest.mark.parametrize("error", [TypeError, ZeroDenominator])
-    def test_only_degenerate_points_resample(self, monkeypatch, error):
+    def test_candidate_evaluation_error_propagates(self, monkeypatch, error):
+        # the first point is generic for the candidates, so nothing resamples
         class Candidate:
             def evaluate(self, p):
                 raise error("candidate cannot be evaluated")
@@ -165,8 +176,7 @@ class TestMultiplicities:
         monkeypatch.setattr(
             coideal, "candidate_eigenvalues", lambda tag, N, M: [(0, Candidate())]
         )
-        expected = TypeError if error is TypeError else RuntimeError
-        with pytest.raises(expected):
+        with pytest.raises(error):
             eigen_multiplicities("A", 2, seed=1)
 
 

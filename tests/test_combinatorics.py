@@ -8,7 +8,6 @@ import pytest
 from tbtl import combinatorics
 from tbtl.combinatorics import (
     TABLE_1,
-    bii_P_polynomial,
     bii_S_N1_closed,
     biii_component_histogram,
     block_strings,
@@ -19,8 +18,6 @@ from tbtl.combinatorics import (
     check_table1,
     check_typeA_P_conjecture,
     check_typeA_component_conjecture,
-    check_weight_histogram,
-    correlation_brute,
     correlation_check,
     correlation_closed,
     count_pattern_avoiding,
@@ -34,7 +31,6 @@ from tbtl.combinatorics import (
     pattern_avoiding_bisym_signed,
     sum_rule,
     sym_binary_weight_histogram,
-    typeA_P_polynomial,
 )
 from tbtl.ring import RingElem, SpecPoint
 

@@ -7,8 +7,6 @@ from tbtl.basis import build_diagram
 from tbtl.ground_state import (
     E0_GENERIC,
     FactorizedScalar,
-    GroundState,
-    NonPolynomialComponent,
     _component,
     _psd_blocks,
     numeric_ground_state_check,

@@ -1,4 +1,4 @@
-"""No module of src/tbtl imports a name that it never uses.
+"""No module of src/tbtl or tests imports a name that it never uses.
 
 A deleted code path often leaves its imports behind; the names are read
 from the syntax tree, so nothing is imported to check them.
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tbtl"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "tbtl"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,6 +32,8 @@ def test_unused_imports_finds_a_name_never_read():
     assert unused_imports(source) == ["os", "pi"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name
+)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
