@@ -289,9 +289,9 @@ def conjecture_checks(args):
              for N in range(1, n_top + 1)
          )),
         ("p-polys", True, f"type A near-bottom polynomials, N <= {n}",
-         lambda: all(combinatorics.check_typeA_P_conjecture(i, N) for i, N in near(1, 4))),
+         lambda: all(combinatorics.check_P_conjecture("A", i, N) for i, N in near(1, 4))),
         ("p-polys", True, f"type BIII near-bottom polynomials, N <= {n}",
-         lambda: all(combinatorics.check_biii_P_conjecture(i, N) for i, N in near(1, 4))),
+         lambda: all(combinatorics.check_P_conjecture("BIII", i, N) for i, N in near(1, 4))),
         ("p-polys", True, f"type BII near-top polynomials (shifted argument), N <= {n}",
          lambda: all(combinatorics.check_bii_P_conjecture(i, N) for i, N in near(2, 3))),
         ("typea-components", True,

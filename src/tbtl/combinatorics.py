@@ -176,10 +176,12 @@ def decompose_sum(tag: str, N: int, degrees=None) -> dict[int, int]:
         for s in _strings_with_pluses(N, i):
             f = psi_component(tag, make_diagram(tag, s))
             # one numerator atom in Q, Q q^k + Q^-1 q^-k, per shift
-            assert sum(any(m[1] for m in a.terms) for a in f.num) == shifts and f.Q_exp == Q_exp
+            if sum(any(m[1] for m in a.terms) for a in f.num) != shifts or f.Q_exp != Q_exp:
+                raise RuntimeError(f"{tag} component {s} is not c Q^{i} or c (Q + 1/Q)^{i}")
             total += f.evaluate(p)
         total /= 2**shifts
-        assert total.denominator == 1
+        if total.denominator != 1:
+            raise RuntimeError(f"S_{{{N},{i}}} = {total} of {tag} is not an integer")
         out[i] = int(total)
     return out
 
@@ -225,52 +227,42 @@ def check_bii_P_conjecture(i: int, N: int) -> bool:
     return Fraction(got) == bii_P_polynomial(i, N - i + 1)
 
 
-def check_typeA_P_conjecture(i: int, N: int) -> bool:
-    got = decompose_sum("A", N, degrees=[i])[i]
-    return Fraction(got) == typeA_P_polynomial(i, N)
-
-
-def check_biii_P_conjecture(i: int, N: int) -> bool:
-    got = decompose_sum("BIII", N, degrees=[i])[i]
-    return Fraction(got) == typeA_P_polynomial(i, N)
+def check_P_conjecture(tag: str, i: int, N: int) -> bool:
+    """Near-bottom coefficient S_{N,i} of the type A or BIII sum against
+    the type A polynomial (BII has its near-top check above)."""
+    return Fraction(decompose_sum(tag, N, degrees=[i])[i]) == typeA_P_polynomial(i, N)
 
 
 # -- symmetric binary matrices -------------------------------------------------
 
 
-def enumerate_sym_binary(n: int):
-    """All symmetric 0/1 matrices with row sums at most one, as
-    (pairs, fixed) with pairs a tuple of (i, j), i < j, and fixed the
-    diagonal support; sites are 0-based."""
-    out = []
+def enumerate_sym_binary(n: int) -> list:
+    """All symmetric n x n 0/1 matrices with row sums at most one, each as
+    its sorted link set: (i, j), 1-based, for each one at i <= j.
 
-    def rec(free: tuple, pairs: tuple):
+    The lowest free row i is empty, holds a diagonal one, or is paired
+    with a later free row j, which fills (i, j) and (j, i); the rest is a
+    matrix on the other free rows.  The branches fill row i differently,
+    so each matrix is listed once; each link starts at the lowest row
+    still free, so each set comes out sorted.
+    """
+
+    def rec(free: tuple) -> list:
         if not free:
-            out.append((pairs, ()))
-            return
-        first, rest = free[0], free[1:]
-        # first unused: becomes empty row or diagonal 1 later; branch on
-        # pairing with each later element
-        rec(rest, pairs)
-        for k, other in enumerate(rest):
-            rec(rest[:k] + rest[k + 1 :], pairs + ((first, other),))
+            return [()]
+        i, rest = free[0], free[1:]
+        out = [links for tail in rec(rest) for links in (tail, ((i, i), *tail))]
+        for k, j in enumerate(rest):
+            out += [((i, j), *tail) for tail in rec(rest[:k] + rest[k + 1 :])]
+        return out
 
-    rec(tuple(range(n)), ())
-    full = []
-    for pairs, _ in out:
-        used = {i for p_ in pairs for i in p_}
-        rest = [i for i in range(n) if i not in used]
-        for r in range(len(rest) + 1):
-            for fixed in combinations(rest, r):
-                full.append((pairs, fixed))
-    return full
+    return rec(tuple(range(1, n + 1)))
 
 
 def sym_binary_weight_histogram(n: int) -> dict[int, int]:
     hist: dict[int, int] = {}
-    for pairs, fixed in enumerate_sym_binary(n):
-        w = len(pairs) + len(fixed)
-        hist[w] = hist.get(w, 0) + 1
+    for links in enumerate_sym_binary(n):
+        hist[len(links)] = hist.get(len(links), 0) + 1
     return hist
 
 
@@ -279,12 +271,6 @@ def check_weight_histogram(N: int) -> bool:
 
 
 # -- type A component conjecture ------------------------------------------------
-
-
-def admissible_links(N: int):
-    """All symmetric binary matrices as link sets {(i,j): i <= j}, 1-based."""
-    for pairs, fixed in enumerate_sym_binary(N):
-        yield tuple(sorted([(i + 1, j + 1) for i, j in pairs] + [(i + 1, i + 1) for i in fixed]))
 
 
 def is_admissible(links) -> bool:
@@ -312,7 +298,7 @@ def F_of_links(links, N: int) -> RingElem:
 def check_typeA_component_conjecture(N: int, b: str):
     """Compare Psi_{D(b)} with the admissible-matrix sum for one string."""
     total = ZERO
-    for links in admissible_links(N):
+    for links in enumerate_sym_binary(N):
         if is_admissible(links) and links_string(links, N) == b:
             total = total + F_of_links(links, N)
     psi = psi_component("A", make_diagram("A", b)).as_polynomial()
@@ -335,27 +321,18 @@ def block_strings(N: int):
 
 def enumerate_bisym_perm(n: int) -> int:
     """Orbit count of 2n x 2n bisymmetric permutation matrices modulo a
-    quarter turn; matches the B recurrence."""
+    quarter turn (i, j) -> (j, 2n-1-i); matches the B recurrence.  Each
+    orbit is named by the least of its four turns as sorted cells."""
     m = 2 * n
-
-    def rot(sigma):
-        # quarter turn of the permutation matrix: (i, sigma(i)) -> (sigma(i), m-1-i)
-        return tuple(sorted((sigma[i], m - 1 - i) for i in range(m)))
-
-    seen = set()
-    orbits = 0
-    for signed in signed_bisym_matrices(m):
-        if any(sign < 0 for _, sign in signed.values()):
+    orbits = set()
+    for sigma in signed_bisym_matrices(m):
+        if any(sign < 0 for _, sign in sigma.values()):
             continue  # the permutation matrices are the all-positive ones
-        key = tuple(sorted((i, j) for i, (j, _) in signed.items()))
-        if key in seen:
-            continue
-        orbits += 1
-        cur = key
-        for _ in range(4):
-            cur = rot(dict(cur))
-            seen.add(cur)
-    return orbits
+        turns = [tuple(sorted((i, j) for i, (j, _) in sigma.items()))]
+        for _ in range(3):
+            turns.append(tuple(sorted((j, m - 1 - i) for i, j in turns[-1])))
+        orbits.add(min(turns))
+    return len(orbits)
 
 
 # -- bisymmetric signed permutations (pattern-avoiding) ---------------------------
@@ -363,45 +340,30 @@ def enumerate_bisym_perm(n: int) -> int:
 
 def signed_bisym_matrices(m: int):
     """Signed permutation matrices of size m, symmetric about both
-    diagonals; yields dicts i -> (j, sign) with 0-based indices."""
-    if m == 0:
-        yield {}
-        return
-    out_set: set = set()
+    diagonals; yields dicts i -> (j, sign) with 0-based indices.
 
-    def propagate(trial: dict, a: int, b: int, sg: int) -> bool:
-        queue = [(a, b, sg)]
-        while queue:
-            a, b, sg = queue.pop()
-            prev = trial.get(a)
-            if prev is not None:
-                if prev != (b, sg):
-                    return False
-                continue
-            if b in {col for col, _ in trial.values()}:
-                return False
-            trial[a] = (b, sg)
-            queue.append((b, a, sg))  # main-diagonal symmetry
-            queue.append((m - 1 - b, m - 1 - a, sg))  # anti-diagonal symmetry
-        return True
+    Such a matrix is a union of orbits {(i, j), (j, i), (m-1-j, m-1-i),
+    (m-1-i, m-1-j)} under the two reflections, each with one sign.  The
+    lowest empty row i takes a column j and a sign, which fill the orbit
+    of (i, j) if its cells lie in empty rows and columns, one per row and
+    column.  The entry of row i tells the branches apart, so each matrix
+    comes out once.
+    """
 
-    def rec(assign: dict):
-        if len(assign) == m:
-            out_set.add(tuple(sorted(assign.items())))
+    def rec(sigma: dict):
+        if len(sigma) == m:
+            yield sigma
             return
-        i = min(x for x in range(m) if x not in assign)
-        used = {j for j, _ in assign.values()}
+        i = min(r for r in range(m) if r not in sigma)
+        used = {j for j, _ in sigma.values()}
         for j in range(m):
-            if j in used:
-                continue
-            for sign in (1, -1):
-                trial = dict(assign)
-                if propagate(trial, i, j, sign):
-                    rec(trial)
+            orbit = {(i, j), (j, i), (m - 1 - j, m - 1 - i), (m - 1 - i, m - 1 - j)}
+            rows, cols = {r for r, _ in orbit}, {c for _, c in orbit}
+            if len(rows) == len(cols) == len(orbit) and not (rows & sigma.keys() or cols & used):
+                for sign in (1, -1):
+                    yield from rec({**sigma, **{r: (c, sign) for r, c in orbit}})
 
-    rec({})
-    for t in out_set:
-        yield dict(t)
+    yield from rec({})
 
 
 def avoids_neg_pattern(sigma: dict) -> bool:
@@ -436,61 +398,37 @@ def count_pattern_avoiding(n: int) -> int:
 # -- the BIII path construction ----------------------------------------------
 
 
-def biii_path_string(sigma: dict, n: int) -> str:
+def biii_path_string(sigma: dict, N: int) -> str:
     """Route every fundamental positive link down-left to the diagonal.
 
-    sigma maps 0-based rows to (col, sign) for a matrix of size 2N with
-    N = n; returns the resulting sign string of length N.
+    sigma maps 0-based rows to (col, sign) for a matrix of size 2N;
+    returns the sign string of length N with a '-' at each diagonal
+    point i <= N that a path reaches.  In 1-based (row, column) the
+    links are the positive entries with row <= N on or above the
+    diagonal, the fundamental ones also on or above the anti-diagonal;
+    two crossing links (i1, j1), (i2, j2), i1 < i2 < j1 < j2, off the
+    anti-diagonal make a cross point (i2, j1).  A path starts at a
+    fundamental link and alternates: down to the next cross point in its
+    column, then left to the next cross point in its row, and stops on
+    the diagonal where there is none before it.  Each step raises the
+    row or lowers the column and neither passes the diagonal, so the walk
+    ends there.
     """
-    N = n
-    # 1-based coordinates
-    links = []
-    for i0 in range(len(sigma)):
-        j0, sg = sigma[i0]
-        i, j = i0 + 1, j0 + 1
-        if sg == 1 and 1 <= i <= N and i <= j <= 2 * N:
-            links.append((i, j))
-    fundamental = [(i, j) for (i, j) in links if j <= 2 * N + 1 - i]
-    cross = set()
-    for (i1, j1) in links:
-        for (i2, j2) in links:
-            if i1 < i2 < j1 < j2 and i1 + j1 != 2 * N + 1 and i2 + j2 != 2 * N + 1:
-                cross.add((i2, j1))
+    links = [(i + 1, j + 1) for i, (j, sg) in sigma.items() if sg == 1 and i < N and i <= j]
+    off = [(i, j) for i, j in links if i + j != 2 * N + 1]
+    cross = {(i2, j1) for i1, j1 in off for i2, j2 in off if i1 < i2 < j1 < j2}
     chars = ["+"] * N
-    for (i1, j1) in fundamental:
-        # walk down from (i1, j1), turning left at cross points hit from
-        # above and continuing down through those hit from the right
-        x, y = j1, i1  # column, row
-        direction = "down"
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 10000:
-                raise RuntimeError("path routing did not terminate")
-            if direction == "down":
-                candidates = [r for (r, c) in cross if c == x and r > y]
-                stop_diag = x  # diagonal point (x, x)
-                nxt = min(candidates) if candidates else None
-                if nxt is None or nxt >= stop_diag:
-                    y = stop_diag
-                    break
-                y = nxt
-                direction = "left"
-            else:
-                candidates = [c for (r, c) in cross if r == y and c < x]
-                stop_diag = y
-                nxt = max(candidates) if candidates else None
-                if nxt is None or nxt <= stop_diag:
-                    x = stop_diag
-                    break
-                x = nxt
-                direction = "down"
-        assert x == y, "path must end on the diagonal"
-        if x > N:
+    for row, col in links:
+        if row + col > 2 * N + 1:
+            continue  # not fundamental
+        while row < col:
+            row = min((r for r, c in cross if c == col and row < r < col), default=col)
+            col = max((c for r, c in cross if r == row and row < c < col), default=row)
+        if row > N:
             continue  # beyond the reach of the string
-        if chars[x - 1] == "-":
+        if chars[row - 1] == "-":
             raise RuntimeError("two paths reached the same diagonal point")
-        chars[x - 1] = "-"
+        chars[row - 1] = "-"
     return "".join(chars)
 
 

@@ -41,7 +41,8 @@ def _ratio(e: int, nums=(), dens=()) -> RatioElem:
 def lemma_app0(ms, ns):
     """sum over outer arcs of the bulk contribution telescopes to [M]."""
     I = len(ms)
-    assert len(ns) == I + 1
+    if len(ns) != I + 1:
+        raise ValueError(f"ns needs {I + 1} entries, not {len(ns)}")
 
     def v(j):
         return sum(ns[:j]) + sum(ms[:j])
@@ -59,7 +60,8 @@ def lemma_app0(ms, ns):
 
 def lemma_app1(ms, ns):
     I = len(ms)
-    assert len(ns) == I + 1
+    if len(ns) != I + 1:
+        raise ValueError(f"ns needs {I + 1} entries, not {len(ns)}")
     M, Nn = sum(ms), sum(ns)
 
     def v(j):
@@ -85,7 +87,8 @@ def lemma_app2(ms, x):
 
 def lemma_app8(ms, ns):
     I = len(ms)
-    assert len(ns) == I
+    if len(ns) != I:
+        raise ValueError(f"ns needs {I} entries, not {len(ns)}")
 
     def v(i):
         return sum(ns[: i - 1]) + sum(ms[: i - 1])
@@ -104,7 +107,8 @@ def lemma_app8(ms, ns):
 
 def lemma_app9(ms, ns):
     I = len(ms)
-    assert len(ns) == I
+    if len(ns) != I:
+        raise ValueError(f"ns needs {I} entries, not {len(ns)}")
 
     def v(i):
         return sum(ms[: i - 1]) + sum(ns[: i - 1])
@@ -119,7 +123,8 @@ def lemma_app9(ms, ns):
 
 def lemma_app10(ms, ns):
     I = len(ms)
-    assert len(ns) == I
+    if len(ns) != I:
+        raise ValueError(f"ns needs {I} entries, not {len(ns)}")
 
     def v(i):
         return sum(ns[: i - 1]) + sum(ms[: i - 1])
@@ -148,7 +153,8 @@ def lemma_app10(ms, ns):
 
 def lemma_app11(ms, ns):
     I = len(ms)
-    assert len(ns) == I
+    if len(ns) != I:
+        raise ValueError(f"ns needs {I} entries, not {len(ns)}")
 
     # Same partial-sum convention as the neighbouring identities:
     # v_i sums strictly below i, and the last w has no arrow term.
@@ -200,7 +206,8 @@ def _app15_to_17_brackets(ms, ns):
         return sum(ns[:i]) + sum(ms[:i])
 
     I = len(ms)
-    assert len(ns) == I
+    if len(ns) != I:
+        raise ValueError(f"ns needs {I} entries, not {len(ns)}")
     lows = [ns[j - 1] + v(j - 1) for j in range(1, I + 1)]
     ups = [1 + v(j) for j in range(1, I + 1)]
     arrows = [1 + ns[j - 1] + v(j - 1) for j in range(1, I + 1)]

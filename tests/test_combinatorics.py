@@ -12,11 +12,10 @@ from tbtl.combinatorics import (
     biii_component_histogram,
     block_strings,
     check_bii_P_conjecture,
-    check_biii_P_conjecture,
     check_biii_component_conjecture,
+    check_P_conjecture,
     check_sum_conjectures,
     check_table1,
-    check_typeA_P_conjecture,
     check_typeA_component_conjecture,
     correlation_check,
     correlation_closed,
@@ -29,6 +28,7 @@ from tbtl.combinatorics import (
     links_string,
     oeis_sequence,
     pattern_avoiding_bisym_signed,
+    signed_bisym_matrices,
     sum_rule,
     sym_binary_weight_histogram,
 )
@@ -163,6 +163,20 @@ class TestEnumerations:
         for n in range(1, 9):
             assert len(enumerate_sym_binary(n)) == oeis_sequence("A005425", n)
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_sym_binary_brute_force(self, n):
+        # every 0/1 filling of the cells on and above the diagonal, mirrored
+        # below it, kept if no row holds two ones; listed once each
+        upper = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        want = set()
+        for bits in itertools.product((0, 1), repeat=len(upper)):
+            links = tuple(cell for cell, bit in zip(upper, bits) if bit)
+            ones = {cell for i, j in links for cell in ((i, j), (j, i))}
+            if all(sum((r, c) in ones for c in range(1, n + 1)) <= 1 for r in range(1, n + 1)):
+                want.add(links)
+        got = enumerate_sym_binary(n)
+        assert len(got) == len(set(got)) and set(got) == want
+
     def test_weight_histograms(self):
         for n in range(1, 9):
             hist = sym_binary_weight_histogram(n)
@@ -192,6 +206,22 @@ class TestEnumerations:
                     turns.append(frozenset((j, m - 1 - i) for i, j in turns[-1]))
                 orbits.add(min(tuple(sorted(t)) for t in turns))
             assert enumerate_bisym_perm(n) == len(orbits), n
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_signed_bisym_brute_force(self, m):
+        # every permutation of m with every choice of signs, kept if the
+        # matrix is symmetric about both diagonals; yielded once each
+        want = set()
+        for perm in itertools.permutations(range(m)):
+            for signs in itertools.product((1, -1), repeat=m):
+                entry = dict(enumerate(zip(perm, signs)))  # row -> (column, sign)
+                if all(
+                    entry[j] == (i, s) and entry[m - 1 - j] == (m - 1 - i, s)
+                    for i, (j, s) in entry.items()
+                ):
+                    want.add(tuple(sorted(entry.items())))
+        got = [tuple(sorted(sigma.items())) for sigma in signed_bisym_matrices(m)]
+        assert len(got) == len(set(got)) and set(got) == want
 
     def test_pattern_avoiding_counts(self):
         for n in range(1, 6):
@@ -253,12 +283,12 @@ class TestDecompositions:
     def test_typeA_P(self):
         for N in range(1, 11):
             for i in range(1, min(4, N) + 1):
-                assert check_typeA_P_conjecture(i, N)
+                assert check_P_conjecture("A", i, N)
 
     def test_biii_P(self):
         for N in range(1, 11):
             for i in range(1, min(4, N) + 1):
-                assert check_biii_P_conjecture(i, N)
+                assert check_P_conjecture("BIII", i, N)
 
     def test_bii_S_N1(self):
         for N in range(1, 21):
