@@ -47,6 +47,9 @@ def parse_at(text: str) -> SpecPoint:
             name = name.strip()
             if name not in vals or not raw:
                 raise ValueError(f"bad assignment {part!r}; use q=1,Q=2/3,Q0=1")
+            # Fraction expands 1e<k> as 10**k: a few characters could exhaust memory
+            if "e" in raw.lower():
+                raise ValueError(f"exponent notation in {part!r}; use q=1,Q=2/3,Q0=1")
             try:
                 vals[name] = Fraction(raw.strip())
             except ZeroDivisionError:

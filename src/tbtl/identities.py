@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import accumulate
 
 from .ring import ONE, R_ONE, R_ZERO, ZERO, RatioElem, RingElem, qint, qQ_bracket, qbinom
 
@@ -36,212 +37,167 @@ def _ratio(e: int, nums=(), dens=()) -> RatioElem:
 
 
 # -- the summation lemmas ----------------------------------------------------
+# The (ms, ns) lemmas read their partial sums from _prefix: M[j] = m_1 + ... + m_j,
+# Nn[j] = n_1 + ... + n_j and V[j] = M[j] + Nn[j], with M[0] = Nn[0] = V[0] = 0.
+# The paper's v_j is V[j] in lemmas app0, app1 and app15-app17, and V[j - 1],
+# the sum strictly below j, in lemmas app8-app11.
+
+
+def _prefix(ms, ns, extra=0):
+    """The prefix lists M, Nn and V of ms and ns, which must hold len(ms) + extra
+    entries; V stops at j = len(ms)."""
+    if len(ns) != len(ms) + extra:
+        raise ValueError(f"ns needs {len(ms) + extra} entries, not {len(ns)}")
+    M, Nn = list(accumulate(ms, initial=0)), list(accumulate(ns, initial=0))
+    return M, Nn, [m + n for m, n in zip(M, Nn)]
 
 
 def lemma_app0(ms, ns):
     """sum over outer arcs of the bulk contribution telescopes to [M]."""
+    M, Nn, V = _prefix(ms, ns, 1)
     I = len(ms)
-    if len(ns) != I + 1:
-        raise ValueError(f"ns needs {I + 1} entries, not {len(ns)}")
-
-    def v(j):
-        return sum(ns[:j]) + sum(ms[:j])
-
     lhs = sum((
         _ratio(
             0,
-            [ms[i - 1], 1 + sum(ns[:i]), *(1 + v(j) for j in range(i + 1, I + 1))],
-            [1 + ns[j - 1] + v(j - 1) for j in range(i, I + 1)],
+            [ms[i - 1], 1 + Nn[i], *(1 + v for v in V[i + 1 :])],
+            [1 + Nn[j] + M[j - 1] for j in range(i, I + 1)],
         )
         for i in range(1, I + 1)
     ), R_ZERO)
-    return lhs, _ratio(0, [sum(ms)])
+    return lhs, _ratio(0, [M[-1]])
 
 
 def lemma_app1(ms, ns):
+    M, Nn, V = _prefix(ms, ns, 1)
     I = len(ms)
-    if len(ns) != I + 1:
-        raise ValueError(f"ns needs {I + 1} entries, not {len(ns)}")
-    M, Nn = sum(ms), sum(ns)
-
-    def v(j):
-        return sum(ns[:j]) + sum(ms[:j])
-
     lhs = sum((
         _ratio(
             0,
-            [1 + sum(ns[:i]), ms[i - 1], *(1 + v(j - 1) for j in range(i + 2, I + 2))],
-            [1 + ns[j - 1] + v(j - 1) for j in range(i, I + 2)],
+            [1 + Nn[i], ms[i - 1], *(1 + v for v in V[i + 1 :])],
+            [1 + Nn[j] + M[j - 1] for j in range(i, I + 2)],
         )
         for i in range(1, I + 1)
     ), R_ZERO)
-    return lhs, _ratio(0, [M], [M + Nn + 1])
+    return lhs, _ratio(0, [M[-1]], [M[-1] + Nn[-1] + 1])
 
 
 def lemma_app2(ms, x):
-    lhs = sum((
-        _ratio(0, [m], [x + sum(ms[: i - 1]), x + sum(ms[:i])]) for i, m in enumerate(ms, 1)
-    ), R_ZERO)
-    return lhs, _ratio(0, [sum(ms)], [x, x + sum(ms)])
+    M = list(accumulate(ms, initial=0))
+    lhs = sum((_ratio(0, [m], [x + M[i - 1], x + M[i]]) for i, m in enumerate(ms, 1)), R_ZERO)
+    return lhs, _ratio(0, [M[-1]], [x, x + M[-1]])
 
 
 def lemma_app8(ms, ns):
-    I = len(ms)
-    if len(ns) != I:
-        raise ValueError(f"ns needs {I} entries, not {len(ns)}")
-
-    def v(i):
-        return sum(ns[: i - 1]) + sum(ms[: i - 1])
-
-    lows = [ns[j - 1] + v(j) for j in range(1, I + 1)]  # n_j + v_j
-    vs = [v(j) for j in range(1, I + 2)]
-    # j = 1 has v(1) = 0 and [0] = 0; the lemma's products implicitly start
-    # the telescoping at v(1) = n_1 ... guard against that by requiring the
-    # caller to pass parameters with v(j) > 0 for j >= 2.
-    lhs = _ratio(sum(ms), lows, vs[1:]) + sum((
-        _ratio(-sum(ns[:i]), [ms[i - 1], *lows[: i - 1]], [d for d in vs[: i + 1] if d])
-        for i in range(1, I + 1)
+    M, Nn, V = _prefix(ms, ns)
+    lows = [n + m for n, m in zip(Nn[1:], M)]  # n_j + v_j
+    # v_1 = V[0] = 0 and [0] = 0, so the filter leaves v_1 out of the
+    # denominators; every later v_j >= m_1 >= 1.
+    lhs = _ratio(M[-1], lows, V[1:]) + sum((
+        _ratio(-Nn[i], [ms[i - 1], *lows[: i - 1]], [d for d in V[: i + 1] if d])
+        for i in range(1, len(ms) + 1)
     ), R_ZERO)
     return lhs, R_ONE
 
 
 def lemma_app9(ms, ns):
-    I = len(ms)
-    if len(ns) != I:
-        raise ValueError(f"ns needs {I} entries, not {len(ns)}")
-
-    def v(i):
-        return sum(ms[: i - 1]) + sum(ns[: i - 1])
-
-    ups = [1 + ms[j - 1] + v(j) for j in range(1, I + 1)]  # 1 + m_j + v_j
-    vs = [1 + v(j) for j in range(1, I + 2)]
+    M, Nn, V = _prefix(ms, ns)
+    ups = [1 + m + n for m, n in zip(M[1:], Nn)]  # 1 + m_j + v_j
+    vs = [1 + v for v in V]
     lhs = sum((
-        _ratio(-sum(ns[: i - 1]) - 1, [ms[i - 1], *ups[i:]], vs[i - 1 :]) for i in range(1, I + 1)
+        _ratio(-Nn[i - 1] - 1, [ms[i - 1], *ups[i:]], vs[i - 1 :]) for i in range(1, len(ms) + 1)
     ), R_ZERO)
-    return lhs, _ratio(0, ups, vs[1:]) - _ratio(sum(ms), [], vs[-1:])
+    return lhs, _ratio(0, ups, vs[1:]) - _ratio(M[-1], [], vs[-1:])
+
+
+def _app10_11_brackets(ms, ns):
+    """The prefix lists M, Nn and V, 1 + v_j for j = 1..I+1, and w_j = 1 + n_j + v_j
+    for j = 1..I with w_{I+1} read as 1 + v_{I+1}, so that both lists have I + 1
+    entries; lemmas app10 and app11 read both."""
+    M, Nn, V = _prefix(ms, ns)
+    ws = [*(1 + n + m for n, m in zip(Nn[1:], M)), 1 + V[-1]]
+    return M, Nn, V, [1 + v for v in V], ws
 
 
 def lemma_app10(ms, ns):
-    I = len(ms)
-    if len(ns) != I:
-        raise ValueError(f"ns needs {I} entries, not {len(ns)}")
-
-    def v(i):
-        return sum(ns[: i - 1]) + sum(ms[: i - 1])
-
-    def w(i):
-        return 1 + ns[i - 1] + v(i) if i <= I else 1 + v(i)
-
-    # w_{I+1} = 1 + n_{I+1} + v_{I+1}; the lemma uses lists of equal length
-    # so w at I+1 is read as 1 + v_{I+1}.
-    ups = [1 + v(k) for k in range(1, I + 2)]
-    ws = [w(k) for k in range(1, I + 2)]
-    lows = [ns[k - 1] + v(k) for k in range(1, I + 1)]  # n_k + v_k
-    vs = [v(k) for k in range(2, I + 2)]
+    M, Nn, V, ups, ws = _app10_11_brackets(ms, ns)
+    lows = [n + m for n, m in zip(Nn[1:], M)]  # n_k + v_k
+    vs = V[1:]
     # The i-th summand is q^{1-M} q^{-N_i} [m_i] times nums over dens times the brace
     # q^{M_{i-1}} (1 + q^{-2}) - q^{-N_i-1} [m_i - 1] / [v_{i+1}]; with 1 + q^{-2} = q^{-1} [2]
     # it is written as two ratios.
-    M = sum(ms)
     lhs = R_ZERO
-    for i in range(1, I + 1):
-        e, m = 1 - M - sum(ns[:i]), ms[i - 1]
+    for i in range(1, len(ms) + 1):
+        e, m = 1 - M[-1] - Nn[i], ms[i - 1]
         nums, dens = ups[i + 1 :] + lows[: i - 1], ws[i - 1 :] + vs[: i - 1]
-        lhs = lhs + _ratio(e + sum(ms[: i - 1]) - 1, [m, 2, *nums], dens)
-        lhs = lhs - _ratio(e - sum(ns[:i]) - 1, [m, m - 1, *nums], [*dens, vs[i - 1]])
-    return lhs, _ratio(-M, ups, ws) - _ratio(M, lows, [ws[-1], *vs])
+        lhs = lhs + _ratio(e + M[i - 1] - 1, [m, 2, *nums], dens)
+        lhs = lhs - _ratio(e - Nn[i] - 1, [m, m - 1, *nums], [*dens, vs[i - 1]])
+    return lhs, _ratio(-M[-1], ups, ws) - _ratio(M[-1], lows, [ws[-1], *vs])
 
 
 def lemma_app11(ms, ns):
-    I = len(ms)
-    if len(ns) != I:
-        raise ValueError(f"ns needs {I} entries, not {len(ns)}")
-
-    # Same partial-sum convention as the neighbouring identities:
-    # v_i sums strictly below i, and the last w has no arrow term.
-    def v(i):
-        return sum(ns[: i - 1]) + sum(ms[: i - 1])
-
-    def w2(i):
-        if i <= I:
-            return 1 + ns[i - 1] + v(i)
-        return 1 + v(i)
-
-    ups = [1 + v(j) for j in range(1, I + 2)]
-    ws = [w2(j) for j in range(1, I + 2)]
+    M, Nn, _, ups, ws = _app10_11_brackets(ms, ns)
     lhs = sum((
-        _ratio(-1 - sum(ns[:i]), [ms[i - 1], *ups[i + 1 :]], ws[i - 1 :]) for i in range(1, I + 1)
+        _ratio(-1 - Nn[i], [ms[i - 1], *ups[i + 1 :]], ws[i - 1 :]) for i in range(1, len(ms) + 1)
     ), R_ZERO)
-    return lhs, _ratio(0, ups, ws) - _ratio(sum(ms), [], ws[-1:])
+    return lhs, _ratio(0, ups, ws) - _ratio(M[-1], [], ws[-1:])
 
 
 def lemma_app13(ms, x, z):
-    K = len(ms)
-
-    # the brackets of I_i: the numerators [2 + 2z + 2(m_j + ... + m_K)] and
-    # the denominators [2 + 2z + m_j + 2(m_{j+1} + ... + m_K)], j = 1..i
-    def i_nums(i):
-        return [2 + 2 * z + 2 * sum(ms[j - 1 :]) for j in range(1, i + 1)]
-
-    def i_dens(i):
-        return [2 + 2 * z + ms[j - 1] + 2 * sum(ms[j:]) for j in range(1, i + 1)]
-
+    M = list(accumulate(ms, initial=0))
+    K, S = len(ms), M[-1]
+    # the brackets of I_i are the first i of the numerators [2 + 2z + 2(m_j + ... + m_K)]
+    # and of the denominators [2 + 2z + m_j + 2(m_{j+1} + ... + m_K)], j = 1..K
+    i_nums = [2 + 2 * z + 2 * (S - below) for below in M[:-1]]
+    i_dens = [2 + 2 * z + m + 2 * (S - upto) for m, upto in zip(ms, M[1:])]
     lhs = sum((
         _ratio(
             0,
-            [*i_nums(i), ms[i - 1], x + 3 + 2 * z + sum(ms[:i]) + 2 * sum(ms[i:])],
-            [*i_dens(i), 1 + x + sum(ms[: i - 1]), 1 + x + sum(ms[:i])],
+            [*i_nums[:i], ms[i - 1], x + 3 + 2 * z + M[i] + 2 * (S - M[i])],
+            [*i_dens[:i], 1 + x + M[i - 1], 1 + x + M[i]],
         )
         for i in range(1, K + 1)
     ), R_ZERO)
-    lhs = lhs + _ratio(0, [*i_nums(K), 2 * z + 2], [*i_dens(K), 1 + x + sum(ms)])
-    return lhs, _ratio(0, [2 + 2 * z + 2 * sum(ms)], [1 + x])
+    lhs = lhs + _ratio(0, [*i_nums, 2 * z + 2], [*i_dens, 1 + x + S])
+    return lhs, _ratio(0, [2 + 2 * z + 2 * S], [1 + x])
 
 
 def _app15_to_17_brackets(ms, ns):
-    """The bracket arguments of lemmas app15-app17, each a list over j = 1..I
-    with v_j = n_1 + ... + n_j + m_1 + ... + m_j: n_j + v_{j-1}, 1 + v_j,
+    """The prefix lists M and Nn and the bracket arguments of lemmas app15-app17,
+    each a list over j = 1..I with v_j = V[j]: n_j + v_{j-1}, 1 + v_j,
     1 + n_j + v_{j-1} and v_j."""
-
-    def v(i):
-        return sum(ns[:i]) + sum(ms[:i])
-
-    I = len(ms)
-    if len(ns) != I:
-        raise ValueError(f"ns needs {I} entries, not {len(ns)}")
-    lows = [ns[j - 1] + v(j - 1) for j in range(1, I + 1)]
-    ups = [1 + v(j) for j in range(1, I + 1)]
-    arrows = [1 + ns[j - 1] + v(j - 1) for j in range(1, I + 1)]
-    return lows, ups, arrows, [v(j) for j in range(1, I + 1)]
+    M, Nn, V = _prefix(ms, ns)
+    lows = [n + m for n, m in zip(Nn[1:], M)]
+    return M, Nn, lows, [1 + v for v in V[1:]], [1 + low for low in lows], V[1:]
 
 
 def lemma_app15(ms, ns):
-    lows, _, _, vs = _app15_to_17_brackets(ms, ns)
+    M, Nn, lows, _, _, vs = _app15_to_17_brackets(ms, ns)
     lhs = sum((
-        _ratio(-sum(ns[:i]), [ms[i - 1], *lows[: i - 1]], vs[:i]) for i in range(1, len(ms) + 1)
+        _ratio(-Nn[i], [ms[i - 1], *lows[: i - 1]], vs[:i]) for i in range(1, len(ms) + 1)
     ), R_ZERO)
-    return lhs, R_ONE - _ratio(sum(ms), lows, vs)
+    return lhs, R_ONE - _ratio(M[-1], lows, vs)
 
 
 def lemma_app16(ms, ns):
-    _, ups, arrows, _ = _app15_to_17_brackets(ms, ns)
+    M, Nn, _, ups, arrows, _ = _app15_to_17_brackets(ms, ns)
     lhs = sum((
-        _ratio(-sum(ns[:i]), [ms[i - 1], *ups[i:]], arrows[i - 1 :]) for i in range(1, len(ms) + 1)
+        _ratio(-Nn[i], [ms[i - 1], *ups[i:]], arrows[i - 1 :]) for i in range(1, len(ms) + 1)
     ), R_ZERO)
-    return lhs, _ratio(1, ups, arrows) - _ratio(1 + sum(ms))
+    return lhs, _ratio(1, ups, arrows) - _ratio(1 + M[-1])
 
 
 def lemma_app17(ms, ns):
-    lows, ups, arrows, vs = _app15_to_17_brackets(ms, ns)
+    M, Nn, lows, ups, arrows, vs = _app15_to_17_brackets(ms, ns)
     # The i-th summand is q^{-N_i} [m_i] times nums over dens times the brace
     # q^{M_{i-1}} (1 + q^{-2}) - q^{-1-N_i} [m_i - 1] / [v_i]; with 1 + q^{-2} = q^{-1} [2]
     # it is written as two ratios.
     lhs = R_ZERO
     for i in range(1, len(ms) + 1):
-        e, m = -sum(ns[:i]), ms[i - 1]
+        e, m = -Nn[i], ms[i - 1]
         nums, dens = lows[: i - 1] + ups[i:], vs[: i - 1] + arrows[i - 1 :]
-        lhs = lhs + _ratio(e + sum(ms[: i - 1]) - 1, [m, 2, *nums], dens)
-        lhs = lhs - _ratio(e - 1 - sum(ns[:i]), [m, m - 1, *nums], [*dens, vs[i - 1]])
-    return lhs, _ratio(-1, ups, arrows) - _ratio(2 * sum(ms) - 1, lows, vs)
+        lhs = lhs + _ratio(e + M[i - 1] - 1, [m, 2, *nums], dens)
+        lhs = lhs - _ratio(e - 1 - Nn[i], [m, m - 1, *nums], [*dens, vs[i - 1]])
+    return lhs, _ratio(-1, ups, arrows) - _ratio(2 * M[-1] - 1, lows, vs)
 
 
 LEMMAS = {
@@ -322,14 +278,6 @@ def verify_tridiagonal_lemma(N: int) -> bool:
 # -- harness -------------------------------------------------------------------
 
 
-def _random_lists(rng: random.Random, n_zero_ok=True):
-    """Lists ms, ns of one length in 1..3, entries at most 3 (ms from 1)."""
-    I = rng.randint(1, 3)
-    ms = [rng.randint(1, 3) for _ in range(I)]
-    ns = [rng.randint(0 if n_zero_ok else 1, 3) for _ in range(I)]
-    return ms, ns
-
-
 def verify_qidentity(lemma: str, params: dict) -> bool:
     """Check one lemma instance; params use keys ms, ns, x, z, N."""
     if lemma == "appA":
@@ -339,23 +287,19 @@ def verify_qidentity(lemma: str, params: dict) -> bool:
 
 
 def random_params(lemma: str, rng: random.Random) -> dict:
+    """One instance: I in 1..3, then I entries of ms in 1..3, then the entries
+    of ns in 0..3 (1..3 for app8, app15 and app17; I + 1 of them for app0 and
+    app1).  app2 and app13 draw ns too and leave it unused."""
     if lemma == "appA":
         return {"N": rng.randint(1, 3)}
+    I = rng.randint(1, 3)
+    ms = [rng.randint(1, 3) for _ in range(I)]
+    lo = 1 if lemma in ("app8", "app15", "app17") else 0
+    ns = [rng.randint(lo, 3) for _ in range(I + 1 if lemma in ("app0", "app1") else I)]
     if lemma == "app2":
-        ms, _ = _random_lists(rng)
         return {"ms": ms, "x": rng.randint(1, 4)}
     if lemma == "app13":
-        ms, _ = _random_lists(rng)
         return {"ms": ms, "x": rng.randint(1, 4), "z": rng.randint(0, 3)}
-    if lemma in ("app0", "app1"):
-        ms, ns = _random_lists(rng)
-        ns.append(rng.randint(0, 3))
-        # inner denominators need 1 + n_j + v_j > 0, automatic here
-        return {"ms": ms, "ns": ns}
-    if lemma in ("app8", "app15", "app17"):
-        ms, ns = _random_lists(rng, n_zero_ok=False)
-        return {"ms": ms, "ns": ns}
-    ms, ns = _random_lists(rng)
     return {"ms": ms, "ns": ns}
 
 

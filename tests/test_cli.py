@@ -733,6 +733,15 @@ class TestUsageErrors:
         assert code == 64 and captured.out == ""
         assert captured.err == "error: zero denominator in 'q=1/0'\n"
 
+    @pytest.mark.parametrize("at", ["q=1e3", "Q=2E-1", "q=1e999999999"])
+    @pytest.mark.parametrize("verb", [["sum"], ["psi"], ["correlate", "--alpha", "1"]])
+    def test_at_exponent_notation(self, capsys, verb, at):
+        # Fraction expands 1e<k> as 10**k; the value is refused before it is parsed
+        code = main([*verb, "--n", "2", "--at", at])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert captured.err == f"error: exponent notation in {at!r}; use q=1,Q=2/3,Q0=1\n"
+
     @pytest.mark.parametrize("verb", [["sum"], ["psi"], ["correlate", "--alpha", "1"]])
     def test_at_zero_coordinate(self, capsys, verb):
         code = main([*verb, "--n", "2", "--at", "q=0"])

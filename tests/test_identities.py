@@ -52,31 +52,20 @@ class TestSpotInstances:
 
 
 class TestSmallGrids:
-    @pytest.mark.parametrize("lemma", [l for l in LEMMA_IDS if l not in ("appA", "app2", "app13")])
+    @pytest.mark.parametrize("lemma", LEMMAS)
     def test_exhaustive(self, lemma):
-        needs_positive_n = lemma in ("app8", "app15", "app17")
-        lo = 1 if needs_positive_n else 0
-        for I in (1, 2):
-            for ms in product((1, 2), repeat=I):
-                ns_len = I + 1 if lemma in ("app0", "app1") else I
-                for ns in product(range(lo, 3), repeat=ns_len):
-                    params = {"ms": list(ms), "ns": list(ns)}
-                    assert verify_qidentity(lemma, params), (lemma, params)
+        for params in _small_grid(lemma):
+            assert verify_qidentity(lemma, params), (lemma, params)
 
-    def test_app2_grid(self):
-        for I in (1, 2, 3):
-            for ms in product((1, 2), repeat=I):
-                for x in (1, 2, 3):
-                    assert verify_qidentity("app2", {"ms": list(ms), "x": x})
 
-    def test_app13_grid(self):
-        for K in (1, 2):
-            for ms in product((1, 2), repeat=K):
-                for x in (1, 2):
-                    for z in (0, 1):
-                        assert verify_qidentity(
-                            "app13", {"ms": list(ms), "x": x, "z": z}
-                        )
+class TestLengthChecks:
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize("lemma", [l for l in LEMMAS if l not in ("app2", "app13")])
+    def test_ns_of_the_wrong_length_raises(self, lemma, delta):
+        ms = [1, 2]
+        need = len(ms) + (1 if lemma in ("app0", "app1") else 0)
+        with pytest.raises(ValueError, match=f"^ns needs {need} entries, not {need + delta}$"):
+            LEMMAS[lemma](ms, [1] * (need + delta))
 
 
 SWEPT = [l for l in LEMMA_IDS if l != "appA"]
@@ -157,7 +146,7 @@ class TestTridiagonal:
 
 
 def _small_grid(lemma):
-    """The parameter grid of TestSmallGrids for one lemma."""
+    """The parameter grid of TestSmallGrids and TestPinnedValues for one lemma."""
     if lemma == "app2":
         for I in (1, 2, 3):
             for ms in product((1, 2), repeat=I):
