@@ -4,6 +4,12 @@ Each lemma is coded as (left side, right side) builders over concrete
 integer parameters; equality is decided after clearing the structured
 denominators, never through floating point.  The induction arguments are
 retraced as one-step recurrence identities on the closed forms.
+
+Every term q^e [n_1] ... / ([d_1] ...) is written over B(n) = q^n - q^-n,
+with [n] = B(n) / B(1) (Kassel, Quantum Groups, VI.1), so its denominator
+atoms are two-term B(d).  Every B(d) vanishes at q = 1 and at q = -1, where
+[d] does not, so nothing may evaluate an appendix term at q = +-1; the tests
+pin the terms' values at q = 7/5.
 """
 
 from __future__ import annotations
@@ -17,23 +23,59 @@ from .ring import ONE, R_ONE, R_ZERO, ZERO, RatioElem, RingElem, qint, qQ_bracke
 _mono = RingElem.mono
 
 
+@lru_cache(maxsize=None)
+def _b(n: int) -> RingElem:
+    """B(n) = q^n - q^-n, so that [n] = B(n) / B(1) for every integer n; B(0) = 0."""
+    return RingElem({(n, 0, 0): 1, (-n, 0, 0): -1} if n else {})
+
+
 @lru_cache(maxsize=4096)
-def _bracket_product(nums: tuple) -> RingElem:
-    """[n_1] [n_2] ... [n_k] for a sorted tuple of bracket arguments, built on
-    the cached product of its prefix; the appendix terms of one run share
-    about a thousand such products."""
-    if not nums:
+def _b_product(ns: tuple) -> RingElem:
+    """B(n_1) B(n_2) ... B(n_k) for a sorted tuple of arguments, built on the
+    cached product of its prefix; the appendix terms of one run share about
+    nine hundred such products."""
+    if not ns:
         return ONE
-    return _bracket_product(nums[:-1]) * qint(nums[-1])
+    return _b_product(ns[:-1]) * _b(ns[-1])
 
 
 def _ratio(e: int, nums=(), dens=()) -> RatioElem:
     """q^e [n_1] [n_2] ... / ([d_1] [d_2] ...), the shape of every appendix
-    term; nums and dens are the bracket arguments."""
-    num = _bracket_product(tuple(sorted(nums)))
-    if e:
-        num = _mono(1, e) * num
-    return RatioElem(num, [qint(d) for d in dens])
+    term; nums and dens are the bracket arguments.
+
+    With [n] = B(n) / B(1) the term is q^e B(1)^(len(dens) - len(nums))
+    B(n_1) B(n_2) ... / (B(d_1) B(d_2) ...), with B(-n) = -B(n).  The
+    arguments that the numerator and the denominator share cancel before
+    anything is expanded, and the atoms left are two-term B(d), so a sum
+    lifts its numerators to a common denominator by two-term factors.  A
+    zero in dens raises ZeroDenominator, as the direct construction does."""
+    if 0 in dens:
+        # the direct construction, which RatioElem refuses before a [0]
+        # in dens could cancel against a [0] in nums
+        num = _mono(1, e)
+        for n in nums:
+            num = num * qint(n)
+        return RatioElem(num, [qint(d) for d in dens])
+    sign = (-1) ** sum(a < 0 for a in (*nums, *dens))
+    power = len(dens) - len(nums)
+    top = sorted([1] * power + [abs(n) for n in nums])
+    bottom = sorted([1] * -power + [abs(d) for d in dens])
+    # one merge of the two sorted lists drops each shared argument once from both
+    kept_top, kept_bottom, i, j = [], [], 0, 0
+    while i < len(top) and j < len(bottom):
+        a, b = top[i], bottom[j]
+        if a == b:
+            i, j = i + 1, j + 1
+        elif a < b:
+            kept_top.append(a)
+            i += 1
+        else:
+            kept_bottom.append(b)
+            j += 1
+    num = _b_product((*kept_top, *top[i:]))
+    if e or sign < 0:
+        num = _mono(sign, e) * num
+    return RatioElem(num, [_b(d) for d in (*kept_bottom, *bottom[j:])])
 
 
 # -- the summation lemmas ----------------------------------------------------

@@ -7,11 +7,10 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from tbtl import identities
-from tbtl.cli import build_parser
+from tbtl.cli import build_parser, main
 from tbtl.identities import (
     LEMMA_IDS,
     LEMMAS,
-    _bracket_product,
     _ratio,
     lemma_app0,
     lemma_app2,
@@ -24,7 +23,7 @@ from tbtl.identities import (
     verify_tridiagonal_lemma,
 )
 from tbtl.basis import specialize
-from tbtl.ring import ONE, RatioElem, SpecPoint, ZeroDenominator, qint, qQ_bracket
+from tbtl.ring import RatioElem, RingElem, SpecPoint, ZeroDenominator, angle, qint, qQ_bracket
 
 
 def bi_eigenvalue_consistency(N: int, M: int) -> bool:
@@ -112,19 +111,102 @@ class TestSweeps:
         assert calls[-1] == (lemma, bad)
 
 
-class TestBracketProduct:
-    def test_matches_the_product_left_to_right(self):
-        for k in range(5):
-            for nums in combinations_with_replacement(range(-3, 7), k):
-                expected = ONE
-                for n in nums:
-                    expected = expected * qint(n)
-                assert _bracket_product(nums) == expected, nums
+def _direct(e, nums, dens, bracket=qint):
+    """q^e [n_1] [n_2] ... / ([d_1] [d_2] ...) built from bracket as written,
+    with nothing cancelled."""
+    num = RingElem.mono(1, e)
+    for n in nums:
+        num = num * bracket(n)
+    return RatioElem(num, [bracket(d) for d in dens])
+
+
+def _outcome(build, e, nums, dens):
+    """build's value, or the message of the ZeroDenominator it raises."""
+    try:
+        return build(e, nums, dens)
+    except ZeroDenominator as exc:
+        return f"ZeroDenominator: {exc}"
+
+
+def _multisets(size):
+    """Every multiset of at most size bracket arguments over -3..8, zeros included."""
+    return [m for k in range(size + 1) for m in combinations_with_replacement(range(-3, 9), k)]
+
+
+class TestRatio:
+    def test_matches_the_direct_construction(self):
+        # All pairs of the 1,820 multisets of up to four arguments at seven
+        # exponents are 23 million cases.  Instead, for each e in -3..3 the i-th
+        # multiset of nums meets the (k i + 1)-th multiset of dens, with a k
+        # prime to 1,820 that differs per e: every (e, nums) and every (e, dens)
+        # is checked, against seven partners each.  The 91 multisets of up to
+        # two arguments are also paired all against all, e cycling over -3..3.
+        big, small = _multisets(4), _multisets(2)
+        cases = [
+            (e, nums, big[(k * i + 1) % len(big)])
+            for e, k in zip(range(-3, 4), (1, 3, 9, 11, 17, 19, 23))
+            for i, nums in enumerate(big)
+        ]
+        cases += [(i % 7 - 3, *pair) for i, pair in enumerate(product(small, small))]
+        for e, nums, dens in cases:
+            assert _outcome(_ratio, e, nums, dens) == _outcome(_direct, e, nums, dens), (e, nums, dens)
 
     def test_a_zero_bracket_in_a_denominator_raises(self):
         assert not _ratio(3, [2, 0], [3]).num
         with pytest.raises(ZeroDenominator):
             _ratio(0, [2], [0, 3])
+        # a [0] above must not cancel the [0] below
+        with pytest.raises(ZeroDenominator):
+            _ratio(1, [0, 11, -2], [0, 7, 9, -3, 10])
+
+
+@pytest.fixture
+def cold_b_caches():
+    """Empty the caches of B and of its products before and after a test
+    that patches B."""
+    caches = (identities._b, identities._b_product)
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
+class TestMutants:
+    """A fault in the appendix terms turns the CLI's sweep to FAIL."""
+
+    def run_all(self, capsys):
+        code = main(["identities", "--lemma", "all", "--draws", "20"])
+        out = capsys.readouterr().out
+        assert code == 1 and any(line.startswith("FAIL  ") for line in out.splitlines()), out
+
+    def test_a_dropped_power_of_b1_fails(self, capsys, monkeypatch):
+        # q^e B(n_1) ... / (B(d_1) ...): _ratio without B(1)^(len(dens) - len(nums))
+        dropped = lambda e, nums=(), dens=(): _direct(e, nums, dens, identities._b)
+        monkeypatch.setattr(identities, "_ratio", dropped)
+        self.run_all(capsys)
+
+    def test_a_wrong_b3_fails(self, capsys, monkeypatch, cold_b_caches):
+        b = identities._b
+        monkeypatch.setattr(identities, "_b", lambda n: angle(3) if n == 3 else b(n))
+        self.run_all(capsys)
+
+
+class TestWholeBox:
+    """Every instance random_params can draw holds, and the draws stay in that box."""
+
+    def test_the_box_holds_25845_instances(self):
+        assert sum(1 for lemma in SWEPT for _ in _box(lemma)) == 25845
+
+    @pytest.mark.parametrize("lemma", SWEPT)
+    def test_draws_stay_in_the_box(self, lemma):
+        box = {repr(p) for p in _box(lemma)}
+        assert {repr(p) for p in _drawn(lemma, 2000, _CLI.seed)} <= box
+
+    @pytest.mark.parametrize("lemma", SWEPT)
+    def test_every_instance_holds(self, lemma):
+        for params in _box(lemma):
+            assert verify_qidentity(lemma, params), (lemma, params)
 
 
 class TestTridiagonal:
@@ -145,26 +227,37 @@ class TestTridiagonal:
                 assert bi_eigenvalue_consistency(N, M)
 
 
+def _grid(lemma, sizes, top, x_top=0, z_top=0):
+    """Instances of lemma with I in sizes, the entries of ms in 1..top and of
+    ns from the lemma's lower bound to top, x in 1..x_top and z in 0..z_top."""
+    lo = 1 if lemma in ("app8", "app15", "app17") else 0
+    ns_extra = 1 if lemma in ("app0", "app1") else 0
+    for I in sizes:
+        for ms in product(range(1, top + 1), repeat=I):
+            if lemma == "app2":
+                for x in range(1, x_top + 1):
+                    yield {"ms": list(ms), "x": x}
+            elif lemma == "app13":
+                for x, z in product(range(1, x_top + 1), range(z_top + 1)):
+                    yield {"ms": list(ms), "x": x, "z": z}
+            else:
+                for ns in product(range(lo, top + 1), repeat=I + ns_extra):
+                    yield {"ms": list(ms), "ns": list(ns)}
+
+
 def _small_grid(lemma):
     """The parameter grid of TestSmallGrids and TestPinnedValues for one lemma."""
     if lemma == "app2":
-        for I in (1, 2, 3):
-            for ms in product((1, 2), repeat=I):
-                for x in (1, 2, 3):
-                    yield {"ms": list(ms), "x": x}
-    elif lemma == "app13":
-        for K in (1, 2):
-            for ms in product((1, 2), repeat=K):
-                for x in (1, 2):
-                    for z in (0, 1):
-                        yield {"ms": list(ms), "x": x, "z": z}
-    else:
-        lo = 1 if lemma in ("app8", "app15", "app17") else 0
-        for I in (1, 2):
-            for ms in product((1, 2), repeat=I):
-                ns_len = I + 1 if lemma in ("app0", "app1") else I
-                for ns in product(range(lo, 3), repeat=ns_len):
-                    yield {"ms": list(ms), "ns": list(ns)}
+        return _grid(lemma, (1, 2, 3), 2, x_top=3)
+    if lemma == "app13":
+        return _grid(lemma, (1, 2), 2, x_top=2, z_top=1)
+    return _grid(lemma, (1, 2), 2)
+
+
+def _box(lemma):
+    """Every instance random_params draws from: I in 1..3, ms entries in 1..3,
+    ns entries in lo..3, x in 1..4, z in 0..3."""
+    return _grid(lemma, (1, 2, 3), 3, x_top=4, z_top=3)
 
 
 # sha256 of "<params> <lhs> <rhs>" lines, both sides evaluated at _PIN_POINT over
