@@ -11,6 +11,7 @@ Site 1 is the leftmost tensor factor and the per-site basis order is
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 
@@ -75,12 +76,17 @@ def vector_mismatches(left: Vec, right: Vec):
             yield row, a, b
 
 
-def identity_mismatches(columns: dict[str, Vec], lhs: Side, rhs: Side):
+def identity_mismatches(
+    columns: Mapping[str, Vec] | Iterable[tuple[str, Vec]], lhs: Side, rhs: Side
+):
     """Where lhs == rhs fails for two sides sum_k c_k w_k (see apply_word):
     the one way to compare two operators or two vectors.
 
-    One column at a time, on its start vector v (a unit column of
-    unit_columns, or a vector such as Psi), lhs v - rhs v is accumulated
+    columns maps labels to start vectors, or is an iterable of (label,
+    start vector) pairs, which is read one pair at a time, so that a
+    caller can build each start vector as it is read.  One column at a
+    time, on its start vector v (a unit column of unit_columns, a vector
+    such as Psi, or a row of an operator), lhs v - rhs v is accumulated
     by _products into one set of term dicts: a word A_1 A_2 ... A_k adds
     +-A_1 u, where u is A_2 ... A_k v (apply_word) scaled by c_k, and an
     empty word adds +-c_k v term by term, with c_k as _products' scalar
@@ -91,7 +97,7 @@ def identity_mismatches(columns: dict[str, Vec], lhs: Side, rhs: Side):
     left, right) at its first differing row.  No product is built in full, and a caller
     that needs only a verdict stops at the first differing column.
     """
-    for label, v in columns.items():
+    for label, v in columns.items() if isinstance(columns, Mapping) else columns:
         plain: dict[str, dict] = {}
         fractional: dict[str, dict] = {}
         for sign, side in ((1, lhs), (-1, rhs)):

@@ -156,18 +156,23 @@ def eigen_multiplicities(tag: str, N: int, M: int | None = None, seed: int = 7):
     p = random_generic_point(random.Random(seed))
     values = [(i, lam.evaluate(p)) for i, lam in candidate_eigenvalues(tag, N, M)]
     # Only the diagonal of X - lambda depends on lambda, so each row's
-    # off-diagonal part is scaled to integers once per point.
+    # off-diagonal part is scaled to integers once per point.  The diagonal
+    # holds few distinct values (9 on the BI M=2, N=8 basis), each numbered
+    # once per point, so that diag - lambda is worked out once per distinct
+    # value for each lambda.
     rows_all = eval_op_at(X, p, order)
+    diagonal: dict[Fraction, int] = {}
     parts = []
     for k in range(dim):
         row = rows_all.get(k, {})
         scale, off = _integer_row({j: v for j, v in row.items() if j != k})
-        parts.append((k, row.get(k, Fraction(0)), scale, off))
+        parts.append((k, diagonal.setdefault(row.get(k, Fraction(0)), len(diagonal)), scale, off))
     mult = {}
     for i, lam in values:
+        diffs = [diag - lam for diag in diagonal]
         rows = []
-        for k, diag, scale, off in parts:
-            d = diag - lam
+        for k, d_index, scale, off in parts:
+            d = diffs[d_index]
             if not d:
                 rows.append(off)
                 continue

@@ -28,7 +28,7 @@ from .ring import (
 from .kl_action import kl_operator
 from .coideal import _integer_rank, _integer_row, candidate_eigenvalues, eval_op_at, x_matrix_kl
 from .algebra import (
-    generator_names, hamiltonian_terms, identity_mismatches, op_apply, vector_mismatches
+    Op, generator_names, hamiltonian_terms, identity_mismatches, vector_mismatches
 )
 
 _mono = RingElem.mono
@@ -345,27 +345,70 @@ def verify_x_eigen(gs: GroundState) -> bool:
     return not any(identity_mismatches({"Psi": gs.components()}, [(R_ONE, (X,))], [(lam, ())]))
 
 
+def _one_row(v: dict[str, RatioElem]) -> Op:
+    """The vector v as an operator with the one row "Psi": {s: {"Psi": v_s}}."""
+    return {s: {"Psi": c} for s, c in v.items()}
+
+
+def _at_integrable_point(v: dict[str, RatioElem], tag: str, N: int, M) -> dict[str, RatioElem]:
+    """v after Q0 -> q^{1-N} Q^{-1} and then the family's parameters
+    (basis.specialize), one entry at a time.  An entry that the map leaves
+    equal is kept as the same object, so a vector free of Q0 (and, for BI,
+    of Q) is not copied."""
+    out = {}
+    for s, c in v.items():
+        image = specialize({s: c.subst_Q0(N)}, tag, M)[s]
+        out[s] = c if image == c else image
+    return out
+
+
 def verify_annihilation(gs: GroundState) -> dict[str, bool]:
     """e_i Psi = 0 (free parameters) and e_0 Psi = 0 after the integrable
     substitution Q0 -> q^{1-N} Q^{-1} (with Q = q^M afterwards for BI).
 
     One more entry holds that e_0 Psi != 0 before the substitution, so the
     e_0 entry shows the condition at work rather than an e_0 that vanishes
-    outright."""
+    outright.
+
+    e_1 ... e_N are checked on Psi as one column.  e_0 Psi is never built.
+    With E = e_0 stored by columns, its row t is
+    (E Psi)_t = sum_s E[s][t] Psi_s, the one entry of P r_t, where
+    r_t = {s: E[s][t]} is row t of E and P = {s: {"Psi": Psi_s}} is Psi as
+    an operator with one row.  The rows are collected from a fresh e_0,
+    popping each column as it is read, so no second copy of e_0 exists, and
+    identity_mismatches reads them one at a time, so at most one row's sum
+    is alive.  Before the substitution it reads the rows in turn and stops
+    at the first whose value is nonzero.  The substitution phi is a ring
+    map, phi((E Psi)_t) = sum_s phi(E[s][t]) phi(Psi_s), so it is applied
+    to each row's entries as that row is read and once to Psi's components,
+    which equals applying it to the image, for any Psi.  Psi is free of Q0
+    in every family, and of Q for BI, so the map leaves it uncopied.
+    """
     N, tag, M = gs.N, gs.tag, gs.M
-    columns = {"Psi": gs.components()}
-    report = {}
-    for gen in generator_names(N):
+    psi = gs.components()
+    report = {
         # each e_g is built inside the call that reads it: no two are alive at once
-        if gen == "e0":
-            image = op_apply(kl_operator(tag, N, gen, M), columns["Psi"])
-            report[E0_GENERIC] = bool(image)
-            image = specialize({s: v.subst_Q0(N) for s, v in image.items()}, tag, M)
-            report[gen] = not any(vector_mismatches(image, {}))
-        else:
-            report[gen] = not any(
-                identity_mismatches(columns, [(R_ONE, (kl_operator(tag, N, gen, M),))], [])
-            )
+        gen: not any(
+            identity_mismatches({"Psi": psi}, [(R_ONE, (kl_operator(tag, N, gen, M),))], [])
+        )
+        for gen in generator_names(N)
+        if gen != "e0"
+    }
+    # the standard basis's e_0 is a shared, read-only matrix; only its map of
+    # columns is copied
+    E0 = dict(kl_operator(tag, N, "e0", M))
+    rows: dict[str, dict[str, RatioElem]] = {}
+    for s, c in psi.items():
+        if c:  # as in op_apply, only the columns that Psi reads
+            for t, a in E0.pop(s).items():
+                rows.setdefault(t, {})[s] = a
+    report[E0_GENERIC] = any(identity_mismatches(rows, [(R_ONE, (_one_row(psi),))], []))
+    at_point = _one_row(_at_integrable_point(psi, tag, N, M))
+    report["e0"] = not any(identity_mismatches(
+        ((t, _at_integrable_point(rows.pop(t), tag, N, M)) for t in list(rows)),
+        [(R_ONE, (at_point,))],
+        [],
+    ))
     return report
 
 

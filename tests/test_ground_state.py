@@ -1,12 +1,16 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
+import gc
+import tracemalloc
 
 import pytest
 
-from tbtl.basis import build_diagram
+from tbtl.basis import build_diagram, specialize
 from tbtl.ground_state import (
     E0_GENERIC,
     FactorizedScalar,
+    GroundState,
+    _at_integrable_point,
     _component,
     _psd_blocks,
     numeric_ground_state_check,
@@ -17,12 +21,21 @@ from tbtl.ground_state import (
     verify_annihilation,
     verify_x_eigen,
 )
-from tbtl.algebra import identity_mismatches, pauli_hamiltonian, unit_columns
+from tbtl.algebra import (
+    generator_names,
+    identity_mismatches,
+    op_apply,
+    pauli_hamiltonian,
+    unit_columns,
+    vector_mismatches,
+)
 from tbtl.coideal import candidate_eigenvalues
+from tbtl.kl_action import kl_operator
 from tbtl.ring import (
     RatioElem,
     RingElem,
     SpecPoint,
+    ZeroDenominator,
     angle,
     qint,
     qshift,
@@ -127,6 +140,169 @@ class TestAnnihilation:
         for tag, M in ALL:
             for N in (1, 2, 3):
                 assert verify_annihilation(psi_vector(tag, N, M))[E0_GENERIC], (tag, N)
+
+
+def reference_annihilation(gs: GroundState) -> dict[str, bool]:
+    """verify_annihilation with the image e_0 Psi built in full: op_apply,
+    then Q0 -> q^{1-N} Q^{-1} on every entry of the image (subst_Q0), then
+    the family's parameters (specialize)."""
+    N, tag, M = gs.N, gs.tag, gs.M
+    columns = {"Psi": gs.components()}
+    report = {}
+    for gen in generator_names(N):
+        if gen == "e0":
+            image = op_apply(kl_operator(tag, N, gen, M), columns["Psi"])
+            report[E0_GENERIC] = bool(image)
+            image = specialize({s: v.subst_Q0(N) for s, v in image.items()}, tag, M)
+            report[gen] = not any(vector_mismatches(image, {}))
+        else:
+            report[gen] = not any(
+                identity_mismatches(columns, [(R_ONE, (kl_operator(tag, N, gen, M),))], [])
+            )
+    return report
+
+
+def outcome(check, gs):
+    """The report of check on gs, or ZeroDenominator if it raised that."""
+    try:
+        return check(gs)
+    except ZeroDenominator as exc:
+        return type(exc)
+
+
+def annihilation_peaks(tag: str, N: int, M: int | None) -> tuple[int, int]:
+    """The traced peaks, in bytes, of verify_annihilation and of
+    reference_annihilation on the same ground state, in this process.  Psi
+    is expanded and both checks run once untraced first, so that neither
+    side pays for the caches it fills (diagrams, quantum integers)."""
+    gs = psi_vector(tag, N, M)
+    assert verify_annihilation(gs) == reference_annihilation(gs)
+    peaks = []
+    for check in (verify_annihilation, reference_annihilation):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            check(gs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks[0], peaks[1]
+
+
+ANNIHILATION_FAMILIES = [
+    ("A", None), ("BI", 1), ("BI", 2), ("BI", 3), ("BII", None), ("BIII", None)
+]
+
+
+def peak_bound(tag: str, M: int | None) -> float:
+    """The largest share of the reference's traced peak that
+    verify_annihilation may reach."""
+    return 0.5 if (tag, M) in (("BI", 2), ("BIII", None)) else 0.8
+
+
+class TestAnnihilationRowByRow:
+    """verify_annihilation decides e_0 Psi = 0 one row at a time; the
+    reference builds the image in full and substitutes into it."""
+
+    @pytest.mark.parametrize("tag,M", ANNIHILATION_FAMILIES + [("standard", None)])
+    def test_substitution_keeps_the_entries_it_leaves_equal(self, tag, M):
+        # Psi is free of Q0 (and of Q for BI): its substituted copy shares
+        # every component, which keeps it out of the row's peak
+        psi = psi_vector(tag, 4, M).components()
+        at_point = _at_integrable_point(psi, tag, 4, M)
+        assert all(at_point[s] is c for s, c in psi.items())
+        moved = {"+": RatioElem(mono(1, 0, 0, 1)), "-": R_ONE}
+        got = _at_integrable_point(moved, tag, 4, M)
+        assert got["-"] is R_ONE
+        assert got["+"] == specialize({"+": RatioElem(mono(1, -3, -1))}, tag, M)["+"]
+
+    @pytest.mark.parametrize("tag,M", ANNIHILATION_FAMILIES)
+    def test_matches_the_full_image(self, tag, M):
+        for N in range(1, 7):
+            gs = psi_vector(tag, N, M)
+            got, want = verify_annihilation(gs), reference_annihilation(gs)
+            assert list(got.items()) == list(want.items()), (tag, M, N)
+
+    @staticmethod
+    def perturbed_e0(monkeypatch, N, change):
+        """e_0 with change applied to the first entry of the column "+...+"."""
+        from tbtl import kl_action
+
+        rule = kl_action.apply_e0_kl
+
+        def mutant(tag, D):
+            out = rule(tag, D)
+            if D.string == "+" * N:
+                row = next(iter(out))
+                out[row] = change(out[row])
+            return out
+
+        monkeypatch.setattr(kl_action, "apply_e0_kl", mutant)
+
+    @staticmethod
+    def row_fails(capsys, tag, M, N):
+        from tbtl.cli import main
+
+        family = ["--type", tag] + (["--m", str(M)] if M else [])
+        code = main(["verify", "--check", "annihilation", *family, "--n", str(N)])
+        out = capsys.readouterr().out
+        assert (code == 1) == out.startswith("FAIL  e_g Psi = 0 (e_0 at the integrable point)")
+        return code == 1
+
+    @pytest.mark.parametrize("tag,M", [("A", None), ("BI", 2), ("BIII", None)])
+    @pytest.mark.parametrize("N", [2, 4])
+    def test_perturbed_e0_entry_fails(self, capsys, monkeypatch, tag, M, N):
+        # 1 added to an entry stays 1 at the integrable point, so the row of
+        # e_0 Psi that the entry feeds gains Psi_{+...+}
+        self.perturbed_e0(monkeypatch, N, lambda c: c + R_ONE)
+        gs = psi_vector(tag, N, M)
+        got, want = verify_annihilation(gs), reference_annihilation(gs)
+        assert got == want and got[E0_GENERIC] and not got["e0"]
+        assert self.row_fails(capsys, tag, M, N)
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("N", [2, 4])
+    def test_bi_component_times_Q_over_q_to_the_M(self, capsys, monkeypatch, M, N):
+        # Q q^-M is 1 at Q = q^M, so e_0 Psi = 0 still holds there; with
+        # the substitution left off Psi's components the e0 entry would fail.
+        # The e_i, checked with Q free, fail on both paths.
+        from tbtl import ground_state
+
+        build = ground_state.psi_vector
+
+        def mutant(tag, N, M=None):
+            gs = build(tag, N, M)
+            f = gs.factors["+" * N]
+            factors = {**gs.factors, "+" * N: replace(f, q_exp=f.q_exp - M, Q_exp=f.Q_exp + 1)}
+            return GroundState(tag, N, M, factors)
+
+        monkeypatch.setattr(ground_state, "psi_vector", mutant)
+        gs = mutant("BI", N, M)
+        got, want = verify_annihilation(gs), reference_annihilation(gs)
+        assert got == want and got[E0_GENERIC] and got["e0"] and not all(got.values())
+        assert self.row_fails(capsys, "BI", M, N)
+
+    @pytest.mark.parametrize("tag,M", [("A", None), ("BI", 2), ("BIII", None)])
+    @pytest.mark.parametrize("N", [2, 4])
+    def test_e0_atom_vanishing_at_the_integrable_point_fails(self, capsys, monkeypatch, tag, M, N):
+        # Q0 Q q^{N-1} - 1 is 0 at Q0 = q^{1-N} Q^{-1}: as a denominator
+        # atom of an e_0 entry it makes the substitution raise on both paths
+        atom = RingElem({(N - 1, 1, 1): 1, (0, 0, 0): -1})
+        self.perturbed_e0(monkeypatch, N, lambda c: c * RatioElem(mono(1), (atom,)))
+        gs = psi_vector(tag, N, M)
+        assert outcome(verify_annihilation, gs) is outcome(reference_annihilation, gs) is ZeroDenominator
+        assert self.row_fails(capsys, tag, M, N)
+
+
+class TestAnnihilationPeak:
+    # At N = 7 on Python 3.11 the row-wise check read, as a share of the
+    # reference's traced peak: A 0.62, BI M = 1, 2, 3 0.36, 0.30, 0.26, BII
+    # 0.22, BIII 0.18, standard 0.68: the full image and its substituted
+    # copies are gone.
+    @pytest.mark.parametrize("tag,M", ANNIHILATION_FAMILIES + [("standard", None)])
+    def test_traced_peak_below_the_full_image(self, tag, M):
+        got, reference = annihilation_peaks(tag, 7, M)
+        assert got <= peak_bound(tag, M) * reference, (tag, M, got, reference)
 
 
 class TestChangeOfBasis:
