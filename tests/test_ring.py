@@ -1,9 +1,7 @@
-import math
 import random
 import re
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -436,14 +434,14 @@ def test_monomial_product_is_convolution(m, a):
         assert product.terms is not m.terms and product.terms is not a.terms
 
 
-# -- products by Kronecker substitution ---------------------------------------
+# -- products of multi-term factors -------------------------------------------
 
 
 @st.composite
 def _kernel_factors(draw, multivariate=st.booleans()):
     """1 to 14 terms with negative exponents allowed: in q alone or in q, Q
     and Q0; the q-exponents of one parity or mixed; coefficients small, or
-    wide enough that products need digits beyond 64 bits."""
+    wide enough that products pass 2^64."""
     parity = draw(st.sampled_from([None, 0, 1]))
     if parity is None:
         qs = st.integers(-10, 9)
@@ -458,17 +456,6 @@ def _kernel_factors(draw, multivariate=st.booleans()):
     return RingElem(draw(st.dictionaries(keys, coefficients, min_size=1, max_size=14)))
 
 
-def _packed(a: RingElem, b: RingElem) -> dict | None:
-    """The terms of a * b from the Kronecker kernel, whatever the box's size;
-    None when |a|_1 |b|_1 reaches 2^63, past 64-bit digits."""
-    with mock.patch.object(ring, "_KRONECKER_MAX_FILL", math.inf):
-        return ring._kronecker_product(a.terms, b.terms)
-
-
-def _fits_64_bits(a: RingElem, b: RingElem) -> bool:
-    return sum(map(abs, a.terms.values())) * sum(map(abs, b.terms.values())) < 2**63
-
-
 @settings(max_examples=300, deadline=None)
 @given(_kernel_factors(), _kernel_factors())
 @example(  # q-exponents 2 apart on both sides
@@ -479,44 +466,36 @@ def _fits_64_bits(a: RingElem, b: RingElem) -> bool:
     RingElem({(2 * i, 0, 0): 1 for i in range(8)}),
     RingElem({(2 * i, 0, 0): (-1) ** i for i in range(8)}),
 )
-@example(  # |a|_1 |b|_1 just below 2^63: 64-bit digits near -2^62
+@example(  # |a|_1 |b|_1 just below 2^63: coefficients near -2^62
     RingElem({(0, 0, 0): 2**59 - 1, **{(i, 0, 0): 1 for i in range(1, 8)}}),
     RingElem({(0, 0, 0): -7, **{(i, 0, 0): -1 for i in range(1, 8)}}),
 )
-@example(  # |a|_1 |b|_1 = 2^63 - 64: packed
+@example(  # |a|_1 |b|_1 = 2^63 - 64
     RingElem({(i, 1, -1): 2**57 - 1 for i in range(8)}),
     RingElem({(-2 * i, 0, 0): 1 for i in range(8)}),
 )
-@example(  # |a|_1 |b|_1 = 2^63: left to the schoolbook loop
+@example(  # |a|_1 |b|_1 = 2^63
     RingElem({(i, 1, -1): 2**57 for i in range(8)}),
     RingElem({(-2 * i, 0, 0): 1 for i in range(8)}),
 )
-def test_kronecker_product_is_convolution(a, b):
-    expected = _convolution(a, b)
-    packed = expected if _fits_64_bits(a, b) else None
-    assert _packed(a, b) == packed
-    assert _packed(b, a) == packed
-    assert (a * b).terms == (b * a).terms == expected
+@example(  # exponents a million apart, in q and Q
+    RingElem({(10**6 * i, 0, 0): 1 for i in range(8)}),
+    RingElem({(-(10**6) * i, i, 0): 1 for i in range(8)}),
+)
+def test_product_is_convolution(a, b):
+    assert (a * b).terms == (b * a).terms == _convolution(a, b)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_kernel_factors())
-def test_kronecker_product_cancels(u):
+def test_product_cancels(u):
     # (1 + q^2)(1 - q^2 + q^4 - ... - q^14) = 1 - q^16: all the middle
-    # coefficients of the packed product cancel to 0
+    # coefficients of the product cancel to 0
     a = u * (ONE + mono(1, 2))
     b = RingElem({(2 * i, 0, 0): (-1) ** i for i in range(8)})
     expected = _convolution(u, ONE - mono(1, 16))
     assert _convolution(a, b) == expected
-    assert _packed(a, b) == (expected if _fits_64_bits(a, b) else None)
     assert (a * b).terms == expected
-
-
-def test_sparse_box_is_multiplied_term_by_term():
-    a = RingElem({(10**6 * i, 0, 0): 1 for i in range(8)})
-    b = RingElem({(-(10**6) * i, i, 0): 1 for i in range(8)})
-    assert ring._kronecker_product(a.terms, b.terms) is None
-    assert (a * b).terms == _convolution(a, b)
 
 
 # -- ratio equality -------------------------------------------------------------
